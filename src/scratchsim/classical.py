@@ -111,11 +111,26 @@ def integrate(
 ) -> TrajectoryResult:
     """Velocity-Verlet evolution with snapshots at exact checkpoint times.
 
-    Optionally tracks each particle's maximum distance to its own curve
-    (constraint-realization diagnostic).
+    With `curves`, the scratched potential's own curves in order (one per
+    particle), tracks each particle's maximum distance to its own curve
+    (constraint-realization diagnostic). The distance is the one each step's
+    force evaluation computes: the nearest parameter is searched over
+    [-ext, 1 + ext], with ext the scratch profile's `extension`, and a
+    distance below the profile's snap threshold reads as zero.
     """
     times = schedule.times if isinstance(schedule, CheckpointSchedule) else np.asarray(schedule, dtype=float)
     mass = ensemble.mass
+    own_f = None
+    if curves is not None:
+        own = [prof.curve for prof in scratched.profiles]
+        if not (len(curves) == len(own) == ensemble.num_particles) or any(
+            a is not b for a, b in zip(own, curves)
+        ):
+            raise ClassicalError(
+                "deviation tracking needs the scratched potential's own curves, one per particle"
+            )
+        own_f = np.zeros(ensemble.num_particles)
+        max_f = np.zeros(ensemble.num_particles)
     if dt_max is None:
         u_max = 1.0
         if domain is not None:
@@ -133,7 +148,6 @@ def integrate(
     e0 = energy(q, p)
     scale = np.maximum(np.abs(e0), 1e-12)
     energy_rows = [e0]
-    max_dev = np.zeros(ensemble.num_particles) if curves is not None else None
     snapshots = [ClassicalEnsemble(q.copy(), p.copy(), mass)]
     step_count = 0
     for t1, t2 in zip(times[:-1], times[1:]):
@@ -143,16 +157,14 @@ def integrate(
         for _ in range(nsteps):
             p = p + 0.5 * dt * force
             q = q + dt * p / mass
-            _, grad = scratched.eval(q)
+            _, grad = scratched.eval(q, own_f=own_f)
             force = -grad
             p = p + 0.5 * dt * force
             step_count += 1
+            if own_f is not None:
+                np.maximum(max_f, own_f, out=max_f)
             if step_count % energy_log_stride == 0:
                 energy_rows.append(energy(q, p))
-            if curves is not None and step_count % 2 == 0:
-                for l, c in enumerate(curves):
-                    _, f = c.project(q[l][None, :], s_lo=-0.2, s_hi=1.2)
-                    max_dev[l] = max(max_dev[l], np.sqrt(max(f[0], 0.0)))
             if domain is not None and (
                 np.any(q < domain.lo) or np.any(q > domain.hi)
             ):
@@ -171,7 +183,7 @@ def integrate(
         times=times,
         energy_log=energy_log,
         energy_drift=drift,
-        max_curve_deviation=max_dev,
+        max_curve_deviation=None if own_f is None else np.sqrt(max_f),
     )
 
 

@@ -65,6 +65,10 @@ class SegmentCurve:
         s = np.asarray(s, dtype=float)
         return np.zeros(s.shape + (self.ndim,))
 
+    def jet(self, s):
+        """Position, first and second derivative at s, each shaped s.shape + (D,)."""
+        return self(s), self.deriv(s), self.deriv2(s)
+
     @property
     def length(self) -> float:
         return float(np.linalg.norm(self.b - self.a))
@@ -100,11 +104,21 @@ class SplineCurve:
             raise GeometryError("knots must be strictly increasing from 0 to 1")
         if np.any(np.linalg.norm(self.tangents, axis=1) < 1e-12):
             raise GeometryError("zero tangent at a knot (irregular curve)")
-        self._pp = CubicHermiteSpline(self.knots, self.waypoints, self.tangents, axis=0)
-        self._dpp = self._pp.derivative()
-        self._d2pp = self._dpp.derivative()
-        self._dense_s = None
-        self._dense_pts = None
+        # piece table: the linear continuation below 0, the cubic pieces, the
+        # linear continuation above 1; per piece the coefficients a3..a0 of
+        # the offset from its left end, then 3*a3, 2*a2 and 6*a3 for the
+        # derivatives
+        cubic = CubicHermiteSpline(self.knots, self.waypoints, self.tangents, axis=0).c
+        zero = np.zeros(self.ndim)
+        below = np.stack([zero, zero, self.tangents[0], self.waypoints[0]])
+        above = np.stack([zero, zero, self.tangents[-1], self.waypoints[-1]])
+        coef = np.concatenate([below[:, None], cubic, above[:, None]], axis=1)
+        self._coef = np.concatenate([coef, [3.0 * coef[0], 2.0 * coef[1], 6.0 * coef[0]]])
+        self._left = np.concatenate([[0.0], self.knots[:-1], [1.0]])
+        # s < 0 -> piece 0; knots[i] <= s < knots[i+1] -> cubic piece i + 1;
+        # s > 1 -> the last piece, so that s = 1 stays on the cubic
+        self._edges = np.concatenate([self.knots[:-1], [np.nextafter(1.0, 2.0)]])
+        self._dense: dict[tuple[float, float], tuple] = {}
 
     @property
     def ndim(self) -> int:
@@ -114,29 +128,25 @@ class SplineCurve:
     def checkpoint_params(self) -> np.ndarray:
         return self.knots
 
-    def __call__(self, s):
+    def jet(self, s):
+        """Position, first and second derivative at s, each shaped s.shape + (D,)."""
         s = np.asarray(s, dtype=float)
-        inner = self._pp(np.clip(s, 0.0, 1.0))
-        below = np.minimum(s, 0.0)
-        above = np.maximum(s - 1.0, 0.0)
-        return (
-            inner
-            + below[..., None] * self.tangents[0]
-            + above[..., None] * self.tangents[-1]
-        )
+        i = np.searchsorted(self._edges, s, side="right")
+        x = (s - self._left[i])[..., None]
+        a3, a2, a1, a0, b2, b1, c1 = self._coef.take(i, axis=1)
+        pos = ((a3 * x + a2) * x + a1) * x + a0
+        d1 = (b2 * x + b1) * x + a1
+        d2 = c1 * x + b1
+        return pos, d1, d2
+
+    def __call__(self, s):
+        return self.jet(s)[0]
 
     def deriv(self, s):
-        s = np.asarray(s, dtype=float)
-        out = self._dpp(np.clip(s, 0.0, 1.0))
-        out = np.where((s < 0.0)[..., None], self.tangents[0], out)
-        out = np.where((s > 1.0)[..., None], self.tangents[-1], out)
-        return out
+        return self.jet(s)[1]
 
     def deriv2(self, s):
-        s = np.asarray(s, dtype=float)
-        out = self._d2pp(np.clip(s, 0.0, 1.0))
-        outside = (s < 0.0) | (s > 1.0)
-        return np.where(outside[..., None], 0.0, out)
+        return self.jet(s)[2]
 
     @property
     def length(self) -> float:
@@ -147,34 +157,46 @@ class SplineCurve:
         s = np.linspace(s_lo, s_hi, num)
         return s, self(s)
 
-    def _dense(self, s_lo, s_hi, num=512):
-        key = (s_lo, s_hi, num)
-        if self._dense_s is None or getattr(self, "_dense_key", None) != key:
-            self._dense_s, self._dense_pts = self.sample(num, s_lo, s_hi)
-            self._dense_key = key
-        return self._dense_s, self._dense_pts
+    def _dense_table(self, s_lo: float, s_hi: float, num: int = 512):
+        """Scan samples of [s_lo, s_hi]: parameters, points transposed and
+        squared point norms, built once per range."""
+        table = self._dense.get((s_lo, s_hi))
+        if table is None:
+            s, pts = self.sample(num, s_lo, s_hi)
+            table = (s, np.ascontiguousarray(pts.T), np.einsum("ij,ij->i", pts, pts))
+            self._dense[(s_lo, s_hi)] = table
+        return table
 
     def project(self, points, s_lo=0.0, s_hi=1.0, newton_iters=8):
-        """Nearest parameter via coarse scan plus Newton refinement on
-        g(s) = (q - c(s)) . c'(s)."""
+        """Nearest parameter in [s_lo, s_hi] and squared distance per point.
+
+        A scan over 512 samples of the range gives each start point; Newton
+        steps on g(s) = (q - c(s)) . c'(s), each clipped to 0.1 and to the
+        range, refine it. The iteration stops once no parameter moves by more
+        than 4 ulps of the range's magnitude, and after newton_iters steps at
+        most.
+        """
         points = np.atleast_2d(points)
-        sd, pd = self._dense(s_lo, s_hi)
-        d2 = (
-            np.sum(points**2, axis=1)[:, None]
-            - 2.0 * points @ pd.T
-            + np.sum(pd**2, axis=1)[None, :]
-        )
+        sd, pd_t, pd2 = self._dense_table(s_lo, s_hi)
+        # |q - c|^2 less its per-point constant |q|^2, in one buffer
+        d2 = points @ pd_t
+        d2 *= -2.0
+        d2 += pd2
         s = sd[np.argmin(d2, axis=1)]
+        del d2  # release the M x 512 buffer before Newton allocates its own
+        tol = 4.0 * np.finfo(float).eps * max(abs(s_lo), abs(s_hi), 1.0)
         for _ in range(newton_iters):
-            c = self(s)
-            dc = self.deriv(s)
-            d2c = self.deriv2(s)
+            c, dc, d2c = self.jet(s)
             r = points - c
             g = np.einsum("ij,ij->i", r, dc)
             gp = np.einsum("ij,ij->i", r, d2c) - np.einsum("ij,ij->i", dc, dc)
-            step = np.where(np.abs(gp) > 1e-30, -g / np.where(gp == 0, 1.0, gp), 0.0)
+            step = -g / np.where(np.abs(gp) > 1e-30, gp, np.inf)
             step = np.clip(step, -0.1, 0.1)
-            s = np.clip(s + step, s_lo, s_hi)
+            s_new = np.clip(s + step, s_lo, s_hi)
+            moved = (np.abs(s_new - s) > tol).any()
+            s = s_new
+            if not moved:
+                break
         diff = points - self(s)
         return s, np.einsum("ij,ij->i", diff, diff)
 

@@ -76,9 +76,7 @@ class ScratchProfile:
     def geometry_at(self, points: np.ndarray, s: np.ndarray):
         """Gradient pieces at given points/parameters: grad f, grad sigma."""
         points = np.atleast_2d(points)
-        c = self.curve(s)
-        dc = self.curve.deriv(s)
-        d2c = self.curve.deriv2(s)
+        c, dc, d2c = self.curve.jet(s)
         r = points - c
         grad_f = 2.0 * r
         denom = np.einsum("ij,ij->i", dc, dc) - np.einsum("ij,ij->i", r, d2c)
@@ -97,6 +95,7 @@ class TangentialPotential:
         self.v_samples = np.asarray(v_samples, dtype=float)
         self._pp = CubicSpline(self.s_samples, self.v_samples)
         self._dpp = self._pp.derivative()
+        self._end_slopes = self._dpp([0.0, 1.0])
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -104,7 +103,7 @@ class TangentialPotential:
         out = self._pp(sc)
         below = np.minimum(s, 0.0)
         above = np.maximum(s - 1.0, 0.0)
-        return out + below * self._dpp(0.0) + above * self._dpp(1.0)
+        return out + below * self._end_slopes[0] + above * self._end_slopes[1]
 
     def deriv(self, s):
         s = np.asarray(s, dtype=float)
@@ -147,10 +146,13 @@ class ScratchedPotential:
     def num_scratches(self) -> int:
         return len(self.profiles)
 
-    def eval(self, points: np.ndarray):
+    def eval(self, points: np.ndarray, *, own_f: np.ndarray | None = None):
         """Analytic value and gradient of the scratched potential.
 
         Outside every tube returns the base potential and gradient exactly.
+        With `own_f` (one entry per scratch, and one point per scratch), entry
+        l receives f_l at point l: the squared distance of point l to curve l
+        as the force uses it, zero below the profile's snap threshold.
         """
         points = np.atleast_2d(points)
         M = points.shape[0]
@@ -164,6 +166,8 @@ class ScratchedPotential:
         v_grads = np.zeros((self.num_scratches, M, points.shape[1]))
         for l, prof in enumerate(self.profiles):
             f, s = prof.distance_sq(points)
+            if own_f is not None:
+                own_f[l] = f[l]
             inside = f <= R2
             if not np.any(inside):
                 continue
@@ -298,7 +302,8 @@ def construct_tangential_potential(
     # de-duplicate parameters (monotone, but guard the spline fit)
     s_dense, idx = np.unique(s_dense, return_index=True)
     sdot_dense = sdot_dense[idx]
-    w = np.einsum("ij,ij->i", curve.deriv(s_dense), curve.deriv(s_dense))
+    dq = curve.deriv(s_dense)
+    w = np.einsum("ij,ij->i", dq, dq)
     e0 = 0.5 * mass * w[0] * sdot_dense[0] ** 2
     v = e0 - 0.5 * mass * w * sdot_dense**2
     v = v - v[0]

@@ -5,6 +5,7 @@ import pytest
 
 from scratchsim.classical import (
     ClassicalEnsemble,
+    ClassicalError,
     ConfinementError,
     StabilityError,
     initialize_on_scratches,
@@ -13,10 +14,15 @@ from scratchsim.classical import (
     occupancy,
     stable_timestep,
 )
-from scratchsim.geometry import SegmentCurve
+from scratchsim.experiment import deviation_floor
+from scratchsim.geometry import SegmentCurve, SplineCurve, catmull_rom_tangents
 from scratchsim.grid import SpatialGrid, half_planes, momentum_half_spaces
 from scratchsim.potentials import GaussianWellPotential, HarmonicPotential, ZeroPotential
-from scratchsim.scratch import ScratchedPotential
+from scratchsim.scratch import (
+    ScratchedPotential,
+    TimingConditions,
+    construct_tangential_potential,
+)
 
 
 def grid2d(half=8.0, n=64):
@@ -146,6 +152,70 @@ class TestConstraintRealization:
         drift_first = np.max(np.abs(e[: len(e) // 2] - e[0]))
         drift_all = np.max(np.abs(e - e[0]))
         assert drift_all < 1.5 * drift_first + 1e-12
+
+
+class StepRecorder:
+    """A scratched potential that keeps the points of every step's force
+    evaluation (the calls that ask for the own-curve distances)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.steps = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def eval(self, points, *, own_f=None):
+        if own_f is not None:
+            self.steps.append(points.copy())
+        return self.inner.eval(points, own_f=own_f)
+
+
+class TestDeviationTracking:
+    def driven_run(self):
+        # two curved splines, each driven through its knots by a tangential
+        # potential, so the particles ride the curves at a real deviation
+        base = GaussianWellPotential(0.5, 3.0, offset=1.5, ndim=3)
+        times = np.array([0.0, 2.0, 4.0])
+        curves, tangential, q, p = [], [], [], []
+        for shift in (-1.5, 1.5):
+            wp = np.array([[-1.0, shift, 0.0], [0.0, shift + 0.5, 0.3], [1.0, shift, 0.5]])
+            chords = np.linalg.norm(np.diff(wp, axis=0), axis=1)
+            knots = np.concatenate([[0.0], np.cumsum(chords) / chords.sum()])
+            c = SplineCurve(knots, wp, catmull_rom_tangents(knots, wp))
+            secants = np.diff(knots) / np.diff(times)
+            speeds = np.array([secants[0], secants.min(), secants[1]])
+            cond = TimingConditions(times, knots, speeds)
+            curves.append(c)
+            tangential.append(construct_tangential_potential(c, cond, 1.0))
+            q.append(c(np.array([0.0]))[0])
+            p.append(speeds[0] * c.deriv(np.array([0.0]))[0])
+        sp = StepRecorder(ScratchedPotential(base, curves, 1e3, tangential=tangential))
+        ens = ClassicalEnsemble(np.array(q), np.array(p), 1.0)
+        dt = stable_timestep(1e3, 2.0, 1.0, safety=40.0)
+        res = integrate(ens, sp, times, dt_max=dt, curves=curves, check_energy=False)
+        return curves, sp, res
+
+    def test_matches_reprojection(self):
+        curves, sp, res = self.driven_run()
+        # the reference: re-project every particle onto its own curve after
+        # every step, as the integrator once did every second step
+        ref = np.zeros(len(curves))
+        for q in sp.steps:
+            for l, c in enumerate(curves):
+                _, f = c.project(q[l][None, :], s_lo=-0.2, s_hi=1.2)
+                ref[l] = max(ref[l], np.sqrt(max(f[0], 0.0)))
+        floor = deviation_floor(sp.inner)
+        assert np.all(ref > 100 * floor)  # a real deviation, not round-off
+        assert np.all(np.abs(res.max_curve_deviation - ref) <= floor)
+
+    def test_needs_the_potentials_own_curves(self):
+        c = SegmentCurve([-2.0, 0.0], [2.0, 0.0])
+        other = SegmentCurve([-2.0, 0.0], [2.0, 0.0])
+        sp = ScratchedPotential(HarmonicPotential(1.0, ndim=2), [c], lam=10.0)
+        ens = initialize_on_scratches([c], 1.0, np.array([0.0, 1.0]))
+        with pytest.raises(ClassicalError):
+            integrate(ens, sp, [0.0, 1.0], dt_max=0.01, curves=[other])
 
 
 class TestOccupancy:

@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 
 import scratchsim.experiment as experiment
+from scratchsim import diophantine
 from scratchsim.experiment import (
     DiscriminationReport,
     ExperimentConfig,
     ValidationError,
+    certified_bound,
     default_theorem1_config,
     default_theorem2_config,
+    deviation_decreasing,
     partition_from_spec,
     run_blackbox,
     run_theorem1,
+    run_theorem2,
     theorem_bound,
     write_decay_csv,
     write_occupancy_csv,
@@ -137,6 +141,48 @@ class TestBound:
 
     def test_shrinks_with_particles(self):
         assert theorem_bound(5, 257, 2, 2)[0] < theorem_bound(1, 257, 2, 2)[0]
+
+    def test_certified_bound_counts_groups(self):
+        # K = 2 checkpoints, n = 2 regions: 2K groups with momenta, K without
+        alphas = [(0.5, 0.5)] * 4
+        full = diophantine.problem_from_probabilities(alphas, 257)
+        assert certified_bound(5, full) == theorem_bound(5, 257, 2, 2)
+        positions = diophantine.problem_from_probabilities(alphas[:2], 257)
+        b, _ = certified_bound(5, positions)
+        assert np.isclose(b, 1.0 / (5.0 * 257.0**0.25), rtol=1e-14)
+        assert round(b, 5) == 0.04995
+
+    def test_position_only_report_states_certified_bound(self):
+        # the certificate covers only the K position groups, so the report
+        # states 1/(N * Q^(1/(Kn))), not the full-mode 1/(N * Q^(1/(2Kn)))
+        d = default_theorem2_config().to_dict()
+        d.update(
+            grid={"bounds": [[-8.0, 8.0]] * 3, "shape": [16, 16, 16]},
+            schedule=[0.0, 1.0],
+            lambdas=[10.0],
+            stiffness_safety=320.0,
+            energy_tol=1e-3,
+            edge_eps=1e-2,
+            position_only=True,
+        )
+        report = run_theorem2(ExperimentConfig.from_dict(d))
+        N = report.num_particles
+        assert np.isclose(report.bound, 1.0 / (N * 257.0**0.25), rtol=1e-14)
+        assert np.isclose(report.bound, report.diagnostics["lemma_error_bound"], rtol=1e-14)
+        assert report.passed
+
+
+class TestDeviationDecreasing:
+    def test_round_off_pair_reads_decreasing(self):
+        # deviations of a particle that rides a straight scratch exactly
+        assert deviation_decreasing([7.2e-15, 1.25e-14], floor=8.4e-9)
+
+    def test_rise_above_floor_reads_increasing(self):
+        assert not deviation_decreasing([1e-4, 2e-4], floor=8.4e-9)
+        assert not deviation_decreasing([1e-12, 1e-6], floor=8.4e-9)
+
+    def test_fall_reads_decreasing(self):
+        assert deviation_decreasing([1e-3, 3e-4, 1e-4], floor=8.4e-9)
 
 
 class TestCsvWriters:

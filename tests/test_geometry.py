@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicHermiteSpline
 
 from scratchsim.geometry import (
     CapacityError,
@@ -89,6 +92,105 @@ class TestSplineCurve:
     def test_self_distance_straightish_is_inf(self):
         c = self.make()
         assert curve_self_min_distance(c) > 0.5
+
+
+def random_spline(rng, K, bend=0.5, tangent_scale=1.0):
+    """A simple spline through K waypoints that advance along x, bent
+    sideways by up to `bend` chord lengths."""
+    wp = np.zeros((K, 3))
+    wp[:, 0] = np.arange(K) * 2.0
+    wp[:, 1:] = rng.uniform(-bend, bend, size=(K, 2)) * 2.0
+    wp += rng.uniform(-3.0, 3.0, size=3)
+    knots = _chord_knots(wp)
+    return SplineCurve(knots, wp, tangent_scale * catmull_rom_tangents(knots, wp))
+
+
+def reference_jet(c, s):
+    """Value, first and second derivative from a scipy CubicHermiteSpline,
+    continued linearly along the end tangents outside [0, 1]."""
+    pp = CubicHermiteSpline(c.knots, c.waypoints, c.tangents, axis=0)
+    inner = np.clip(s, 0.0, 1.0)
+    below = (s < 0.0)[:, None]
+    above = (s > 1.0)[:, None]
+    pos = pp(inner) + np.minimum(s, 0.0)[:, None] * c.tangents[0]
+    pos += np.maximum(s - 1.0, 0.0)[:, None] * c.tangents[-1]
+    d1 = np.where(below, c.tangents[0], np.where(above, c.tangents[-1], pp(inner, 1)))
+    d2 = np.where(below | above, 0.0, pp(inner, 2))
+    return pos, d1, d2
+
+
+class TestSplineJet:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_scipy_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        c = random_spline(rng, int(rng.integers(2, 6)), tangent_scale=rng.uniform(0.5, 2.0))
+        edges = np.concatenate([c.knots, [0.0, 1.0]])
+        s = np.concatenate(
+            [
+                rng.uniform(-0.5, 1.5, 200),
+                [-0.5, 1.5],
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+            ]
+        )
+        for got, ref in zip(c.jet(s), reference_jet(c, s)):
+            assert got.shape == (s.size, 3)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_call_and_derivatives_are_parts_of_jet(self):
+        c = random_spline(np.random.default_rng(1), 4)
+        s = np.linspace(-0.3, 1.3, 17)
+        pos, d1, d2 = c.jet(s)
+        assert np.array_equal(c(s), pos)
+        assert np.array_equal(c.deriv(s), d1)
+        assert np.array_equal(c.deriv2(s), d2)
+        assert c(0.5).shape == (3,)
+
+    def test_segment_jet(self):
+        c = SegmentCurve([0.0, 1.0, 2.0], [2.0, 1.0, 0.0])
+        s = np.array([-0.5, 0.25, 1.5])
+        pos, d1, d2 = c.jet(s)
+        assert np.allclose(pos, c(s)) and np.allclose(d1, c.b - c.a)
+        assert np.array_equal(d2, np.zeros((3, 3)))
+
+
+class TestSplineProjection:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(2, 5),
+        offset=st.floats(0.0, 0.5),
+        ext=st.floats(0.0, 0.3),
+    )
+    def test_agrees_with_dense_scan(self, seed, K, offset, ext):
+        rng = np.random.default_rng(seed)
+        c = random_spline(rng, K, bend=0.3)
+        s_lo, s_hi = -ext, 1.0 + ext
+        u = rng.normal(size=(8, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        pts = c(rng.uniform(s_lo, s_hi, 8)) + offset * u
+        s, f = c.project(pts, s_lo=s_lo, s_hi=s_hi)
+        assert np.all((s >= s_lo) & (s <= s_hi))
+        assert np.allclose(f, np.sum((pts - c(s)) ** 2, axis=1), rtol=0.0, atol=1e-12)
+        _, dense = c.sample(20001, s_lo, s_hi)
+        f_dense = np.min(np.sum((pts[:, None, :] - dense[None, :, :]) ** 2, axis=2), axis=1)
+        h = np.max(np.linalg.norm(np.diff(dense, axis=0), axis=1))
+        # never worse than the dense scan, and better by no more than its
+        # resolution allows: the nearest sample lies within h/2 of the foot
+        assert np.all(f <= f_dense + 1e-12)
+        assert np.all(f_dense - f <= np.sqrt(f) * h + h * h / 4 + 1e-12)
+
+    def test_stops_early(self):
+        c = random_spline(np.random.default_rng(3), 3)
+        calls = []
+        jet = c.jet
+        c.jet = lambda s: calls.append(1) or jet(s)
+        pts = c(np.array([0.1, 0.45, 0.8])) + 0.05
+        c.project(pts, newton_iters=8)
+        # Newton reaches machine precision in about 3 steps from the scan;
+        # one more confirms it, then one evaluation for the distance
+        assert len(calls) < 8
 
 
 class TestItineraries:
