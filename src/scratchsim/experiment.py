@@ -451,6 +451,7 @@ def run_theorem1(config: ExperimentConfig, out_dir: str | None = None) -> Discri
         config.lambdas,
         dt_max=config.dt_quantum,
         edge_eps=config.edge_eps,
+        reference=snaps[-1],
     )
     min_dist = classical.min_pairwise_distance(result.snapshots)
     diagnostics = {
@@ -613,6 +614,7 @@ def run_theorem2(config: ExperimentConfig, out_dir: str | None = None) -> Discri
         config.lambdas,
         dt_max=config.dt_quantum,
         edge_eps=config.edge_eps,
+        reference=snaps[-1],
     )
     min_dist = classical.min_pairwise_distance(result.snapshots)
     deviations = [row["max_curve_deviation"] for row in per_lambda]

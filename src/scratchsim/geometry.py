@@ -15,6 +15,8 @@ from scipy.interpolate import CubicHermiteSpline
 
 from scratchsim.grid import RegionPartition, SpatialGrid
 
+_SCAN_BLOCK = 1 << 20  # doubles in one block of the projection scan (8 MiB)
+
 
 class GeometryError(ValueError):
     pass
@@ -178,12 +180,15 @@ class SplineCurve:
         """
         points = np.atleast_2d(points)
         sd, pd_t, pd2 = self._dense_table(s_lo, s_hi)
-        # |q - c|^2 less its per-point constant |q|^2, in one buffer
-        d2 = points @ pd_t
-        d2 *= -2.0
-        d2 += pd2
-        s = sd[np.argmin(d2, axis=1)]
-        del d2  # release the M x 512 buffer before Newton allocates its own
+        # |q - c|^2 less its per-point constant |q|^2, one block of rows at a
+        # time so that the scan buffer stays within _SCAN_BLOCK doubles
+        s = np.empty(points.shape[0])
+        rows = max(1, _SCAN_BLOCK // sd.size)
+        for i in range(0, points.shape[0], rows):
+            d2 = points[i : i + rows] @ pd_t
+            d2 *= -2.0
+            d2 += pd2
+            s[i : i + rows] = sd[np.argmin(d2, axis=1)]
         tol = 4.0 * np.finfo(float).eps * max(abs(s_lo), abs(s_hi), 1.0)
         for _ in range(newton_iters):
             c, dc, d2c = self.jet(s)

@@ -256,8 +256,18 @@ def integrate_region(field: ScalarField, partition: RegionPartition, k: int) -> 
     """
     if not 1 <= k <= partition.n:
         raise GridError(f"unknown region label {k} (valid: 1..{partition.n})")
+    return float(integrate_regions(field, partition)[k - 1])
+
+
+def integrate_regions(field: ScalarField, partition: RegionPartition) -> np.ndarray:
+    """integrate_region for every label 1..n, labelling the grid once."""
     labels = partition.label_grid(field.grid)
-    return float(np.sum(field.values[labels == k]) * field.grid.cell_volume)
+    return np.array(
+        [
+            float(np.sum(field.values[labels == k]) * field.grid.cell_volume)
+            for k in range(1, partition.n + 1)
+        ]
+    )
 
 
 def fourier_forward(f: ComplexField, hbar: float = 1.0) -> ComplexField:

@@ -2,7 +2,12 @@
 
 Strang-split spectral stepping (half potential kick, exact kinetic factor,
 half kick): norm-preserving by construction, second order in the step.
-Time-dependent potentials are evaluated at the midpoint time of each step.
+For a static potential the two half kicks that meet between steps are
+merged into one full kick, so a checkpoint interval of n steps applies one
+half kick, n kinetic factors with n - 1 full kicks between them, and a
+closing half kick: every snapshot lands on the Strang-split state. The
+wavefunction is transformed in place. Time-dependent potentials keep both
+half kicks of each step, evaluated at its midpoint time.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from numpy.polynomial.hermite import hermgauss
 
 from scratchsim.grid import (
@@ -19,7 +25,7 @@ from scratchsim.grid import (
     ScalarField,
     SpatialGrid,
     fourier_forward,
-    integrate_region,
+    integrate_regions,
 )
 from scratchsim.potentials import AnalyticPotential
 
@@ -69,9 +75,7 @@ class QuantumSystem:
         if isinstance(self.potential, ScalarField):
             return self.potential.values
         if isinstance(self.potential, AnalyticPotential):
-            if not hasattr(self, "_static_cache"):
-                self._static_cache = self.potential.sample(self.grid).values
-            return self._static_cache
+            return self.potential.sample(self.grid).values
         return np.asarray(self.potential(self.grid.points(), t)).reshape(self.grid.shape)
 
     @property
@@ -150,28 +154,28 @@ def propagate(
     snapshots = [Wavefunction(ComplexField(g, psi.copy()), float(times[0]))]
     static = not system.time_dependent
     v_static = system.potential_values(times[0]) if static else None
-    kin_cache: dict[float, np.ndarray] = {}
-    expv_cache: dict[float, np.ndarray] = {}
     hbar = system.hbar
     for t1, t2 in zip(times[:-1], times[1:]):
         span = t2 - t1
         nsteps = max(1, int(np.ceil(abs(span) / dt_max)))
         dt = span / nsteps
-        if dt not in kin_cache:
-            kin_cache[dt] = _kinetic_factor(g, system.mass, hbar, dt)
-        kin = kin_cache[dt]
-        if static and dt not in expv_cache:
-            expv_cache[dt] = np.exp(-0.5j * dt * v_static / hbar)
+        kin = _kinetic_factor(g, system.mass, hbar, dt)
+        if static:
+            half_kick = np.exp(-0.5j * dt * v_static / hbar)
+            full_kick = np.exp(-1j * dt * v_static / hbar)
+            psi *= half_kick
         t = t1
-        for _ in range(nsteps):
-            if static:
-                expv = expv_cache[dt]
-            else:
+        for step in range(nsteps):
+            if not static:
                 v = system.potential_values(t + dt / 2.0)
-                expv = np.exp(-0.5j * dt * v / hbar)
-            psi = expv * psi
-            psi = np.fft.ifftn(kin * np.fft.fftn(psi))
-            psi = expv * psi
+                half_kick = np.exp(-0.5j * dt * v / hbar)
+                psi *= half_kick
+            psi = scipy.fft.fftn(psi, overwrite_x=True)
+            psi *= kin
+            psi = scipy.fft.ifftn(psi, overwrite_x=True)
+            # a static potential's closing half kick merges with the next
+            # step's opening one, except at the checkpoint
+            psi *= full_kick if static and step < nsteps - 1 else half_kick
             t += dt
         snap = Wavefunction(ComplexField(g, psi.copy()), float(t2))
         drift = abs(snap.norm_sq() - 1.0)
@@ -202,30 +206,35 @@ def occupation_probabilities(
         rho = ScalarField(phi.grid, np.abs(phi.values) ** 2)
     else:
         raise QuantumError(f"unknown space {space!r}")
-    return np.array(
-        [integrate_region(rho, partition, k) for k in range(1, partition.n + 1)]
-    )
+    return integrate_regions(rho, partition)
 
 
 # ---------------------------------------------------------------------------
 # insensitivity of the quantum dynamics to scratching
 
 
-def _transverse_frame(tangent: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal basis of the plane normal to the tangent."""
-    t = tangent / np.linalg.norm(tangent)
-    D = t.size
-    basis = []
-    for e in np.eye(D):
-        v = e - (e @ t) * t
-        for b in basis:
-            v = v - (v @ b) * b
-        n = np.linalg.norm(v)
-        if n > 1e-8:
-            basis.append(v / n)
-        if len(basis) == D - 1:
-            break
-    return basis
+_TUBE_BLOCK = 32  # samples per base.value call in 3D (18432 nodes at num_h=24)
+
+
+def _transverse_frames(tangents: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the planes normal to each tangent, (S, D-1, D).
+
+    Per tangent t: Gram-Schmidt on the residuals e_j - (e_j . t) t of the
+    unit vectors in axis order, skipping a residual of norm 1e-8 or less."""
+    S, D = tangents.shape
+    t = tangents / np.linalg.norm(tangents, axis=1, keepdims=True)
+    frames = np.zeros((S, D - 1, D))
+    found = np.zeros(S, dtype=np.int64)
+    for j in range(D):
+        v = np.eye(D)[j] - t[:, j, None] * t
+        for b in range(D - 1):
+            fb = frames[:, b]
+            v = np.where((found > b)[:, None], v - np.sum(v * fb, axis=1)[:, None] * fb, v)
+        n = np.linalg.norm(v, axis=1)
+        take = np.flatnonzero((n > 1e-8) & (found < D - 1))
+        frames[take, found[take]] = v[take] / n[take, None]
+        found[take] += 1
+    return frames
 
 
 def tube_l1_difference(base, curve, lam: float, num_s: int = 400, num_h: int = 24) -> float:
@@ -238,23 +247,22 @@ def tube_l1_difference(base, curve, lam: float, num_s: int = 400, num_h: int = 2
     speed = np.linalg.norm(dc, axis=1)
     x, w = hermgauss(num_h)
     D = curve.ndim
-    vals = np.zeros(num_s)
+    frames = _transverse_frames(dc)
     if D == 2:
-        for i in range(num_s):
-            n1 = _transverse_frame(dc[i])[0]
-            q = pts[i] + np.outer(x / np.sqrt(lam), n1)
-            vals[i] = np.sum(w * np.abs(base.value(q))) / np.sqrt(lam)
+        q = pts[:, None, :] + (x / np.sqrt(lam))[None, :, None] * frames[:, 0, None, :]
+        u = np.abs(base.value(q.reshape(-1, D))).reshape(num_s, num_h)
+        vals = np.sum(w * u, axis=1) / np.sqrt(lam)
     else:
         xx, yy = np.meshgrid(x, x, indexing="ij")
         ww = np.outer(w, w).ravel()
-        for i in range(num_s):
-            n1, n2 = _transverse_frame(dc[i])
-            q = (
-                pts[i]
-                + np.outer(xx.ravel() / np.sqrt(lam), n1)
-                + np.outer(yy.ravel() / np.sqrt(lam), n2)
-            )
-            vals[i] = np.sum(ww * np.abs(base.value(q))) / lam
+        a = (xx.ravel() / np.sqrt(lam))[None, :, None]
+        b = (yy.ravel() / np.sqrt(lam))[None, :, None]
+        vals = np.empty(num_s)
+        for i in range(0, num_s, _TUBE_BLOCK):
+            blk = slice(i, i + _TUBE_BLOCK)
+            q = pts[blk, None, :] + a * frames[blk, 0, None, :] + b * frames[blk, 1, None, :]
+            u = np.abs(base.value(q.reshape(-1, D))).reshape(-1, ww.size)
+            vals[blk] = np.sum(ww * u, axis=1) / lam
     return float(np.trapezoid(vals * speed, s))
 
 
@@ -266,13 +274,18 @@ def scratch_insensitivity(
     lambdas,
     dt_max: float = 5e-3,
     edge_eps: float = 1e-6,
+    *,
+    reference: Wavefunction | None = None,
 ) -> list[dict]:
     """Decay table of scratch effects on the quantum side.
 
     Per lambda: the tube-quadrature L1 distance of the potentials, the sup
     over Fourier modes of the transform of the sampled difference, and the
     final-time L2 distance of the wavefunctions propagated in the scratched
-    versus the plain potential.
+    versus the plain potential. `reference` is that plain-potential final
+    wavefunction, psi0 propagated through the schedule in `scratched.base`
+    with the same dt_max, when the caller already has it; without it the
+    run is made here.
     """
     from scratchsim.scratch import ScratchedPotential
 
@@ -286,8 +299,9 @@ def scratch_insensitivity(
     base = scratched.base
     curves = [p.curve for p in scratched.profiles]
     u_plain = base.sample(g).values
-    ref_system = QuantumSystem(system.mass, g, base, hbar)
-    ref_final = propagate(ref_system, psi0, schedule, dt_max=dt_max, edge_eps=edge_eps)[-1]
+    if reference is None:
+        ref_system = QuantumSystem(system.mass, g, base, hbar)
+        reference = propagate(ref_system, psi0, schedule, dt_max=dt_max, edge_eps=edge_eps)[-1]
     rows = []
     fourier_norm = g.cell_volume / (2.0 * np.pi * hbar) ** g.ndim
     for lam in lambdas:
@@ -307,7 +321,7 @@ def scratch_insensitivity(
             )[-1]
             l2 = float(
                 np.sqrt(
-                    np.sum(np.abs(fin.field.values - ref_final.field.values) ** 2)
+                    np.sum(np.abs(fin.field.values - reference.field.values) ** 2)
                     * g.cell_volume
                 )
             )

@@ -236,6 +236,19 @@ class TestTheorem1Pipeline:
         assert (tmp_path / "occupancy.csv").exists()
         assert (tmp_path / "decay.csv").exists()
 
+    def test_propagates_once_per_lambda_and_once_plain(self, monkeypatch):
+        # the decay table reuses the plain-potential run of the quantum stage
+        d = default_theorem1_config().to_dict()
+        d["grid"] = {"bounds": [[-8.0, 8.0], [-8.0, 8.0]], "shape": [64, 64]}
+        calls = []
+        propagate = experiment.quantum.propagate
+        monkeypatch.setattr(
+            experiment.quantum, "propagate", lambda *a, **k: calls.append(1) or propagate(*a, **k)
+        )
+        report = run_theorem1(ExperimentConfig.from_dict(d))
+        assert len(calls) == 1 + len(d["lambdas"]) == 4
+        assert len(report.decay) == 3
+
     def test_deterministic_reports(self, tmp_path):
         cfg = default_theorem1_config()
         run_theorem1(cfg, out_dir=str(tmp_path / "a"))

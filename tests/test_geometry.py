@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
 from scratchsim.geometry import (
+    _SCAN_BLOCK,
     CapacityError,
     GeometryError,
     MomentumConditioning,
@@ -191,6 +192,25 @@ class TestSplineProjection:
         # Newton reaches machine precision in about 3 steps from the scan;
         # one more confirms it, then one evaluation for the distance
         assert len(calls) < 8
+
+    def test_scan_in_blocks_matches_halves(self):
+        # more rows than one scan block holds: rows are independent, so the
+        # scan's start parameters (newton_iters=0) for the whole set are
+        # those of each half, and of pieces that fit in one block; Newton's
+        # common stop may add a round-off step
+        rng = np.random.default_rng(5)
+        c = random_spline(rng, 4, bend=0.3)
+        rows = _SCAN_BLOCK // 512
+        m = 2 * rows + 501
+        pts = c(rng.uniform(-0.2, 1.2, m)) + rng.normal(scale=0.3, size=(m, 3))
+        halves = np.split(pts, [m // 2])
+        pieces = np.split(pts, np.arange(rows // 2, m, rows // 2))
+        for iters, tol in ((0, 0.0), (8, 1e-12)):
+            s, f = c.project(pts, -0.2, 1.2, newton_iters=iters)
+            for parts in (halves, pieces):
+                sp, fp = zip(*(c.project(p, -0.2, 1.2, newton_iters=iters) for p in parts))
+                assert np.allclose(s, np.concatenate(sp), rtol=0.0, atol=tol)
+                assert np.allclose(f, np.concatenate(fp), rtol=0.0, atol=tol)
 
 
 class TestItineraries:

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
-from scratchsim.geometry import SegmentCurve
-from scratchsim.grid import ComplexField, SpatialGrid, half_planes, momentum_half_spaces
+import scratchsim.quantum as quantum
+from scratchsim.geometry import SegmentCurve, SplineCurve
+from scratchsim.grid import (
+    Box,
+    ComplexField,
+    RegionPartition,
+    SpatialGrid,
+    half_planes,
+    momentum_half_spaces,
+)
 from scratchsim.potentials import GaussianWellPotential, HarmonicPotential, ZeroPotential
 from scratchsim.quantum import (
     CheckpointSchedule,
@@ -12,6 +21,8 @@ from scratchsim.quantum import (
     QuantumError,
     QuantumSystem,
     Wavefunction,
+    _kinetic_factor,
+    _transverse_frames,
     density_std,
     gaussian_packet,
     occupation_probabilities,
@@ -114,7 +125,68 @@ class TestPropagation:
         assert abs(snaps[-1].norm_sq() - 1.0) < 1e-12
 
 
+def reference_propagate(system, psi0, times, dt_max):
+    """Strang splitting with both half kicks in every step, by np.fft."""
+    g = psi0.field.grid
+    v = system.potential_values(times[0])
+    psi = psi0.field.values.copy()
+    out = [psi.copy()]
+    for t1, t2 in zip(times[:-1], times[1:]):
+        nsteps = max(1, int(np.ceil((t2 - t1) / dt_max)))
+        dt = (t2 - t1) / nsteps
+        kin = _kinetic_factor(g, system.mass, system.hbar, dt)
+        expv = np.exp(-0.5j * dt * v / system.hbar)
+        for _ in range(nsteps):
+            psi = expv * psi
+            psi = np.fft.ifftn(kin * np.fft.fftn(psi))
+            psi = expv * psi
+        out.append(psi.copy())
+    return out
+
+
+class TestMergedKicks:
+    @pytest.mark.parametrize(
+        "grid, center, momentum",
+        [
+            (SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (64, 64)), [1.0, -0.5], [0.5, 0.2]),
+            (SpatialGrid(((-8.0, 8.0),) * 3, (16, 16, 16)), [1.0, -0.5, 0.3], [0.5, 0.2, -0.1]),
+        ],
+    )
+    def test_matches_two_half_kicks_per_step(self, grid, center, momentum):
+        # unequal intervals: 17 and 34 steps of different lengths
+        system = QuantumSystem(1.0, grid, GaussianWellPotential(0.5, 2.0, offset=1.0, ndim=grid.ndim))
+        psi0 = gaussian_packet(grid, center, 1.0, momentum=momentum)
+        times = [0.0, 0.337, 1.001]
+        got = propagate(system, psi0, CheckpointSchedule(times), dt_max=2e-2)
+        ref = reference_propagate(system, psi0, times, dt_max=2e-2)
+        for snap, want in zip(got, ref):
+            assert np.max(np.abs(snap.field.values - want)) < 1e-12
+        assert np.array_equal(psi0.field.values, got[0].field.values)
+
+
 class TestOccupation:
+    def test_labels_grid_once_and_sums_per_label(self, monkeypatch):
+        g = grid2d(64, 8.0)
+        psi = gaussian_packet(g, [1.0, 0.5], 1.0)
+        part = RegionPartition(
+            [
+                Box((-8.0, -8.0), (0.0, 8.0)),
+                Box((0.0, -8.0), (8.0, 0.0)),
+                Box((0.0, 0.0), (8.0, 8.0)),
+            ]
+        )
+        rho = np.abs(psi.field.values) ** 2
+        labels = part.labels_for(g.points()).reshape(g.shape)
+        ref = [float(np.sum(rho[labels == k]) * g.cell_volume) for k in (1, 2, 3)]
+        calls = []
+        label_grid = RegionPartition.label_grid
+        monkeypatch.setattr(
+            RegionPartition, "label_grid", lambda self, grid: calls.append(1) or label_grid(self, grid)
+        )
+        p = occupation_probabilities(psi, part)
+        assert len(calls) == 1
+        assert p.tolist() == ref
+
     def test_position_probabilities_sum_to_norm(self):
         g = grid2d(64, 8.0)
         psi = gaussian_packet(g, [1.0, 0.0], 1.0)
@@ -194,6 +266,25 @@ class TestInsensitivity:
         assert rows[1]["linf_fourier"] < rows[0]["linf_fourier"]
         assert rows[1]["l2_wavefunction"] < rows[0]["l2_wavefunction"]
 
+    def test_reference_gives_identical_rows(self, monkeypatch):
+        g = grid2d(64, 8.0)
+        base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
+        system = QuantumSystem(1.0, g, base)
+        psi0 = gaussian_packet(g, [-1.0, 0.0], 1.2, momentum=[1.0, 0.0])
+        sp = ScratchedPotential(base, [SegmentCurve([-4.0, -2.0], [4.0, -2.0])], 100.0)
+        schedule = CheckpointSchedule([0.0, 0.3])
+        plain = propagate(system, psi0, schedule, dt_max=1e-2)
+        calls = []
+        monkeypatch.setattr(quantum, "propagate", lambda *a, **k: calls.append(1) or propagate(*a, **k))
+        lambdas = [1e2, 1e3]
+        rows = scratch_insensitivity(system, sp, psi0, schedule, lambdas, dt_max=1e-2)
+        assert len(calls) == 3
+        reused = scratch_insensitivity(
+            system, sp, psi0, schedule, lambdas, dt_max=1e-2, reference=plain[-1]
+        )
+        assert len(calls) == 5
+        assert reused == rows
+
     def test_lambda_list_validation(self):
         g = grid2d(64, 8.0)
         base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
@@ -204,3 +295,81 @@ class TestInsensitivity:
             scratch_insensitivity(
                 system, sp, psi0, CheckpointSchedule([0.0, 0.5]), [1e3, 1e2]
             )
+
+
+def _transverse_frame(tangent):
+    """Per-sample frame rule: Gram-Schmidt on the unit vectors' residuals."""
+    t = tangent / np.linalg.norm(tangent)
+    D = t.size
+    basis = []
+    for e in np.eye(D):
+        v = e - (e @ t) * t
+        for b in basis:
+            v = v - (v @ b) * b
+        n = np.linalg.norm(v)
+        if n > 1e-8:
+            basis.append(v / n)
+        if len(basis) == D - 1:
+            break
+    return basis
+
+
+def reference_tube_l1(base, curve, lam, num_s=400, num_h=24):
+    """tube_l1_difference with one frame and one base.value call per sample."""
+    s, pts = curve.sample(num_s)
+    dc = curve.deriv(s)
+    speed = np.linalg.norm(dc, axis=1)
+    x, w = hermgauss(num_h)
+    vals = np.zeros(num_s)
+    if curve.ndim == 2:
+        for i in range(num_s):
+            n1 = _transverse_frame(dc[i])[0]
+            q = pts[i] + np.outer(x / np.sqrt(lam), n1)
+            vals[i] = np.sum(w * np.abs(base.value(q))) / np.sqrt(lam)
+    else:
+        xx, yy = np.meshgrid(x, x, indexing="ij")
+        ww = np.outer(w, w).ravel()
+        for i in range(num_s):
+            n1, n2 = _transverse_frame(dc[i])
+            q = (
+                pts[i]
+                + np.outer(xx.ravel() / np.sqrt(lam), n1)
+                + np.outer(yy.ravel() / np.sqrt(lam), n2)
+            )
+            vals[i] = np.sum(ww * np.abs(base.value(q))) / lam
+    return float(np.trapezoid(vals * speed, s))
+
+
+_TUBE_CURVES = [
+    SegmentCurve([-2.0, 0.3], [2.0, -0.4]),
+    # tangents along an axis: that unit vector's residual is cut
+    SegmentCurve([-2.0, 0.5], [2.0, 0.5]),
+    SegmentCurve([0.5, -2.0], [0.5, 2.0]),
+    SegmentCurve([-2.0, 0.3, 0.0], [2.0, -0.4, 0.5]),
+    SegmentCurve([-2.0, 0.3, 0.1], [2.0, 0.3, 0.1]),
+    SegmentCurve([0.3, -2.0, 0.1], [0.3, 2.0, 0.1]),
+    SplineCurve(
+        [0.0, 0.4, 1.0],
+        [[-2.0, 0.0, 0.0], [0.0, 1.0, 0.5], [2.0, 0.0, -0.5]],
+        [[4.0, 0.0, 0.0], [3.0, 0.0, 0.0], [3.0, -2.0, 0.0]],
+    ),
+]
+
+
+class TestVectorizedTube:
+    @pytest.mark.parametrize("curve", _TUBE_CURVES, ids=lambda c: f"{c.kind}{c.ndim}d")
+    def test_matches_per_sample_loop(self, curve):
+        base = GaussianWellPotential(0.5, 2.0, offset=1.0, ndim=curve.ndim)
+        for lam in (1e2, 1e4):
+            got = tube_l1_difference(base, curve, lam, num_s=101)
+            want = reference_tube_l1(base, curve, lam, num_s=101)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("curve", _TUBE_CURVES, ids=lambda c: f"{c.kind}{c.ndim}d")
+    def test_frames_match_per_sample_rule(self, curve):
+        s = np.linspace(0.0, 1.0, 41)
+        dc = curve.deriv(s)
+        frames = _transverse_frames(dc)
+        for i in range(s.size):
+            ref = np.array(_transverse_frame(dc[i]))
+            assert np.allclose(frames[i], ref, rtol=0.0, atol=1e-15)
