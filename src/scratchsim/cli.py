@@ -28,25 +28,13 @@ def _load_config(args, default_factory) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(fh))
 
 
-def _pipeline_command(args, default_factory, runner) -> int:
-    config = _load_config(args, default_factory)
-    report = runner(config, out_dir=args.out)
+def _pipeline_command(args) -> int:
+    config = _load_config(args, args.default_factory)
+    report = args.runner(config, out_dir=args.out)
     for name, ok in sorted(report.criteria.items()):
         print(f"{'PASS' if ok else 'FAIL'} {name}")
     print(f"particles N={report.num_particles} bound={report.bound:.6g}")
     return 0 if report.passed else 1
-
-
-def _cmd_theorem1(args) -> int:
-    return _pipeline_command(args, default_theorem1_config, run_theorem1)
-
-
-def _cmd_theorem2(args) -> int:
-    return _pipeline_command(args, default_theorem2_config, run_theorem2)
-
-
-def _cmd_blackbox(args) -> int:
-    return _pipeline_command(args, default_theorem2_config, run_blackbox)
 
 
 def _cmd_diophantine(args) -> int:
@@ -188,15 +176,15 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, doc in (
-        ("theorem1", _cmd_theorem1, "two-checkpoint position pipeline"),
-        ("theorem2", _cmd_theorem2, "full position-and-momentum pipeline"),
-        ("blackbox", _cmd_blackbox, "finite-resolution record comparison"),
+    for name, default_factory, runner, doc in (
+        ("theorem1", default_theorem1_config, run_theorem1, "two-checkpoint position pipeline"),
+        ("theorem2", default_theorem2_config, run_theorem2, "full position-and-momentum pipeline"),
+        ("blackbox", default_theorem2_config, run_blackbox, "finite-resolution record comparison"),
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="JSON config (defaults built in)")
         p.add_argument("--out", help="output directory for report.json and CSVs")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_pipeline_command, default_factory=default_factory, runner=runner)
 
     p = sub.add_parser("diophantine", help="solve one approximation problem")
     p.add_argument(

@@ -1,10 +1,15 @@
-"""End-to-end pipelines: quantum region statistics, rational approximation,
+"""The end-to-end pipeline: quantum region statistics, rational approximation,
 scratch construction, classical verification, and report emission.
 
-Both pipelines end with the same comparison: quantum probabilities P_k
-against classical occupation fractions pi_k, checked per checkpoint against
-the bound the approximation certificate proves, 1 / (N * Q^(1/(nG))) for G
-groups of n probabilities (G = 2K with momenta, K without).
+One driver serves both modes. `theorem2` approximates the position and
+momentum probabilities at K checkpoints (only the positions with
+`position_only`), scratches driven splines and runs the ensemble at every
+lambda. `theorem1` is its K = 2, position-only case on straight undriven
+lines, run at the largest lambda. Each run ends with the same comparison:
+quantum probabilities P_k against classical occupation fractions pi_k,
+checked per checkpoint against the bound the approximation certificate
+proves, 1 / (N * Q^(1/(nG))) for G groups of n probabilities (G = 2K with
+momenta, K without).
 """
 
 from __future__ import annotations
@@ -120,40 +125,45 @@ class ExperimentConfig:
     def num_checkpoints(self) -> int:
         return len(self.schedule)
 
+    @property
+    def constrains_momentum(self) -> bool:
+        """Whether the momentum regions are approximated and scratched for:
+        in full mode, unless `position_only` is set."""
+        return self.mode == "theorem2" and not self.position_only
+
     def validate(self) -> None:
         if self.mode not in ("theorem1", "theorem2"):
             raise ValidationError(f"unknown mode {self.mode!r}")
         g = self.build_grid()
         n = len(partition_from_spec(self.position_partition, grid=g).regions)
         K = self.num_checkpoints
-        if K < 2:
-            raise ValidationError("a schedule needs K >= 2 checkpoints")
-        if np.any(np.diff(np.asarray(self.schedule, dtype=float)) <= 0):
-            raise ValidationError("checkpoint times must be strictly increasing")
-        if not self.lambdas or np.any(np.diff(np.asarray(self.lambdas)) <= 0):
-            raise ValidationError("lambda list must be nonempty and increasing")
+        try:
+            quantum.CheckpointSchedule(self.schedule)
+            quantum.check_lambdas(self.lambdas)
+        except quantum.QuantumError as e:
+            raise ValidationError(str(e)) from e
+        if self.max_retries < 1:
+            raise ValidationError("max_retries must be at least 1")
         if self.mode == "theorem1":
             if g.ndim < 2:
                 raise ValidationError("two-checkpoint mode needs D >= 2")
             if K != 2:
                 raise ValidationError("two-checkpoint mode needs exactly K = 2")
-            if self.budget <= n ** (2 * n):
-                raise ValidationError(
-                    f"budget Q={self.budget} must exceed n^(2n) = {n ** (2 * n)}"
-                )
         else:
             if g.ndim != 3:
                 raise ValidationError("full mode needs D = 3")
             if self.momentum_partition is None and not self.position_only:
                 raise ValidationError("full mode needs a momentum partition")
-            exponent = K * n if self.position_only else 2 * K * n
-            if self.budget <= n**exponent:
-                raise ValidationError(
-                    f"budget Q={self.budget} must exceed n^{exponent} = {n ** exponent}"
-                )
             pot = potential_from_spec(self.potential, g.ndim)
             if np.min(pot.sample(g).values) <= 0.0:
                 raise ValidationError("full mode needs U > 0 everywhere on the grid")
+        # G groups of n probabilities are approximated; Q must exceed n^(nG)
+        G = 2 * K if self.constrains_momentum else K
+        floor = diophantine.ApproximationProblem.min_budget(n, G)
+        if self.budget <= floor:
+            raise ValidationError(
+                f"budget Q={self.budget} must exceed n^(nG) = {floor} (n={n}, G={G})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -268,23 +278,14 @@ def write_trajectory_csv(path: str, result: classical.TrajectoryResult, scratche
                 )
 
 
-def _bound(num_particles: int, budget: int, exponent: int) -> tuple[float, str]:
-    """1 / (N * Q^(1/exponent)), in double and extended precision."""
-    ext = 1.0 / (
-        np.longdouble(num_particles) * np.longdouble(budget) ** (np.longdouble(1.0) / exponent)
-    )
-    return float(ext), repr(float(ext)) if np.longdouble is np.float64 else str(ext)
-
-
-def theorem_bound(num_particles: int, budget: int, n: int, K: int) -> tuple[float, str]:
-    """1 / (N * Q^(1/(2Kn))), in double and extended precision."""
-    return _bound(num_particles, budget, 2 * K * n)
-
-
 def certified_bound(num_particles: int, problem: diophantine.ApproximationProblem) -> tuple[float, str]:
     """1 / (N * Q^(1/(nG))) for the problem's G groups of n: the bound its
     certificate proves, in double and extended precision."""
-    return _bound(num_particles, problem.budget, problem.n * problem.num_groups)
+    exponent = problem.n * problem.num_groups
+    ext = 1.0 / (
+        np.longdouble(num_particles) * np.longdouble(problem.budget) ** (np.longdouble(1.0) / exponent)
+    )
+    return float(ext), repr(float(ext)) if np.longdouble is np.float64 else str(ext)
 
 
 def deviation_floor(scratched) -> float:
@@ -394,108 +395,12 @@ def _checkpoint_rows(times, probs_pos, probs_mom, occ, bound):
     return rows
 
 
-# ---------------------------------------------------------------------------
-# pipelines
-
-
-def run_theorem1(config: ExperimentConfig, out_dir: str | None = None) -> DiscriminationReport:
-    """Two-checkpoint position pipeline with straight-line scratches."""
-    config.validate()
-    g, base, system, psi0, schedule, snaps = _quantum_stage(config)
-    pos_part = partition_from_spec(config.position_partition, grid=g)
-    probs_raw, _, norm_gap = _probability_tables(snaps, pos_part, None, config.hbar)
-
-    problem, approx, cert, renorm = _approximation_stage(probs_raw, config.budget)
-    N = approx.q
-    counts = np.array(approx.numerators, dtype=np.int64)  # (2, n)
-
-    try:
-        assignment = geometry.assign_itineraries(counts, N)
-        plan = geometry.sample_waypoints(
-            pos_part,
-            assignment,
-            g,
-            config.seed,
-            margin=config.waypoint_margin,
-            delta_path=config.delta_path,
-            eps_coll=config.eps_coll,
-            general_position=True,
-        )
-        curves = geometry.build_paths(plan, "line", grid=g, seed=config.seed)
-    except geometry.GeometryError as e:
-        raise StageError("geometry", e) from e
-
-    lam = float(config.lambdas[-1])
-    scratched = scratch.ScratchedPotential(base, curves, lam)
-    u_max = max(base.max_on(g), 1e-6)
-    result, dt, safety = _integrate_with_retries(
-        config,
-        lambda: classical.initialize_on_scratches(curves, config.mass, schedule),
-        scratched,
-        schedule,
-        lam,
-        u_max,
-        g,
-        curves,
-    )
-    occ = classical.occupancy(result, pos_part)
-
-    bound, bound_ext = certified_bound(N, problem)
-    rows = _checkpoint_rows(schedule.times, renorm, [], occ, bound)
-    planned = geometry.recount_positions(curves, pos_part)
-    decay = quantum.scratch_insensitivity(
-        system,
-        scratched,
-        psi0,
-        schedule,
-        config.lambdas,
-        dt_max=config.dt_quantum,
-        edge_eps=config.edge_eps,
-        reference=snaps[-1],
-    )
-    min_dist = classical.min_pairwise_distance(result.snapshots)
-    diagnostics = {
-        "norm_gap": norm_gap,
-        "repair_penalty": approx.repair_penalty,
-        "lemma_max_error": cert.max_error,
-        "lemma_error_bound": cert.error_bound,
-        "energy_drift": result.energy_drift,
-        "max_curve_deviation": float(np.max(result.max_curve_deviation)),
-        "deviation_floor": deviation_floor(scratched),
-        "min_pairwise_distance": min_dist,
-        "planned_counts": planned,
-        "lambda_run": lam,
-        "timestep": dt,
-        "stiffness_safety": safety,
-    }
-    criteria = {
-        "lemma_certificate": cert.ok,
-        "probability_bounds": all(r["ok"] for r in rows),
-        "occupancy_sums": all(abs(r["sum_pi"] - 1.0) < 1e-12 for r in rows),
-        "plan_realized": bool(np.array_equal(planned, occ.counts)),
-        "no_collisions": min_dist > plan.delta_path / 2 or N == 1,
-        "energy_conserved": result.energy_drift < config.energy_tol,
-    }
-    report = DiscriminationReport(
-        mode="theorem1",
-        config=config.to_dict(),
-        num_particles=N,
-        bound=bound,
-        bound_extended=bound_ext,
-        checkpoints=rows,
-        decay=decay,
-        diagnostics=diagnostics,
-        criteria=criteria,
-    )
-    if out_dir is not None:
-        report.save(out_dir)
-        write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), result, scratched)
-    return report
-
-
-def _build_theorem2_geometry(config, g, pos_part, mom_part, counts_pos, counts_mom, N):
-    """Waypoints, splines, momentum conditioning and tangential potentials,
-    with bounded re-sampling on infeasible timing."""
+def _geometry_stage(config, g, pos_part, mom_part, counts_pos, counts_mom, N):
+    """Waypoints and scratches, re-sampled with seed + 1000 * attempt while
+    the waypoints or the timing are infeasible. Without a momentum partition
+    the scratches are straight lines in general position, undriven; with one
+    they are splines, conditioned to the momentum counts and driven by
+    tangential potentials."""
     times = np.asarray(config.schedule, dtype=float)
     last_err: Exception | None = None
     for attempt in range(config.max_retries):
@@ -510,7 +415,11 @@ def _build_theorem2_geometry(config, g, pos_part, mom_part, counts_pos, counts_m
                 margin=config.waypoint_margin,
                 delta_path=config.delta_path,
                 eps_coll=config.eps_coll,
+                general_position=mom_part is None,
             )
+            if mom_part is None:
+                curves = geometry.build_paths(plan, "line", grid=g, seed=seed)
+                return plan, curves, None, None
             curves = geometry.build_paths(plan, "spline")
             cond, curves = geometry.condition_momenta(
                 curves,
@@ -537,43 +446,55 @@ def _build_theorem2_geometry(config, g, pos_part, mom_part, counts_pos, counts_m
     raise StageError("geometry", last_err)
 
 
-def run_theorem2(config: ExperimentConfig, out_dir: str | None = None) -> DiscriminationReport:
-    """Full position-and-momentum pipeline with driven spline scratches."""
+# ---------------------------------------------------------------------------
+# the pipeline
+
+
+def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> DiscriminationReport:
+    """Quantum statistics, certified approximation, scratches, classical
+    ensemble and report, as the config's mode asks.
+
+    theorem2 approximates the position groups and, unless `position_only`,
+    the momentum groups, builds driven spline scratches and runs the
+    ensemble at every lambda. theorem1 is its two-checkpoint, position-only
+    case on straight undriven lines, run at the largest lambda.
+    """
     config.validate()
     g, base, system, psi0, schedule, snaps = _quantum_stage(config)
     pos_part = partition_from_spec(config.position_partition, grid=g)
-    if config.momentum_partition is not None:
-        mom_part = partition_from_spec(config.momentum_partition, ndim=g.ndim)
-    else:
-        mom_part = momentum_half_spaces(g.ndim)
-    K = config.num_checkpoints
+    full = config.mode == "theorem2"
+    mom_part = None
+    if full:
+        if config.momentum_partition is not None:
+            mom_part = partition_from_spec(config.momentum_partition, ndim=g.ndim)
+        else:
+            mom_part = momentum_half_spaces(g.ndim)
+    constrained = config.constrains_momentum
     probs_pos, probs_mom, norm_gap = _probability_tables(
-        snaps, pos_part, None if config.position_only else mom_part, config.hbar
+        snaps, pos_part, mom_part if constrained else None, config.hbar
     )
 
-    groups = list(probs_pos) + list(probs_mom)
-    problem, approx, cert, renorm = _approximation_stage(groups, config.budget)
+    problem, approx, cert, renorm = _approximation_stage(probs_pos + probs_mom, config.budget)
     N = approx.q
+    K = config.num_checkpoints
     counts_pos = np.array(approx.numerators[:K], dtype=np.int64)
-    if config.position_only:
+    if constrained:
+        counts_mom = np.array(approx.numerators[K:], dtype=np.int64)
+    elif mom_part is not None:
         # momentum regions unconstrained; aim every checkpoint at region 1
         counts_mom = np.zeros((K, mom_part.n), dtype=np.int64)
         counts_mom[:, 0] = N
-        renorm_mom = []
     else:
-        counts_mom = np.array(approx.numerators[K:], dtype=np.int64)
-        renorm_mom = renorm[K:]
+        counts_mom = None
 
-    plan, curves, cond, tangential = _build_theorem2_geometry(
+    plan, curves, cond, tangential = _geometry_stage(
         config, g, pos_part, mom_part, counts_pos, counts_mom, N
     )
 
+    lambdas = config.lambdas if full else config.lambdas[-1:]
     u_max = max(base.max_on(g), 1e-6)
     per_lambda = []
-    result = None
-    scratched = None
-    for lam in config.lambdas:
-        lam = float(lam)
+    for lam in map(float, lambdas):
         scratched = scratch.ScratchedPotential(base, curves, lam, tangential=tangential)
         result, dt, safety = _integrate_with_retries(
             config,
@@ -587,11 +508,9 @@ def run_theorem2(config: ExperimentConfig, out_dir: str | None = None) -> Discri
             g,
             curves,
         )
-        occ = classical.occupancy(result, pos_part, mom_part)
         per_lambda.append(
             {
                 "lambda": lam,
-                "occ": occ,
                 "energy_drift": result.energy_drift,
                 "max_curve_deviation": float(np.max(result.max_curve_deviation)),
                 "timestep": dt,
@@ -599,13 +518,10 @@ def run_theorem2(config: ExperimentConfig, out_dir: str | None = None) -> Discri
             }
         )
     # bound verification at the largest lambda
-    occ = per_lambda[-1]["occ"]
+    occ = classical.occupancy(result, pos_part, mom_part)
     bound, bound_ext = certified_bound(N, problem)
-    rows = _checkpoint_rows(
-        schedule.times, renorm[:K], renorm_mom, occ, bound
-    )
+    rows = _checkpoint_rows(schedule.times, renorm[:K], renorm[K:], occ, bound)
     planned_pos = geometry.recount_positions(curves, pos_part)
-    planned_mom = geometry.recount_momenta(curves, cond, mom_part, config.mass)
     decay = quantum.scratch_insensitivity(
         system,
         scratched,
@@ -624,15 +540,22 @@ def run_theorem2(config: ExperimentConfig, out_dir: str | None = None) -> Discri
         "repair_penalty": approx.repair_penalty,
         "lemma_max_error": cert.max_error,
         "lemma_error_bound": cert.error_bound,
-        "per_lambda": [
-            {k: v for k, v in row.items() if k != "occ"} for row in per_lambda
-        ],
+        "per_lambda": per_lambda,
+        # the run at the largest lambda, the one the checkpoints report
+        **{("lambda_run" if k == "lambda" else k): v for k, v in per_lambda[-1].items()},
         "planned_counts": planned_pos,
-        "planned_counts_momentum": planned_mom,
         "min_pairwise_distance": min_dist,
         "deviation_floor": floor,
         "deviation_decreasing": deviation_decreasing(deviations, floor),
     }
+    plan_realized = bool(np.array_equal(planned_pos, occ.counts))
+    if full:
+        planned_mom = geometry.recount_momenta(curves, cond, mom_part, config.mass)
+        diagnostics["planned_counts_momentum"] = planned_mom
+        if constrained:
+            plan_realized = plan_realized and bool(
+                np.array_equal(planned_mom, occ.counts_momentum)
+            )
     criteria = {
         "lemma_certificate": cert.ok,
         "probability_bounds": all(r["ok"] for r in rows),
@@ -641,13 +564,7 @@ def run_theorem2(config: ExperimentConfig, out_dir: str | None = None) -> Discri
             and abs(r.get("sum_pi_momentum", 1.0) - 1.0) < 1e-12
             for r in rows
         ),
-        "plan_realized": bool(
-            np.array_equal(planned_pos, occ.counts)
-            and (
-                config.position_only
-                or np.array_equal(planned_mom, occ.counts_momentum)
-            )
-        ),
+        "plan_realized": plan_realized,
         "no_collisions": min_dist > plan.delta_path / 2 or N == 1,
         "energy_conserved": all(
             row["energy_drift"] < config.energy_tol for row in per_lambda
@@ -658,7 +575,7 @@ def run_theorem2(config: ExperimentConfig, out_dir: str | None = None) -> Discri
         ),
     }
     report = DiscriminationReport(
-        mode="theorem2",
+        mode=config.mode,
         config=config.to_dict(),
         num_particles=N,
         bound=bound,
@@ -672,6 +589,9 @@ def run_theorem2(config: ExperimentConfig, out_dir: str | None = None) -> Discri
         report.save(out_dir)
         write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), result, scratched)
     return report
+
+
+run_theorem1 = run_theorem2 = run_pipeline
 
 
 def run_blackbox(config: ExperimentConfig, out_dir: str | None = None) -> DiscriminationReport:

@@ -62,6 +62,19 @@ class CheckpointSchedule:
         return float(self.times[-1])
 
 
+def check_lambdas(lambdas) -> np.ndarray:
+    """The scratch strengths as floats: nonempty, positive and strictly
+    increasing."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.ndim != 1 or lambdas.size == 0:
+        raise QuantumError("lambda list must be a nonempty list")
+    if not np.all(lambdas > 0):
+        raise QuantumError("lambda values must be positive")
+    if not np.all(np.diff(lambdas) > 0):
+        raise QuantumError("lambda list must be strictly increasing")
+    return lambdas
+
+
 @dataclass
 class QuantumSystem:
     mass: float
@@ -289,11 +302,7 @@ def scratch_insensitivity(
     """
     from scratchsim.scratch import ScratchedPotential
 
-    lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(lambdas <= 0):
-        raise QuantumError("lambda values must be positive")
-    if np.any(np.diff(lambdas) <= 0):
-        raise QuantumError("lambda list must be strictly increasing")
+    lambdas = check_lambdas(lambdas)
     g = system.grid
     hbar = system.hbar
     base = scratched.base

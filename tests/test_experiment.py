@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import scratchsim.experiment as experiment
-from scratchsim import diophantine
+from scratchsim import cli, diophantine, geometry
 from scratchsim.experiment import (
     DiscriminationReport,
     ExperimentConfig,
@@ -20,7 +20,6 @@ from scratchsim.experiment import (
     run_blackbox,
     run_theorem1,
     run_theorem2,
-    theorem_bound,
     write_decay_csv,
     write_occupancy_csv,
 )
@@ -29,6 +28,12 @@ from scratchsim.grid import SpatialGrid
 
 def grid2d():
     return SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (64, 64))
+
+
+def small_theorem1_config() -> dict:
+    d = default_theorem1_config().to_dict()
+    d["grid"] = {"bounds": [[-8.0, 8.0], [-8.0, 8.0]], "shape": [64, 64]}
+    return d
 
 
 class TestConfigValidation:
@@ -69,6 +74,29 @@ class TestConfigValidation:
         d["lambdas"] = [1e3, 1e2]
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("lambdas", [[-1.0, 1e4], [0.0], []])
+    def test_nonpositive_or_empty_lambdas(self, lambdas):
+        d = default_theorem1_config().to_dict()
+        d["lambdas"] = lambdas
+        with pytest.raises(ValidationError, match="lambda"):
+            ExperimentConfig.from_dict(d)
+
+    def test_needs_a_geometry_attempt(self):
+        d = default_theorem1_config().to_dict()
+        d["max_retries"] = 0
+        with pytest.raises(ValidationError, match="max_retries"):
+            ExperimentConfig.from_dict(d)
+
+    def test_budget_floor_position_only(self):
+        # n = 2, K = 2, positions only: Q must exceed n^(Kn) = 16
+        d = default_theorem2_config().to_dict()
+        d["position_only"] = True
+        d["budget"] = 16
+        with pytest.raises(ValidationError):
+            ExperimentConfig.from_dict(d)
+        d["budget"] = 17
+        ExperimentConfig.from_dict(d)
 
     def test_full_mode_needs_three_dims(self):
         d = default_theorem2_config().to_dict()
@@ -130,23 +158,29 @@ class TestPartitionFromSpec:
             partition_from_spec({"kind": "voronoi"})
 
 
+def halves_problem(num_groups: int, budget: int) -> diophantine.ApproximationProblem:
+    return diophantine.problem_from_probabilities([(0.5, 0.5)] * num_groups, budget)
+
+
 class TestBound:
     def test_two_checkpoint_value(self):
-        b, _ = theorem_bound(2, 17, 2, 1)
+        b, _ = certified_bound(2, halves_problem(2, 17))
         assert np.isclose(b, 1.0 / (2.0 * 17.0 ** 0.25), rtol=1e-14)
 
     def test_full_value(self):
-        b, _ = theorem_bound(1, 257, 2, 2)
+        b, _ = certified_bound(1, halves_problem(4, 257))
         assert np.isclose(b, 257.0 ** -0.125, rtol=1e-14)
 
     def test_shrinks_with_particles(self):
-        assert theorem_bound(5, 257, 2, 2)[0] < theorem_bound(1, 257, 2, 2)[0]
+        full = halves_problem(4, 257)
+        assert certified_bound(5, full)[0] < certified_bound(1, full)[0]
 
     def test_certified_bound_counts_groups(self):
         # K = 2 checkpoints, n = 2 regions: 2K groups with momenta, K without
         alphas = [(0.5, 0.5)] * 4
         full = diophantine.problem_from_probabilities(alphas, 257)
-        assert certified_bound(5, full) == theorem_bound(5, 257, 2, 2)
+        b, _ = certified_bound(5, full)
+        assert np.isclose(b, 1.0 / (5.0 * 257.0**0.125), rtol=1e-14)
         positions = diophantine.problem_from_probabilities(alphas[:2], 257)
         b, _ = certified_bound(5, positions)
         assert np.isclose(b, 1.0 / (5.0 * 257.0**0.25), rtol=1e-14)
@@ -249,6 +283,37 @@ class TestTheorem1Pipeline:
         assert len(calls) == 1 + len(d["lambdas"]) == 4
         assert len(report.decay) == 3
 
+    def test_runs_the_largest_lambda_once(self):
+        d = small_theorem1_config()
+        report = run_theorem1(ExperimentConfig.from_dict(d))
+        diag = report.diagnostics
+        (row,) = diag["per_lambda"]
+        assert diag["lambda_run"] == row["lambda"] == d["lambdas"][-1]
+        for key in ("energy_drift", "max_curve_deviation", "timestep", "stiffness_safety"):
+            assert diag[key] == row[key]
+        assert isinstance(diag["deviation_decreasing"], bool)
+        assert report.criteria["insensitivity_decay"] is True
+        assert "planned_counts_momentum" not in diag
+
+    def test_geometry_failure_is_resampled(self, monkeypatch):
+        seeds = []
+        sample = geometry.sample_waypoints
+
+        def fail_first(part, assignment, grid, seed, **kw):
+            seeds.append(seed)
+            if len(seeds) == 1:
+                raise geometry.CapacityError("no room")
+            return sample(part, assignment, grid, seed, **kw)
+
+        monkeypatch.setattr(experiment.geometry, "sample_waypoints", fail_first)
+        cfg = ExperimentConfig.from_dict(small_theorem1_config())
+        report = run_theorem1(cfg)
+        assert seeds == [cfg.seed, cfg.seed + 1000]
+        assert report.num_particles >= 1
+
+    def test_one_driver(self):
+        assert run_theorem1 is run_theorem2 is experiment.run_pipeline
+
     def test_deterministic_reports(self, tmp_path):
         cfg = default_theorem1_config()
         run_theorem1(cfg, out_dir=str(tmp_path / "a"))
@@ -256,6 +321,48 @@ class TestTheorem1Pipeline:
         a = (tmp_path / "a" / "report.json").read_bytes()
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b
+
+
+class TestTheorem2Pipeline:
+    def test_counts_occupancy_once(self, monkeypatch):
+        # the checkpoints report the largest lambda's run only
+        d = default_theorem2_config().to_dict()
+        d.update(
+            grid={"bounds": [[-8.0, 8.0]] * 3, "shape": [16, 16, 16]},
+            schedule=[0.0, 1.0],
+            lambdas=[10.0, 100.0],
+            stiffness_safety=320.0,
+            energy_tol=1e-3,
+            edge_eps=1e-2,
+        )
+        calls = []
+        occupancy = experiment.classical.occupancy
+        monkeypatch.setattr(
+            experiment.classical,
+            "occupancy",
+            lambda *a, **k: calls.append(1) or occupancy(*a, **k),
+        )
+        report = run_theorem2(ExperimentConfig.from_dict(d))
+        assert len(calls) == 1
+        diag = report.diagnostics
+        assert [row["lambda"] for row in diag["per_lambda"]] == d["lambdas"]
+        assert diag["lambda_run"] == 100.0
+        assert diag["energy_drift"] == diag["per_lambda"][-1]["energy_drift"]
+        assert report.passed
+
+
+class TestCli:
+    def test_theorem1_command(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(small_theorem1_config()))
+        out = tmp_path / "out"
+        assert cli.main(["theorem1", "--config", str(path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        report = json.loads((out / "report.json").read_text())
+        assert lines[:-1] == [f"PASS {name}" for name in sorted(report["criteria"])]
+        assert lines[-1] == (
+            f"particles N={report['num_particles']} bound={report['bound']:.6g}"
+        )
 
 
 def _stub_theorem2_report():
