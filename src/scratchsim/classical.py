@@ -138,14 +138,14 @@ def integrate(
         dt_max = stable_timestep(scratched.lam, u_max, mass)
     q = ensemble.positions.copy()
     p = ensemble.momenta.copy()
-    _, grad = scratched.eval(q)
+    vals, grad = scratched.eval(q)
     force = -grad
 
-    def energy(qv, pv):
-        vals, _ = scratched.eval(qv)
-        return np.sum(pv**2, axis=1) / (2.0 * mass) + vals
+    def energy(pv, potential):
+        # the potential comes from the force evaluation at the same positions
+        return np.sum(pv**2, axis=1) / (2.0 * mass) + potential
 
-    e0 = energy(q, p)
+    e0 = energy(p, vals)
     scale = np.maximum(np.abs(e0), 1e-12)
     energy_rows = [e0]
     snapshots = [ClassicalEnsemble(q.copy(), p.copy(), mass)]
@@ -157,20 +157,20 @@ def integrate(
         for _ in range(nsteps):
             p = p + 0.5 * dt * force
             q = q + dt * p / mass
-            _, grad = scratched.eval(q, own_f=own_f)
+            vals, grad = scratched.eval(q, own_f=own_f)
             force = -grad
             p = p + 0.5 * dt * force
             step_count += 1
             if own_f is not None:
                 np.maximum(max_f, own_f, out=max_f)
             if step_count % energy_log_stride == 0:
-                energy_rows.append(energy(q, p))
+                energy_rows.append(energy(p, vals))
             if domain is not None and (
                 np.any(q < domain.lo) or np.any(q > domain.hi)
             ):
                 raise ConfinementError("a particle left the domain box")
         snapshots.append(ClassicalEnsemble(q.copy(), p.copy(), mass))
-    energy_rows.append(energy(q, p))
+    energy_rows.append(energy(p, vals))
     energy_log = np.stack(energy_rows)
     drift = float(np.max(np.abs(energy_log - e0) / scale))
     if check_energy and drift > energy_tol:

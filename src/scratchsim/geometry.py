@@ -76,13 +76,10 @@ class SegmentCurve:
         return float(np.linalg.norm(self.b - self.a))
 
     def project(self, points, s_lo=0.0, s_hi=1.0):
-        """Nearest parameter (clipped) and squared distance per point."""
-        points = np.atleast_2d(points)
-        d = self.b - self.a
-        s = (points - self.a) @ d / (d @ d)
-        s = np.clip(s, s_lo, s_hi)
-        diff = points - self(s)
-        return s, np.einsum("ij,ij->i", diff, diff)
+        """Nearest parameter (clipped) and squared distance per point: the
+        one-segment case of `SegmentFamily.project`."""
+        s, _, f = SegmentFamily([self], s_lo, s_hi).project(points)
+        return s[0], f[0]
 
     def sample(self, num: int, s_lo=0.0, s_hi=1.0):
         s = np.linspace(s_lo, s_hi, num)
@@ -90,6 +87,47 @@ class SegmentCurve:
 
     def to_dict(self):
         return {"kind": "line", "a": self.a.tolist(), "b": self.b.tolist()}
+
+
+def _dots(u, v):
+    """Row-wise dot products of u and v, each row one `u[i] @ v[i]`, so that
+    they round as numpy's 1-D dot (and `np.linalg.norm`) does."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+class SegmentFamily:
+    """Straight segments stacked for projection in one pass.
+
+    Segment l is a_l + s (b_l - a_l), with the nearest parameter clipped to
+    [s_lo_l, s_hi_l]; s_lo and s_hi are scalars or one entry per segment.
+    """
+
+    def __init__(self, segments, s_lo, s_hi):
+        self.a = np.stack([c.a for c in segments])
+        self.d = np.stack([c.b - c.a for c in segments])
+        self.dd = _dots(self.d, self.d)
+        L = len(segments)
+        self.s_lo = np.broadcast_to(np.asarray(s_lo, dtype=float), (L,))[:, None]
+        self.s_hi = np.broadcast_to(np.asarray(s_hi, dtype=float), (L,))[:, None]
+
+    def project(self, points):
+        """Nearest parameters s (L, M), residuals q - c(s) (L, D, M) and
+        squared distances (L, M) of points (M, D) to every segment.
+
+        The residuals are stored component-major, so that every elementwise
+        operation runs along the points.
+        """
+        pts = np.ascontiguousarray(np.atleast_2d(points).T)
+        a = self.a[:, :, None]
+        # one vector-matrix product per segment: each point's parameter
+        # rounds as in `(points - a) @ d` for the segment alone
+        s = (self.d[:, None, :] @ (pts - a))[:, 0, :]
+        s /= self.dd[:, None]
+        np.clip(s, self.s_lo, self.s_hi, out=s)
+        r = s[:, None, :] * self.d[:, :, None]
+        r += a
+        np.subtract(pts, r, out=r)
+        return s, r, np.einsum("ldm,ldm->lm", r, r)
 
 
 class SplineCurve:
@@ -170,7 +208,14 @@ class SplineCurve:
         return table
 
     def project(self, points, s_lo=0.0, s_hi=1.0, newton_iters=8):
-        """Nearest parameter in [s_lo, s_hi] and squared distance per point.
+        """Nearest parameter in [s_lo, s_hi] and squared distance per point
+        (see `project_jet`)."""
+        s, f, _ = self.project_jet(points, s_lo, s_hi, newton_iters)
+        return s, f
+
+    def project_jet(self, points, s_lo=0.0, s_hi=1.0, newton_iters=8):
+        """Nearest parameter in [s_lo, s_hi], squared distance and the jet
+        (position, first and second derivative) at that parameter, per point.
 
         A scan over 512 samples of the range gives each start point; Newton
         steps on g(s) = (q - c(s)) . c'(s), each clipped to 0.1 and to the
@@ -202,8 +247,9 @@ class SplineCurve:
             s = s_new
             if not moved:
                 break
-        diff = points - self(s)
-        return s, np.einsum("ij,ij->i", diff, diff)
+        jet = self.jet(s)
+        diff = points - jet[0]
+        return s, np.einsum("ij,ij->i", diff, diff), jet
 
     def to_dict(self):
         return {
@@ -286,13 +332,19 @@ def assign_itineraries(counts: np.ndarray, num_particles: int) -> np.ndarray:
     return assignment
 
 
-def _point_line_distance(z, x, y):
-    d = y - x
-    nd = np.linalg.norm(d)
-    if nd < 1e-300:
-        return np.linalg.norm(z - x)
-    t = (z - x) @ d / (nd * nd)
-    return float(np.linalg.norm(z - (x + t * d)))
+def _norms(v):
+    """`np.linalg.norm` of each row of v, with its rounding."""
+    return np.sqrt(_dots(v, v))
+
+
+def _line_distances(z, x, d, nd):
+    """Distance of z to each line x_i + t d_i through two placed points, with
+    nd_i = |d_i|; the distance to x_i where the two points coincide
+    (nd_i < 1e-300)."""
+    to_x = z - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _dots(to_x, d) / (nd * nd)
+    return np.where(nd < 1e-300, _norms(to_x), _norms(z - (x + t[:, None] * d)))
 
 
 def _region_boxes_clipped(partition: RegionPartition, k: int, lo, hi):
@@ -343,11 +395,18 @@ def sample_waypoints(
         region_boxes[k] = (boxes, vols / vols.sum())
 
     positions = np.zeros((N, K, D))
-    placed: list[np.ndarray] = []
+    placed = np.empty((0, D))
     for l in range(N):
         for j in range(K):
             k = int(assignment[l, j])
             boxes, weights = region_boxes[k]
+            same_t = positions[:l, j]
+            if general_position:
+                # the line through every pair of placed points
+                i1, i2 = np.triu_indices(len(placed), 1)
+                x = placed[i1]
+                d = placed[i2] - x
+                nd = _norms(d)
             ok = False
             for _ in range(max_attempts):
                 bi = rng.choice(len(boxes), p=weights)
@@ -355,26 +414,17 @@ def sample_waypoints(
                 z = rng.uniform(lo + margin, hi - margin)
                 if not partition.interior_membership(z[None, :], k, margin=0.0)[0]:
                     continue
-                same_t = [positions[l2, j] for l2 in range(l)]
-                if any(np.linalg.norm(z - w) < delta_path for w in same_t):
+                if np.any(_norms(z - same_t) < delta_path):
                     continue
-                if np.linalg.norm(z - positions[l, j - 1]) < delta_path and j > 0:
+                if j > 0 and np.linalg.norm(z - positions[l, j - 1]) < delta_path:
                     continue
-                if general_position:
-                    if any(np.linalg.norm(z - w) < eps_coll for w in placed):
-                        continue
-                    bad = False
-                    for i1 in range(len(placed)):
-                        for i2 in range(i1 + 1, len(placed)):
-                            if _point_line_distance(z, placed[i1], placed[i2]) < eps_coll:
-                                bad = True
-                                break
-                        if bad:
-                            break
-                    if bad:
-                        continue
+                if general_position and (
+                    np.any(_norms(z - placed) < eps_coll)
+                    or np.any(_line_distances(z, x, d, nd) < eps_coll)
+                ):
+                    continue
                 positions[l, j] = z
-                placed.append(z.copy())
+                placed = np.vstack([placed, z])
                 ok = True
                 break
             if not ok:

@@ -20,6 +20,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
+from scratchsim.geometry import SegmentFamily
+
+_SAMPLE_PAIRS = 1 << 13  # (scratch, point) pairs per block of `sample`
+
 
 class ScratchError(ValueError):
     pass
@@ -48,7 +52,9 @@ class TimingConditions:
 
 
 class ScratchProfile:
-    """Squared distance to a curve, with the nearest-parameter map."""
+    """A scratch's curve, with the parameter range [-extension, 1 + extension]
+    of its nearest-parameter map and the snap threshold of its squared
+    distance."""
 
     def __init__(self, curve, tube_radius: float, extension: float | None = None):
         self.curve = curve
@@ -64,25 +70,6 @@ class ScratchProfile:
         self.extension = float(extension)
         # snap threshold: points this close are treated as exactly on-curve
         self.snap_f = (1e-9 * max(curve.length, 1.0)) ** 2
-
-    def distance_sq(self, points: np.ndarray):
-        """(f, sigma) per point: squared distance and nearest parameter."""
-        s, f = self.curve.project(
-            points, s_lo=-self.extension, s_hi=1.0 + self.extension
-        )
-        f = np.where(f < self.snap_f, 0.0, f)
-        return f, s
-
-    def geometry_at(self, points: np.ndarray, s: np.ndarray):
-        """Gradient pieces at given points/parameters: grad f, grad sigma."""
-        points = np.atleast_2d(points)
-        c, dc, d2c = self.curve.jet(s)
-        r = points - c
-        grad_f = 2.0 * r
-        denom = np.einsum("ij,ij->i", dc, dc) - np.einsum("ij,ij->i", r, d2c)
-        denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
-        grad_sigma = dc / denom[:, None]
-        return grad_f, grad_sigma
 
 
 class TangentialPotential:
@@ -114,7 +101,12 @@ class TangentialPotential:
 
 
 class ScratchedPotential:
-    """Base potential with N scratches and optional tangential potentials."""
+    """Base potential with N scratches and optional tangential potentials.
+
+    `eval` treats all scratches at once, on (scratch, point) arrays: the
+    straight scratches are projected together in one pass, the spline
+    scratches one curve at a time into rows of the same arrays.
+    """
 
     def __init__(
         self,
@@ -141,10 +133,46 @@ class ScratchedPotential:
         if len(tangential) != len(self.profiles):
             raise ScratchError("one tangential potential slot per scratch required")
         self.tangential = tangential
+        # straight scratches projected together; spline scratches one by one
+        self._lines = [l for l, p in enumerate(self.profiles) if p.curve.kind == "line"]
+        self._splines = [l for l, p in enumerate(self.profiles) if p.curve.kind != "line"]
+        self._segments = None
+        if self._lines:
+            line_profiles = [self.profiles[l] for l in self._lines]
+            self._segments = SegmentFamily(
+                [p.curve for p in line_profiles],
+                [-p.extension for p in line_profiles],
+                [1.0 + p.extension for p in line_profiles],
+            )
+        self._snap_f = np.array([[p.snap_f] for p in self.profiles])
+        self._driven = [l for l, v in enumerate(tangential) if v is not None]
 
     @property
     def num_scratches(self) -> int:
         return len(self.profiles)
+
+    def _nearest(self, points: np.ndarray):
+        """Every scratch against every point: nearest parameters s (N, M),
+        squared distances f (N, M), zero below each profile's snap threshold,
+        residuals q - c(s) stored component-major (N, D, M), and per spline
+        scratch l the first and second derivative at s, jets[l] = (dc, d2c),
+        each (M, D)."""
+        M, D = points.shape
+        s = np.empty((self.num_scratches, M))
+        f = np.empty((self.num_scratches, M))
+        r = np.empty((self.num_scratches, D, M))
+        if self._segments is not None:
+            s[self._lines], r[self._lines], f[self._lines] = self._segments.project(points)
+        jets = {}
+        for l in self._splines:
+            prof = self.profiles[l]
+            s[l], f[l], (c, dc, d2c) = prof.curve.project_jet(
+                points, -prof.extension, 1.0 + prof.extension
+            )
+            r[l] = (points - c).T
+            jets[l] = (dc, d2c)
+        f[f < self._snap_f] = 0.0
+        return s, f, r, jets
 
     def eval(self, points: np.ndarray, *, own_f: np.ndarray | None = None):
         """Analytic value and gradient of the scratched potential.
@@ -155,64 +183,69 @@ class ScratchedPotential:
         as the force uses it, zero below the profile's snap threshold.
         """
         points = np.atleast_2d(points)
-        M = points.shape[0]
         u, grad_u = self.base.value_and_grad(points)
         if not self.profiles:
             return u, grad_u
-        R2 = self.tube_radius**2
-        exps = np.zeros((self.num_scratches, M))
-        grad_fs = np.zeros((self.num_scratches, M, points.shape[1]))
-        v_vals = np.zeros((self.num_scratches, M))
-        v_grads = np.zeros((self.num_scratches, M, points.shape[1]))
-        for l, prof in enumerate(self.profiles):
-            f, s = prof.distance_sq(points)
-            if own_f is not None:
-                own_f[l] = f[l]
-            inside = f <= R2
-            if not np.any(inside):
-                continue
-            e = np.where(inside, np.exp(-self.lam * f), 0.0)
-            exps[l] = e
-            gf, gsig = prof.geometry_at(points[inside], s[inside])
-            grad_fs[l, inside] = gf
-            vl = self.tangential[l]
-            if vl is not None:
-                v_vals[l, inside] = vl(s[inside])
-                v_grads[l, inside] = vl.deriv(s[inside])[:, None] * gsig
+        s, f, r, jets = self._nearest(points)
+        if own_f is not None:
+            own_f[:] = f.diagonal()
+        inside = f <= self.tube_radius**2
+        exps = np.exp(-self.lam * f, out=np.zeros_like(f), where=inside)
         one_minus = 1.0 - exps
         prod_all = np.prod(one_minus, axis=0)
+        prod_others = np.divide(
+            prod_all, one_minus, out=np.zeros_like(f), where=one_minus > 1e-300
+        )
         value = u * prod_all
-        grad = grad_u * prod_all[:, None]
-        for l in range(self.num_scratches):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                prod_others = np.where(
-                    one_minus[l] > 1e-300, prod_all / one_minus[l], 0.0
-                )
-            active = exps[l] > 0.0
-            if not np.any(active):
+        # product rule on every factor 1 - e^{-lam f_l}, with grad f_l = 2 r_l:
+        # the base term first, then the scratches in order, summed over the
+        # stack in that order
+        terms = np.empty((self.num_scratches + 1,) + r.shape[1:])
+        terms[0] = grad_u.T * prod_all
+        coef = u * self.lam * exps
+        coef *= prod_others
+        np.multiply(r, 2.0, out=terms[1:])
+        terms[1:] *= coef[:, None, :]
+        grad = np.ascontiguousarray(terms.sum(axis=0).T)
+        for l in self._driven:
+            idx = np.flatnonzero(inside[l])
+            if idx.size == 0:
                 continue
-            # product rule on 1 - e^{-lam f_l}
-            grad += (
-                (u * self.lam * exps[l] * prod_others)[:, None] * grad_fs[l]
-            )
-            # exact zero of prod_others when the point sits on scratch l and
-            # another factor vanished is impossible for separated tubes
-            if self.tangential[l] is not None:
-                value += v_vals[l] * exps[l]
-                grad += exps[l][:, None] * v_grads[l]
-                grad -= (self.lam * v_vals[l] * exps[l])[:, None] * grad_fs[l]
+            sl = s[l, idx]
+            rl = r[l][:, idx].T
+            if l in jets:
+                dc, d2c = jets[l][0][idx], jets[l][1][idx]
+            else:  # a line: constant tangent, d2c = 0
+                _, dc, d2c = self.profiles[l].curve.jet(sl)
+            denom = np.einsum("ij,ij->i", dc, dc) - np.einsum("ij,ij->i", rl, d2c)
+            denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
+            grad_sigma = dc / denom[:, None]
+            vl = self.tangential[l]
+            v = vl(sl)
+            e = exps[l, idx]
+            value[idx] += v * e
+            grad[idx] += e[:, None] * (vl.deriv(sl)[:, None] * grad_sigma)
+            grad[idx] -= (self.lam * v * e)[:, None] * (2.0 * rl)
         return value, grad
 
     def value(self, points: np.ndarray) -> np.ndarray:
         return self.eval(points)[0]
 
-    def sample(self, grid, chunk: int = 65536) -> np.ndarray:
-        """Values on all grid points, row-major, shaped like the grid."""
+    def sample(self, grid) -> np.ndarray:
+        """Values on all grid points, row-major, shaped like the grid.
+
+        The points go to `value` in blocks of at most _SAMPLE_PAIRS // N, so
+        that each (N, rows) array of `eval` takes 64 KiB. Larger temporaries
+        come as fresh pages from the system: with 2^16 pairs per block,
+        sampling 25 line scratches on a 128^2 grid took twice as long. The
+        blocks are equal to within one point, so that none is a single
+        point, whose one-row matrix products round differently: the values
+        are those of one `value` call on all points.
+        """
         pts = grid.points()
-        out = np.empty(pts.shape[0])
-        for i in range(0, pts.shape[0], chunk):
-            out[i : i + chunk] = self.value(pts[i : i + chunk])
-        return out.reshape(grid.shape)
+        rows = max(1, _SAMPLE_PAIRS // max(self.num_scratches, 1))
+        blocks = np.array_split(pts, -(-pts.shape[0] // rows))
+        return np.concatenate([self.value(b) for b in blocks]).reshape(grid.shape)
 
     def hessian_on_scratch(self, l: int, s: float, fd_step: float | None = None):
         """Hessian spectrum of the scratched potential at a point of scratch l.
@@ -223,11 +256,9 @@ class ScratchedPotential:
         prof = self.profiles[l]
         q = prof.curve(np.array([s]))[0]
         D = q.size
-        for lp, other in enumerate(self.profiles):
-            if lp == l:
-                continue
-            f, _ = other.distance_sq(q[None, :])
-            if f[0] <= self.tube_radius**2:
+        _, f, _, _ = self._nearest(q[None, :])
+        for lp in range(self.num_scratches):
+            if lp != l and f[lp, 0] <= self.tube_radius**2:
                 raise ScratchError(
                     f"scratch {lp} interferes inside the tube of scratch {l}"
                 )

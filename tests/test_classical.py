@@ -218,6 +218,80 @@ class TestDeviationTracking:
             integrate(ens, sp, [0.0, 1.0], dt_max=0.01, curves=[other])
 
 
+class CountingPotential:
+    """A scratched potential that counts its evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def eval(self, points, *, own_f=None):
+        self.calls += 1
+        return self.inner.eval(points, own_f=own_f)
+
+
+def reference_energy_log(ensemble, scratched, times, dt_max, stride=10):
+    """The Verlet loop with its energy rows from separate potential
+    evaluations: at the start, every `stride` steps and at the end."""
+    m = ensemble.mass
+    q, p = ensemble.positions.copy(), ensemble.momenta.copy()
+
+    def energy(qv, pv):
+        return np.sum(pv**2, axis=1) / (2.0 * m) + scratched.eval(qv)[0]
+
+    force = -scratched.eval(q)[1]
+    rows = [energy(q, p)]
+    step = 0
+    for t1, t2 in zip(times[:-1], times[1:]):
+        nsteps = max(1, int(np.ceil((t2 - t1) / dt_max)))
+        dt = (t2 - t1) / nsteps
+        for _ in range(nsteps):
+            p = p + 0.5 * dt * force
+            q = q + dt * p / m
+            force = -scratched.eval(q)[1]
+            p = p + 0.5 * dt * force
+            step += 1
+            if step % stride == 0:
+                rows.append(energy(q, p))
+    rows.append(energy(q, p))
+    return np.stack(rows), step
+
+
+class TestEvaluationCount:
+    def test_one_evaluation_per_step_and_one_to_start(self):
+        base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
+        curves = [
+            SegmentCurve([-3.0, -1.0], [2.0, 1.5]),
+            SegmentCurve([-2.0, 2.0], [3.0, -2.0]),
+            SegmentCurve([1.0, -3.0], [-1.0, 3.0]),
+        ]
+        times = np.array([0.0, 0.37, 1.0])
+        sp = CountingPotential(ScratchedPotential(base, curves, lam=1e3))
+        ens = initialize_on_scratches(curves, 1.0, times)
+        dt = stable_timestep(1e3, 1.0, 1.0)
+        res = integrate(ens, sp, times, dt_max=dt, curves=curves)
+        ref_log, steps = reference_energy_log(ens, sp.inner, times, dt)
+        assert steps > 20 and steps % 10 != 0
+        assert sp.calls == steps + 1
+        assert np.array_equal(res.energy_log, ref_log)
+
+    def test_driven_splines(self):
+        curves, sp, res = TestDeviationTracking().driven_run()
+        counting = CountingPotential(sp.inner)
+        ens = ClassicalEnsemble(
+            res.snapshots[0].positions, res.snapshots[0].momenta, res.snapshots[0].mass
+        )
+        dt = stable_timestep(1e3, 2.0, 1.0, safety=40.0)
+        res2 = integrate(ens, counting, res.times, dt_max=dt, curves=curves, check_energy=False)
+        ref_log, steps = reference_energy_log(ens, sp.inner, res.times, dt)
+        assert counting.calls == steps + 1
+        assert np.array_equal(res2.energy_log, ref_log)
+        assert np.array_equal(res2.energy_log, res.energy_log)
+
+
 class TestOccupancy:
     def test_counts_and_fractions(self):
         g = grid2d()

@@ -9,6 +9,7 @@ from scipy.interpolate import CubicHermiteSpline
 from scratchsim.geometry import (
     _SCAN_BLOCK,
     CapacityError,
+    SegmentFamily,
     GeometryError,
     MomentumConditioning,
     SegmentCurve,
@@ -262,6 +263,145 @@ class TestWaypoints:
         assignment = np.ones((4, 2), dtype=int)
         with pytest.raises(CapacityError):
             sample_waypoints(part, assignment, g, seed=0, delta_path=50.0)
+
+
+def reference_sample_waypoints(
+    partition, assignment, grid, seed, *, margin=None, delta_path=None,
+    eps_coll=None, general_position=False, max_attempts=4000,
+):
+    """Waypoint sampling with a Python loop over the placed points and over
+    every pair of them, per candidate: the positions `sample_waypoints`
+    must reproduce."""
+
+    def point_line_distance(z, x, y):
+        d = y - x
+        nd = np.linalg.norm(d)
+        if nd < 1e-300:
+            return np.linalg.norm(z - x)
+        t = (z - x) @ d / (nd * nd)
+        return float(np.linalg.norm(z - (x + t * d)))
+
+    rng = np.random.default_rng(seed)
+    N, K = assignment.shape
+    h = float(np.max(grid.spacing))
+    margin = h if margin is None else margin
+    delta_path = 4.0 * h if delta_path is None else delta_path
+    eps_coll = 1e-6 * grid.diagonal if eps_coll is None else eps_coll
+    region_boxes = {}
+    for k in range(1, partition.n + 1):
+        boxes = [
+            (np.maximum(np.asarray(b.lo), grid.lo), np.minimum(np.asarray(b.hi), grid.hi))
+            for b in partition.regions[k - 1]
+        ]
+        boxes = [(lo, hi) for lo, hi in boxes if np.all(hi > lo) and np.all(hi - lo > 2 * margin)]
+        if not boxes:
+            raise CapacityError(f"region {k} has no interior volume at margin {margin}")
+        vols = np.array([np.prod(hi - lo - 2 * margin) for lo, hi in boxes])
+        region_boxes[k] = (boxes, vols / vols.sum())
+    positions = np.zeros((N, K, grid.ndim))
+    placed = []
+    for l in range(N):
+        for j in range(K):
+            k = int(assignment[l, j])
+            boxes, weights = region_boxes[k]
+            for _ in range(max_attempts):
+                lo, hi = boxes[rng.choice(len(boxes), p=weights)]
+                z = rng.uniform(lo + margin, hi - margin)
+                if not partition.interior_membership(z[None, :], k, margin=0.0)[0]:
+                    continue
+                if any(np.linalg.norm(z - positions[l2, j]) < delta_path for l2 in range(l)):
+                    continue
+                if np.linalg.norm(z - positions[l, j - 1]) < delta_path and j > 0:
+                    continue
+                if general_position:
+                    if any(np.linalg.norm(z - w) < eps_coll for w in placed):
+                        continue
+                    if any(
+                        point_line_distance(z, placed[i1], placed[i2]) < eps_coll
+                        for i1 in range(len(placed))
+                        for i2 in range(i1 + 1, len(placed))
+                    ):
+                        continue
+                positions[l, j] = z
+                placed.append(z.copy())
+                break
+            else:
+                raise CapacityError(
+                    f"could not place waypoint for particle {l}, checkpoint {j}; "
+                    "reduce N or the clearances"
+                )
+    return positions
+
+
+class TestWaypointsAgainstLoops:
+    def same_plan(self, part, assignment, g, seed, **kw):
+        plan = sample_waypoints(part, assignment, g, seed, **kw)
+        ref = reference_sample_waypoints(part, assignment, g, seed, **kw)
+        assert np.array_equal(plan.positions, ref)
+
+    def test_t1_many_geometry(self):
+        # N = 25 lines on 128^2 half planes, as the N = 25 theorem1 run
+        g = SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (128, 128))
+        part = half_planes(g, 0, 0.0)
+        assignment = assign_itineraries(np.array([[13, 12], [9, 16]]), 25)
+        for seed in (1, 2, 77):
+            self.same_plan(part, assignment, g, seed, general_position=True)
+            self.same_plan(part, assignment, g, seed, general_position=False)
+
+    def test_three_checkpoints_3d(self):
+        g = grid3d(16)
+        part = half_planes(g, 0, 0.0)
+        assignment = assign_itineraries(np.array([[3, 3], [2, 4], [5, 1]]), 6)
+        for seed in (0, 5):
+            for general_position in (True, False):
+                self.same_plan(part, assignment, g, seed, general_position=general_position)
+
+    def test_tight_collinearity_tolerance(self):
+        # an eps_coll large enough that candidates are rejected as
+        # collinear with placed pairs, so the pair check decides the plan
+        g = SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (32, 32))
+        part = half_planes(g, 0, 0.0)
+        assignment = assign_itineraries(np.array([[4, 4], [4, 4]]), 8)
+        for seed in (3, 4):
+            self.same_plan(part, assignment, g, seed, general_position=True, eps_coll=0.3)
+
+    def test_capacity_error_unchanged(self):
+        g = grid3d()
+        part = half_planes(g, 0, 0.0)
+        assignment = np.ones((4, 2), dtype=int)
+        with pytest.raises(CapacityError) as got:
+            sample_waypoints(part, assignment, g, seed=0, delta_path=50.0)
+        with pytest.raises(CapacityError) as want:
+            reference_sample_waypoints(part, assignment, g, seed=0, delta_path=50.0)
+        assert str(got.value) == str(want.value)
+
+    def test_coincident_placed_points(self):
+        # two coincident placed points make a degenerate pair: the distance
+        # to it is the distance to the point
+        from scratchsim.geometry import _line_distances
+
+        x = np.array([[1.0, 2.0], [0.0, 0.0]])
+        d = np.array([[0.0, 0.0], [3.0, 0.0]])
+        nd = np.array([0.0, 3.0])
+        got = _line_distances(np.array([4.0, 6.0]), x, d, nd)
+        assert np.array_equal(got, [5.0, 6.0])
+
+
+class TestSegmentFamily:
+    def test_rows_are_single_segment_projections(self):
+        rng = np.random.default_rng(8)
+        for D in (2, 3):
+            segs = [SegmentCurve(*rng.uniform(-3.0, 3.0, (2, D))) for _ in range(6)]
+            lo = rng.uniform(-0.3, 0.0, 6)
+            hi = rng.uniform(1.0, 1.3, 6)
+            pts = rng.uniform(-4.0, 4.0, (50, D))
+            s, r, f = SegmentFamily(segs, lo, hi).project(pts)
+            assert s.shape == f.shape == (6, 50) and r.shape == (6, D, 50)
+            for l, c in enumerate(segs):
+                s1, f1 = c.project(pts, lo[l], hi[l])
+                assert np.array_equal(s[l], s1) and np.array_equal(f[l], f1)
+                assert np.array_equal(r[l].T, pts - c(s1))
+                assert np.all((s1 >= lo[l]) & (s1 <= hi[l]))
 
 
 class TestPaths:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from scratchsim.geometry import SegmentCurve, SplineCurve, catmull_rom_tangents
+from scratchsim.grid import SpatialGrid
 from scratchsim.potentials import GaussianWellPotential, HarmonicPotential
 from scratchsim.scratch import (
+    _SAMPLE_PAIRS,
     InfeasibleTimingError,
     ScratchError,
     ScratchedPotential,
@@ -161,6 +163,190 @@ class TestModifiedForm:
         dq = c.deriv(s)
         drive = -v.deriv(s)[:, None] * dq / np.einsum("ij,ij->i", dq, dq)[:, None]
         assert np.allclose(grads, -drive, atol=1e-10)
+
+
+def reference_eval(sp, points, own_f=None):
+    """The evaluation that loops over the scratches twice: per scratch one
+    projection, one geometry evaluation at the inside points, then per
+    scratch the product-rule and tangential terms."""
+    points = np.atleast_2d(points)
+    M, D = points.shape
+    N = sp.num_scratches
+    u, grad_u = sp.base.value_and_grad(points)
+    R2 = sp.tube_radius**2
+    exps = np.zeros((N, M))
+    grad_fs = np.zeros((N, M, D))
+    v_vals = np.zeros((N, M))
+    v_grads = np.zeros((N, M, D))
+    for l, prof in enumerate(sp.profiles):
+        s, f = prof.curve.project(points, s_lo=-prof.extension, s_hi=1.0 + prof.extension)
+        f = np.where(f < prof.snap_f, 0.0, f)
+        if own_f is not None:
+            own_f[l] = f[l]
+        inside = f <= R2
+        if not np.any(inside):
+            continue
+        exps[l] = np.where(inside, np.exp(-sp.lam * f), 0.0)
+        c, dc, d2c = prof.curve.jet(s[inside])
+        r = points[inside] - c
+        denom = np.einsum("ij,ij->i", dc, dc) - np.einsum("ij,ij->i", r, d2c)
+        denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
+        grad_fs[l, inside] = 2.0 * r
+        vl = sp.tangential[l]
+        if vl is not None:
+            v_vals[l, inside] = vl(s[inside])
+            v_grads[l, inside] = vl.deriv(s[inside])[:, None] * dc / denom[:, None]
+    one_minus = 1.0 - exps
+    prod_all = np.prod(one_minus, axis=0)
+    value = u * prod_all
+    grad = grad_u * prod_all[:, None]
+    for l in range(N):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prod_others = np.where(one_minus[l] > 1e-300, prod_all / one_minus[l], 0.0)
+        if not np.any(exps[l] > 0.0):
+            continue
+        grad += (u * sp.lam * exps[l] * prod_others)[:, None] * grad_fs[l]
+        if sp.tangential[l] is not None:
+            value += v_vals[l] * exps[l]
+            grad += exps[l][:, None] * v_grads[l]
+            grad -= (sp.lam * v_vals[l] * exps[l])[:, None] * grad_fs[l]
+    return value, grad
+
+
+def driven_splines(num, rng, lam=200.0):
+    """`num` random 3-D splines, each with a tangential potential."""
+    base = GaussianWellPotential(depth=0.5, width=3.0, offset=1.5, ndim=3)
+    curves, tangential = [], []
+    for _ in range(num):
+        wp = rng.uniform(-3.0, 3.0, (3, 3))
+        chords = np.linalg.norm(np.diff(wp, axis=0), axis=1)
+        knots = np.concatenate([[0.0], np.cumsum(chords) / chords.sum()])
+        c = SplineCurve(knots, wp, catmull_rom_tangents(knots, wp))
+        cond = TimingConditions([0.0, 1.0, 2.0], knots, np.full(3, 0.3))
+        curves.append(c)
+        tangential.append(construct_tangential_potential(c, cond, 1.0, num_samples=2001))
+    return ScratchedPotential(base, curves, lam=lam, tangential=tangential)
+
+
+def assert_matches_reference(sp, points, rtol=1e-13):
+    """value, grad and own_f (one point per scratch) against the two-loop
+    evaluation, to rtol of each array's largest magnitude."""
+    own = np.zeros(sp.num_scratches)
+    own_ref = np.zeros(sp.num_scratches)
+    value, grad = sp.eval(points, own_f=own if len(points) == sp.num_scratches else None)
+    ref_value, ref_grad = reference_eval(
+        sp, points, own_f=own_ref if len(points) == sp.num_scratches else None
+    )
+    for got, want in ((value, ref_value), (grad, ref_grad), (own, own_ref)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= rtol * max(np.max(np.abs(want)), 1e-300)
+    return value, grad
+
+
+class TestAllScratchEval:
+    def test_random_segments_2d(self):
+        rng = np.random.default_rng(21)
+        base = GaussianWellPotential(depth=0.4, width=3.0, offset=0.6, ndim=2)
+        curves = [SegmentCurve(*rng.uniform(-6.0, 6.0, (2, 2))) for _ in range(25)]
+        sp = ScratchedPotential(base, curves, lam=1e2)
+        # one point near each segment (the integrator's case), then a cloud
+        s = rng.uniform(-0.1, 1.1, 25)
+        near = np.array([c(np.array([t]))[0] for c, t in zip(curves, s)])
+        near += rng.normal(scale=0.5 * sp.tube_radius, size=near.shape)
+        value, _ = assert_matches_reference(sp, near)
+        cloud = rng.uniform(-7.0, 7.0, (4000, 2))
+        assert_matches_reference(sp, cloud)
+        # the cloud exercises points inside one and inside several tubes
+        inside = sum(
+            c.project(cloud, -p.extension, 1.0 + p.extension)[1] <= sp.tube_radius**2
+            for c, p in zip(curves, sp.profiles)
+        )
+        assert np.any(inside == 1) and np.any(inside >= 2)
+
+    def test_driven_splines_3d(self):
+        rng = np.random.default_rng(22)
+        sp = driven_splines(4, rng)
+        s = rng.uniform(0.0, 1.0, 4)
+        near = np.array([p.curve(np.array([t]))[0] for p, t in zip(sp.profiles, s)])
+        near += rng.normal(scale=0.3 * sp.tube_radius, size=near.shape)
+        assert_matches_reference(sp, near)
+        assert_matches_reference(sp, rng.uniform(-3.5, 3.5, (3000, 3)))
+
+    def test_point_in_two_overlapping_tubes(self):
+        base = GaussianWellPotential(depth=0.5, width=2.0, offset=1.0, ndim=2)
+        curves = [SegmentCurve([-1.0, -1.0], [1.0, 1.0]), SegmentCurve([-1.0, 1.0], [1.0, -1.0])]
+        times = [0.0, 1.0]
+        tangential = [
+            construct_tangential_potential(c, TimingConditions(times, [0.0, 1.0], [0.8, 1.1]), 1.0)
+            for c in curves
+        ]
+        for tang in ([None, None], tangential):
+            sp = ScratchedPotential(base, curves, lam=1e3, tangential=tang)
+            r = sp.tube_radius
+            pts = np.array([[0.1 * r, 0.05 * r], [0.0, 0.3 * r], [-0.2 * r, 0.1 * r]])
+            for prof in sp.profiles:
+                assert np.all(prof.curve.project(pts)[1] <= r**2)
+            assert_matches_reference(sp, pts)
+
+    def test_points_on_a_curve(self):
+        rng = np.random.default_rng(23)
+        sp = driven_splines(3, rng, lam=800.0)
+        s = np.linspace(0.0, 1.0, 101)
+        for prof in sp.profiles:
+            assert_matches_reference(sp, prof.curve(s))
+        base = GaussianWellPotential(depth=0.5, width=2.0, offset=1.0, ndim=2)
+        line = SegmentCurve([-1.0, -0.5], [1.0, 0.5])
+        plain = ScratchedPotential(base, [line], lam=800.0)
+        value, grad = assert_matches_reference(plain, line(s))
+        assert np.max(np.abs(value)) == 0.0 and np.max(np.abs(grad)) == 0.0
+
+    def test_outside_every_tube_is_the_base(self):
+        rng = np.random.default_rng(24)
+        sp = driven_splines(3, rng, lam=1e4)
+        pts = rng.uniform(-3.5, 3.5, (3000, 3))
+        far = np.ones(len(pts), dtype=bool)
+        for prof in sp.profiles:
+            far &= prof.curve.project(pts, -prof.extension, 1.0 + prof.extension)[1] > sp.tube_radius**2
+        pts = pts[far][:500]
+        assert len(pts) == 500
+        value, grad = sp.eval(pts)
+        ref_value, ref_grad = reference_eval(sp, pts)
+        u, grad_u = sp.base.value_and_grad(pts)
+        assert np.array_equal(value, u) and np.array_equal(grad, grad_u)
+        assert np.array_equal(ref_value, u) and np.array_equal(ref_grad, grad_u)
+
+
+class TestSampleBlocks:
+    def blocks_and_values(self, sp, grid):
+        sizes = []
+        inner = sp.value
+
+        def value(points):
+            sizes.append(len(points))
+            return inner(points)
+
+        sp.value = value
+        out = sp.sample(grid)
+        del sp.value
+        return sizes, out
+
+    def test_line_grid_larger_than_a_block(self):
+        rng = np.random.default_rng(25)
+        base = GaussianWellPotential(depth=0.4, width=3.0, offset=0.6, ndim=2)
+        curves = [SegmentCurve(*rng.uniform(-6.0, 6.0, (2, 2))) for _ in range(7)]
+        sp = ScratchedPotential(base, curves, lam=50.0)
+        g = SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (96, 97))
+        sizes, out = self.blocks_and_values(sp, g)
+        assert len(sizes) > 1 and sum(sizes) == 96 * 97
+        assert max(sizes) <= _SAMPLE_PAIRS // 7 and min(sizes) >= 2
+        assert np.array_equal(out, sp.value(g.points()).reshape(g.shape))
+
+    def test_driven_spline_grid_larger_than_a_block(self):
+        sp = driven_splines(1, np.random.default_rng(26), lam=10.0)
+        g = SpatialGrid(((-4.0, 4.0),) * 3, (24, 24, 24))
+        sizes, out = self.blocks_and_values(sp, g)
+        assert len(sizes) > 1 and max(sizes) <= _SAMPLE_PAIRS
+        assert np.array_equal(out, sp.value(g.points()).reshape(g.shape))
 
 
 class TestTiming:
