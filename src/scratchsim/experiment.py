@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -43,8 +44,8 @@ class ValidationError(ExperimentError):
 class StageError(ExperimentError):
     """Failure inside a pipeline stage, tagged with the stage name."""
 
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage!r}: {cause}")
+    def __init__(self, stage: str, cause: Exception, detail: str = ""):
+        super().__init__(f"stage {stage!r}: {cause}" + (f"; {detail}" if detail else ""))
         self.stage = stage
         self.cause = cause
 
@@ -305,15 +306,53 @@ def deviation_decreasing(deviations, floor: float) -> bool:
 # shared stages
 
 
+# attempts per lambda, and the steps they may take together in units of the
+# first attempt's: 1 + 4 + 16 + 64, the worst case of quartering dt three times
+_MAX_ATTEMPTS = 4
+_STEP_BUDGET = 85
+
+
 def _integrate_with_retries(
-    config: ExperimentConfig, ensemble_factory, scratched, schedule, lam, u_max, g, curves
+    config: ExperimentConfig,
+    ensemble_factory,
+    scratched,
+    schedule,
+    lam,
+    u_max,
+    g,
+    curves,
+    seed_dt: float,
 ):
-    """Verlet run with a bounded safety-factor ladder: the drift tolerance is
-    checked by the integrator, and a failing step size is quartered."""
-    safety = config.stiffness_safety
-    last: Exception | None = None
-    for _ in range(4):
-        dt = classical.stable_timestep(lam, u_max, config.mass, safety)
+    """Verlet run whose retries are sized by Verlet's drift law.
+
+    The first attempt takes the smaller of `stable_timestep` and `seed_dt`,
+    the law-sized step of the previous lambda's accepted run. The integrator
+    checks the drift against `energy_tol`; after a failure at dt with drift
+    d the next attempt takes `drift_law_timestep`, dt * 0.8 * sqrt(tol / d),
+    which predicts a drift of 0.64 * tol. At most four attempts are made,
+    and their steps sum to at most 85 times the first attempt's: an attempt
+    that would pass that budget is not started, and the stage raises
+    StageError('classical') listing every attempt's (dt, drift), with the
+    last StabilityError as its cause.
+
+    Returns the accepted result, its dt, the effective stiffness safety
+    config.stiffness_safety * dt0 / dt (dt0 the `stable_timestep` at the
+    config's safety, so the config's value exactly when dt = dt0) and every
+    attempt's [dt, drift] in order.
+    """
+    dt0 = classical.stable_timestep(lam, u_max, config.mass, config.stiffness_safety)
+    dt = min(dt0, seed_dt)
+    budget = _STEP_BUDGET * classical.num_steps(schedule, dt)
+    spent = 0
+    attempts: list[list[float]] = []
+    last: classical.StabilityError | None = None
+    stop = f"{_MAX_ATTEMPTS} attempts made"
+    for _ in range(_MAX_ATTEMPTS):
+        steps = classical.num_steps(schedule, dt) if dt > 0 else math.inf
+        if spent + steps > budget:
+            stop = f"the next, at dt={dt:.3e}, would pass the budget of {budget} steps"
+            break
+        spent += steps
         try:
             result = classical.integrate(
                 ensemble_factory(),
@@ -324,11 +363,15 @@ def _integrate_with_retries(
                 energy_tol=config.energy_tol,
                 curves=curves,
             )
-            return result, dt, safety
         except classical.StabilityError as e:
             last = e
-            safety *= 4.0
-    raise StageError("classical", last)
+            attempts.append([dt, e.drift])
+            dt = classical.drift_law_timestep(dt, e.drift, config.energy_tol)
+            continue
+        attempts.append([dt, result.energy_drift])
+        return result, dt, config.stiffness_safety * (dt0 / dt), attempts
+    tried = ", ".join(f"({a:.3e}, {d:.3e})" for a, d in attempts)
+    raise StageError("classical", last, f"attempts (dt, drift): {tried}; {stop}") from last
 
 
 def _quantum_stage(config: ExperimentConfig):
@@ -494,9 +537,10 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
     lambdas = config.lambdas if full else config.lambdas[-1:]
     u_max = max(base.max_on(g), 1e-6)
     per_lambda = []
+    seed_dt = math.inf
     for lam in map(float, lambdas):
         scratched = scratch.ScratchedPotential(base, curves, lam, tangential=tangential)
-        result, dt, safety = _integrate_with_retries(
+        result, dt, safety, attempts = _integrate_with_retries(
             config,
             lambda: classical.initialize_on_scratches(
                 curves, config.mass, schedule, conditioning=cond
@@ -507,7 +551,10 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
             u_max,
             g,
             curves,
+            seed_dt,
         )
+        # the drift constant changes little from one lambda to the next
+        seed_dt = classical.drift_law_timestep(dt, result.energy_drift, config.energy_tol)
         per_lambda.append(
             {
                 "lambda": lam,
@@ -515,6 +562,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
                 "max_curve_deviation": float(np.max(result.max_curve_deviation)),
                 "timestep": dt,
                 "stiffness_safety": safety,
+                "attempts": attempts,
             }
         )
     # bound verification at the largest lambda

@@ -174,6 +174,30 @@ class ScratchedPotential:
         f[f < self._snap_f] = 0.0
         return s, f, r, jets
 
+    def _value(self, points: np.ndarray, u: np.ndarray, own_f: np.ndarray | None = None):
+        """The scratched value over the base values u, with what the gradient
+        reuses: (value, (r, jets, exps, one_minus, prod_all, drives)),
+        drives[l] = (idx, s, V_l(s), e) on the points inside driven tube l."""
+        s, f, r, jets = self._nearest(points)
+        if own_f is not None:
+            own_f[:] = f.diagonal()
+        inside = f <= self.tube_radius**2
+        exps = np.exp(-self.lam * f, out=np.zeros_like(f), where=inside)
+        one_minus = 1.0 - exps
+        prod_all = np.prod(one_minus, axis=0)
+        value = u * prod_all
+        drives = {}
+        for l in self._driven:
+            idx = np.flatnonzero(inside[l])
+            if idx.size == 0:
+                continue
+            sl = s[l, idx]
+            v = self.tangential[l](sl)
+            e = exps[l, idx]
+            value[idx] += v * e
+            drives[l] = (idx, sl, v, e)
+        return value, (r, jets, exps, one_minus, prod_all, drives)
+
     def eval(self, points: np.ndarray, *, own_f: np.ndarray | None = None):
         """Analytic value and gradient of the scratched potential.
 
@@ -186,17 +210,12 @@ class ScratchedPotential:
         u, grad_u = self.base.value_and_grad(points)
         if not self.profiles:
             return u, grad_u
-        s, f, r, jets = self._nearest(points)
-        if own_f is not None:
-            own_f[:] = f.diagonal()
-        inside = f <= self.tube_radius**2
-        exps = np.exp(-self.lam * f, out=np.zeros_like(f), where=inside)
-        one_minus = 1.0 - exps
-        prod_all = np.prod(one_minus, axis=0)
-        prod_others = np.divide(
-            prod_all, one_minus, out=np.zeros_like(f), where=one_minus > 1e-300
+        value, (r, jets, exps, one_minus, prod_all, drives) = self._value(
+            points, u, own_f
         )
-        value = u * prod_all
+        prod_others = np.divide(
+            prod_all, one_minus, out=np.zeros_like(exps), where=one_minus > 1e-300
+        )
         # product rule on every factor 1 - e^{-lam f_l}, with grad f_l = 2 r_l:
         # the base term first, then the scratches in order, summed over the
         # stack in that order
@@ -207,11 +226,7 @@ class ScratchedPotential:
         np.multiply(r, 2.0, out=terms[1:])
         terms[1:] *= coef[:, None, :]
         grad = np.ascontiguousarray(terms.sum(axis=0).T)
-        for l in self._driven:
-            idx = np.flatnonzero(inside[l])
-            if idx.size == 0:
-                continue
-            sl = s[l, idx]
+        for l, (idx, sl, v, e) in drives.items():
             rl = r[l][:, idx].T
             if l in jets:
                 dc, d2c = jets[l][0][idx], jets[l][1][idx]
@@ -220,16 +235,17 @@ class ScratchedPotential:
             denom = np.einsum("ij,ij->i", dc, dc) - np.einsum("ij,ij->i", rl, d2c)
             denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
             grad_sigma = dc / denom[:, None]
-            vl = self.tangential[l]
-            v = vl(sl)
-            e = exps[l, idx]
-            value[idx] += v * e
-            grad[idx] += e[:, None] * (vl.deriv(sl)[:, None] * grad_sigma)
+            grad[idx] += e[:, None] * (self.tangential[l].deriv(sl)[:, None] * grad_sigma)
             grad[idx] -= (self.lam * v * e)[:, None] * (2.0 * rl)
         return value, grad
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        return self.eval(points)[0]
+        """The value of `eval`, bit for bit, without the scratch gradient."""
+        points = np.atleast_2d(points)
+        u = self.base.value(points)
+        if not self.profiles:
+            return u
+        return self._value(points, u)[0]
 
     def sample(self, grid) -> np.ndarray:
         """Values on all grid points, row-major, shaped like the grid.
@@ -355,9 +371,7 @@ def integrate_lagrange(
 
     def rhs(t, y):
         s, sdot = y
-        sa = np.array([s])
-        dq = curve.deriv(sa)[0]
-        d2q = curve.deriv2(sa)[0]
+        _, (dq,), (d2q,) = curve.jet(np.array([s]))
         w = float(dq @ dq)
         coupling = float(dq @ d2q)
         sddot = (-potential.deriv(s) - mass * coupling * sdot**2) / (mass * w)

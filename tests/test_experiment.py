@@ -1,13 +1,15 @@
 """Pipeline configuration, report emission, and record quantization."""
 
 import csv
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import scratchsim.experiment as experiment
-from scratchsim import cli, diophantine, geometry
+from scratchsim import classical, cli, diophantine, geometry
 from scratchsim.experiment import (
     DiscriminationReport,
     ExperimentConfig,
@@ -24,6 +26,7 @@ from scratchsim.experiment import (
     write_occupancy_csv,
 )
 from scratchsim.grid import SpatialGrid
+from scratchsim.quantum import CheckpointSchedule
 
 
 def grid2d():
@@ -289,7 +292,9 @@ class TestTheorem1Pipeline:
         diag = report.diagnostics
         (row,) = diag["per_lambda"]
         assert diag["lambda_run"] == row["lambda"] == d["lambdas"][-1]
-        for key in ("energy_drift", "max_curve_deviation", "timestep", "stiffness_safety"):
+        for key in (
+            "energy_drift", "max_curve_deviation", "timestep", "stiffness_safety", "attempts"
+        ):
             assert diag[key] == row[key]
         assert isinstance(diag["deviation_decreasing"], bool)
         assert report.criteria["insensitivity_decay"] is True
@@ -349,6 +354,124 @@ class TestTheorem2Pipeline:
         assert diag["lambda_run"] == 100.0
         assert diag["energy_drift"] == diag["per_lambda"][-1]["energy_drift"]
         assert report.passed
+
+
+def drift_law_integrate(monkeypatch, drift_of, calls, real=False):
+    """Replace classical.integrate with one whose drift is drift_of(lam, dt):
+    above energy_tol it raises StabilityError, else it returns that drift, on
+    the real trajectory when `real` is set. Every (lam, dt_max) goes to
+    `calls`."""
+    integrate = classical.integrate
+
+    def fake(ensemble, scratched, schedule, *, dt_max, energy_tol, **kw):
+        calls.append((scratched.lam, dt_max))
+        drift = drift_of(scratched.lam, dt_max)
+        if drift > energy_tol:
+            raise classical.StabilityError(f"drift {drift:.3e}", drift)
+        if not real:
+            return SimpleNamespace(energy_drift=drift)
+        result = integrate(
+            ensemble, scratched, schedule, dt_max=dt_max, check_energy=False, **kw
+        )
+        return dataclasses.replace(result, energy_drift=drift)
+
+    monkeypatch.setattr(experiment.classical, "integrate", fake)
+
+
+class TestTimestepSizing:
+    LAM, U_MAX = 1.0e3, 2.0
+
+    def retry(self, cfg, seed_dt=float("inf")):
+        return experiment._integrate_with_retries(
+            cfg, lambda: None, SimpleNamespace(lam=self.LAM),
+            CheckpointSchedule([0.0, 1.0]), self.LAM, self.U_MAX, None, None, seed_dt,
+        )
+
+    def patched(self, monkeypatch, drift_of):
+        cfg = ExperimentConfig.from_dict(small_theorem1_config())
+        dt0 = classical.stable_timestep(self.LAM, self.U_MAX, cfg.mass, cfg.stiffness_safety)
+        calls = []
+        drift_law_integrate(monkeypatch, lambda lam, dt: drift_of(dt0, dt), calls)
+        return cfg, dt0, calls
+
+    def test_second_attempt_is_law_sized(self, monkeypatch):
+        # drift = C dt^2, 100 times the tolerance at the first guess
+        cfg, dt0, calls = self.patched(monkeypatch, lambda dt0, dt: 100e-6 * (dt / dt0) ** 2)
+        result, dt, safety, attempts = self.retry(cfg)
+        assert dt == pytest.approx(dt0 * 0.8 * 0.1, rel=1e-12)
+        assert result.energy_drift < 0.8 * cfg.energy_tol
+        assert attempts == [[dt0, pytest.approx(1e-4, rel=1e-12)], [dt, result.energy_drift]]
+        assert [dt_max for _, dt_max in calls] == [dt0, dt]
+        assert safety == pytest.approx(cfg.stiffness_safety / 0.08, rel=1e-12)
+
+    def test_first_pass_keeps_the_config_safety(self, monkeypatch):
+        cfg, dt0, calls = self.patched(monkeypatch, lambda dt0, dt: 0.9e-6)
+        result, dt, safety, attempts = self.retry(cfg)
+        assert dt == dt0 and safety == cfg.stiffness_safety
+        assert attempts == [[dt0, 0.9e-6]]
+
+    def test_seed_below_the_first_guess_is_taken(self, monkeypatch):
+        cfg, dt0, calls = self.patched(monkeypatch, lambda dt0, dt: 0.5e-6)
+        _, dt, _, _ = self.retry(cfg, seed_dt=0.3 * dt0)
+        assert dt == 0.3 * dt0 and len(calls) == 1
+        _, dt, _, _ = self.retry(cfg, seed_dt=3.0 * dt0)
+        assert dt == dt0
+
+    def test_budget_stop(self, monkeypatch):
+        # the law asks for 1/12500 of dt0: more steps than 85 first attempts
+        cfg, dt0, calls = self.patched(monkeypatch, lambda dt0, dt: 1e2 * (dt / dt0) ** 2)
+        with pytest.raises(experiment.StageError) as info:
+            self.retry(cfg)
+        err = info.value
+        assert err.stage == "classical" and len(calls) == 1
+        assert isinstance(err.cause, classical.StabilityError)
+        assert err.__cause__ is err.cause and err.cause.drift == 1e2
+        assert f"({dt0:.3e}, 1.000e+02)" in str(err)
+        assert "would pass the budget of" in str(err)
+
+    def test_every_attempt_listed_when_the_law_fails(self, monkeypatch):
+        # a drift that ignores dt: four attempts, each 0.8/sqrt(2) of the last
+        cfg, dt0, calls = self.patched(monkeypatch, lambda dt0, dt: 2e-6)
+        with pytest.raises(experiment.StageError) as info:
+            self.retry(cfg)
+        dts = [dt_max for _, dt_max in calls]
+        assert len(dts) == 4 and dts[0] == dt0
+        assert np.allclose(np.array(dts[1:]) / dts[:-1], 0.8 / np.sqrt(2.0), rtol=1e-12)
+        message = str(info.value)
+        listed = [f"({dt:.3e}, 2.000e-06)" for dt in dts]
+        assert all(message.index(a) < message.index(b) for a, b in zip(listed, listed[1:]))
+        assert "4 attempts made" in message
+
+    def test_next_lambda_is_seeded_from_the_last(self, monkeypatch):
+        d = default_theorem2_config().to_dict()
+        d.update(
+            grid={"bounds": [[-8.0, 8.0]] * 3, "shape": [16, 16, 16]},
+            schedule=[0.0, 1.0],
+            lambdas=[10.0, 100.0],
+            energy_tol=1e-3,
+            edge_eps=1e-2,
+        )
+        cfg = ExperimentConfig.from_dict(d)
+        first = {}
+
+        def drift_of(lam, dt):
+            # 50 times the tolerance at lambda = 10's first guess, then the
+            # same drift constant at every lambda
+            first.setdefault("dt", dt)
+            return 50e-3 * (dt / first["dt"]) ** 2
+
+        calls = []
+        drift_law_integrate(monkeypatch, drift_of, calls, real=True)
+        report = run_theorem2(cfg)
+        rows = report.diagnostics["per_lambda"]
+        (lam1, dt1), (_, dt2), (lam2, dt3) = calls
+        assert [lam for lam, _ in calls] == [10.0, 10.0, 100.0]
+        seed = classical.drift_law_timestep(dt2, rows[0]["energy_drift"], cfg.energy_tol)
+        # stable_timestep scales as lambda^(-1/2): the seed is below its guess
+        assert dt3 == seed < 0.99 * dt1 / np.sqrt(10.0)
+        assert rows[0]["attempts"] == [[dt1, pytest.approx(50e-3)], [dt2, rows[0]["energy_drift"]]]
+        assert rows[1]["attempts"] == [[dt3, rows[1]["energy_drift"]]]
+        assert all(row["energy_drift"] < 0.8 * cfg.energy_tol for row in rows)
 
 
 class TestCli:

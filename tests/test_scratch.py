@@ -340,6 +340,7 @@ class TestSampleBlocks:
         assert len(sizes) > 1 and sum(sizes) == 96 * 97
         assert max(sizes) <= _SAMPLE_PAIRS // 7 and min(sizes) >= 2
         assert np.array_equal(out, sp.value(g.points()).reshape(g.shape))
+        assert np.array_equal(out, sp.eval(g.points())[0].reshape(g.shape))
 
     def test_driven_spline_grid_larger_than_a_block(self):
         sp = driven_splines(1, np.random.default_rng(26), lam=10.0)
@@ -347,6 +348,29 @@ class TestSampleBlocks:
         sizes, out = self.blocks_and_values(sp, g)
         assert len(sizes) > 1 and max(sizes) <= _SAMPLE_PAIRS
         assert np.array_equal(out, sp.value(g.points()).reshape(g.shape))
+        assert np.array_equal(out, sp.eval(g.points())[0].reshape(g.shape))
+
+    def test_value_is_the_value_of_eval(self):
+        # lines, a driven line and driven splines, with points in and out of
+        # the tubes: `value` skips the gradient and changes no bit
+        rng = np.random.default_rng(27)
+        splines = driven_splines(2, rng, lam=30.0)
+        lines = [SegmentCurve(*rng.uniform(-3.0, 3.0, (2, 3))) for _ in range(3)]
+        cond = TimingConditions([0.0, 2.0], [0.0, 1.0], [0.4, 0.6])
+        drive = construct_tangential_potential(lines[0], cond, 1.0, num_samples=2001)
+        sp = ScratchedPotential(
+            splines.base,
+            [p.curve for p in splines.profiles] + lines,
+            lam=30.0,
+            tangential=splines.tangential + [drive, None, None],
+        )
+        s = rng.uniform(0.0, 1.0, 200)
+        on_curves = np.concatenate([p.curve(s) for p in sp.profiles])
+        pts = np.concatenate([on_curves + rng.normal(0.0, 0.2, on_curves.shape),
+                              rng.uniform(-4.0, 4.0, (500, 3))])
+        assert np.array_equal(sp.value(pts), sp.eval(pts)[0])
+        no_scratches = ScratchedPotential(sp.base, [], lam=30.0)
+        assert np.array_equal(no_scratches.value(pts), sp.base.value(pts))
 
 
 class TestTiming:
