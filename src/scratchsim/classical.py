@@ -153,6 +153,10 @@ def integrate(
     force evaluation computes: the nearest parameter is searched over
     [-ext, 1 + ext], with ext the scratch profile's `extension`, and a
     distance below the profile's snap threshold reads as zero.
+
+    Each step's evaluation starts every (scratch, particle) projection from
+    the linear prediction 2 s_k - s_(k-1) of the two evaluations before it
+    (`ScratchedPotential.eval`'s `s_warm`); the first two start from s_0.
     """
     times = _times(schedule)
     mass = ensemble.mass
@@ -174,7 +178,9 @@ def integrate(
         dt_max = stable_timestep(scratched.lam, u_max, mass)
     q = ensemble.positions.copy()
     p = ensemble.momenta.copy()
-    vals, grad = scratched.eval(q)
+    s_warm = np.full((scratched.num_scratches, ensemble.num_particles), np.nan)
+    vals, grad = scratched.eval(q, s_warm=s_warm)
+    s_prev = s_warm.copy()
     force = -grad
 
     def energy(pv, potential):
@@ -191,7 +197,8 @@ def integrate(
         for _ in range(nsteps):
             p = p + 0.5 * dt * force
             q = q + dt * p / mass
-            vals, grad = scratched.eval(q, own_f=own_f)
+            s_warm, s_prev = 2.0 * s_warm - s_prev, s_warm
+            vals, grad = scratched.eval(q, own_f=own_f, s_warm=s_warm)
             force = -grad
             p = p + 0.5 * dt * force
             step_count += 1

@@ -14,6 +14,7 @@ scans q = 1..Q and returns the smallest denominator that certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -189,22 +190,31 @@ def _check_exact_constraints(problem, q: int, numerators) -> None:
 
 
 def verify(problem: ApproximationProblem, cand: RationalApproximation) -> CertificateReport:
-    """Independently re-check both lemma conclusions and q <= Q."""
+    """Independently re-check both lemma conclusions and q <= Q.
+
+    The bound is checked in exact arithmetic: each alpha is read as the
+    rational its float is, and |alpha - a/q| < 1/(q * Q^(1/(nK))) holds iff
+    |q alpha - a|^(nK) * Q < 1. `max_error` is the largest |alpha - a/q| in
+    floating point, for the report.
+    """
     q = cand.q
     Q = problem.budget
+    nk = problem.n * problem.num_groups
     q_in_range = 0 < q <= Q
     max_err = 0.0
+    bound_holds = True
     for g, grp in zip(problem.groups, cand.numerators):
         for alpha, a in zip(g, grp):
             max_err = max(max_err, abs(alpha - a / q))
-    bound = 1.0 / (q * Q ** (1.0 / (problem.n * problem.num_groups)))
+            bound_holds = bound_holds and abs(q * Fraction(alpha) - a) ** nk * Q < 1
+    bound = 1.0 / (q * Q ** (1.0 / nk))
     constraints_hold = all(
         B * sum(grp) == A * q
         for grp, (A, B) in zip(cand.numerators, problem.constraints)
     )
     return CertificateReport(
         q_in_range=q_in_range,
-        bound_holds=max_err < bound,
+        bound_holds=bound_holds,
         constraints_hold=constraints_hold,
         max_error=max_err,
         error_bound=bound,

@@ -15,7 +15,13 @@ from scipy.interpolate import CubicHermiteSpline
 
 from scratchsim.grid import RegionPartition, SpatialGrid
 
-_SCAN_BLOCK = 1 << 20  # doubles in one block of the projection scan (8 MiB)
+# Doubles in one block of the projection scan (512 KiB, 128 rows of 512
+# samples), and rows in one block of a curve distance matrix. OpenBLAS
+# splits a gemm over its threads from about 2^18 multiply-adds on, and its
+# threads then spin for a while after each call; these blocks stay below
+# that, so the products run on the calling thread alone.
+_SCAN_BLOCK = 1 << 16
+_DISTANCE_ROWS = 64
 
 
 class GeometryError(ValueError):
@@ -93,6 +99,31 @@ def _dots(u, v):
     """Row-wise dot products of u and v, each row one `u[i] @ v[i]`, so that
     they round as numpy's 1-D dot (and `np.linalg.norm`) does."""
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _row_blocks(start: int, stop: int, rows: int) -> list[int]:
+    """Bounds of ceil(n / rows) blocks of rows start..stop, n = stop - start,
+    equal to within one row.
+
+    A matrix product's rows round the same whatever the block they are in,
+    as long as it has two rows or more: a single row takes the matrix-vector
+    path, which rounds differently. Equal blocks have two rows or more
+    whenever n does.
+    """
+    n = stop - start
+    nb = max(1, -(-n // rows))
+    return [start + k * n // nb for k in range(nb + 1)]
+
+
+def _piece_jet(table, x):
+    """Position, first and second derivative from gathered piece-table rows
+    (a3, a2, a1, a0, 3 a3, 2 a2, 6 a3) at offsets x from the pieces' left
+    ends, by Horner's scheme."""
+    a3, a2, a1, a0, b2, b1, c1 = table
+    pos = ((a3 * x + a2) * x + a1) * x + a0
+    d1 = (b2 * x + b1) * x + a1
+    d2 = c1 * x + b1
+    return pos, d1, d2
 
 
 class SegmentFamily:
@@ -173,11 +204,7 @@ class SplineCurve:
         s = np.asarray(s, dtype=float)
         i = np.searchsorted(self._edges, s, side="right")
         x = (s - self._left[i])[..., None]
-        a3, a2, a1, a0, b2, b1, c1 = self._coef.take(i, axis=1)
-        pos = ((a3 * x + a2) * x + a1) * x + a0
-        d1 = (b2 * x + b1) * x + a1
-        d2 = c1 * x + b1
-        return pos, d1, d2
+        return _piece_jet(self._coef.take(i, axis=1), x)
 
     def __call__(self, s):
         return self.jet(s)[0]
@@ -215,41 +242,9 @@ class SplineCurve:
 
     def project_jet(self, points, s_lo=0.0, s_hi=1.0, newton_iters=8):
         """Nearest parameter in [s_lo, s_hi], squared distance and the jet
-        (position, first and second derivative) at that parameter, per point.
-
-        A scan over 512 samples of the range gives each start point; Newton
-        steps on g(s) = (q - c(s)) . c'(s), each clipped to 0.1 and to the
-        range, refine it. The iteration stops once no parameter moves by more
-        than 4 ulps of the range's magnitude, and after newton_iters steps at
-        most.
-        """
-        points = np.atleast_2d(points)
-        sd, pd_t, pd2 = self._dense_table(s_lo, s_hi)
-        # |q - c|^2 less its per-point constant |q|^2, one block of rows at a
-        # time so that the scan buffer stays within _SCAN_BLOCK doubles
-        s = np.empty(points.shape[0])
-        rows = max(1, _SCAN_BLOCK // sd.size)
-        for i in range(0, points.shape[0], rows):
-            d2 = points[i : i + rows] @ pd_t
-            d2 *= -2.0
-            d2 += pd2
-            s[i : i + rows] = sd[np.argmin(d2, axis=1)]
-        tol = 4.0 * np.finfo(float).eps * max(abs(s_lo), abs(s_hi), 1.0)
-        for _ in range(newton_iters):
-            c, dc, d2c = self.jet(s)
-            r = points - c
-            g = np.einsum("ij,ij->i", r, dc)
-            gp = np.einsum("ij,ij->i", r, d2c) - np.einsum("ij,ij->i", dc, dc)
-            step = -g / np.where(np.abs(gp) > 1e-30, gp, np.inf)
-            step = np.clip(step, -0.1, 0.1)
-            s_new = np.clip(s + step, s_lo, s_hi)
-            moved = (np.abs(s_new - s) > tol).any()
-            s = s_new
-            if not moved:
-                break
-        jet = self.jet(s)
-        diff = points - jet[0]
-        return s, np.einsum("ij,ij->i", diff, diff), jet
+        (position, first and second derivative) at that parameter, per point:
+        the one-curve case of `SplineFamily.project`."""
+        return SplineFamily([self], s_lo, s_hi).project(points, newton_iters=newton_iters)
 
     def to_dict(self):
         return {
@@ -258,6 +253,173 @@ class SplineCurve:
             "waypoints": self.waypoints.tolist(),
             "tangents": self.tangents.tolist(),
         }
+
+
+def _hull_corners(curve, s_lo: float, s_hi: float) -> np.ndarray:
+    """Points whose convex hull holds the curve over [s_lo, s_hi]: the
+    Bezier control points of every cubic piece and the far ends of the
+    linear continuations."""
+    y, m = curve.waypoints, curve.tangents
+    w = np.diff(curve.knots)[:, None] / 3.0
+    return np.concatenate(
+        [
+            y,
+            y[:-1] + w * m[:-1],
+            y[1:] - w * m[1:],
+            [y[0] + min(s_lo, 0.0) * m[0], y[-1] + max(s_hi - 1.0, 0.0) * m[-1]],
+        ]
+    )
+
+
+class SplineFamily:
+    """Spline curves stacked for projection in one pass.
+
+    Curve l's nearest parameter is searched over [s_lo_l, s_hi_l]; s_lo and
+    s_hi are scalars or one entry per curve. The piece tables are padded to
+    the longest curve, so that one gather and one Horner evaluation give the
+    jets of any set of (curve, parameter) pairs, each bit for bit as
+    `SplineCurve.jet` gives it. Each curve has a box, grown by `reach`, that
+    `near` tests points against.
+    """
+
+    def __init__(self, curves, s_lo=0.0, s_hi=1.0, reach=0.0):
+        L = len(curves)
+        self.s_lo = np.broadcast_to(np.asarray(s_lo, dtype=float), (L,)).copy()
+        self.s_hi = np.broadcast_to(np.asarray(s_hi, dtype=float), (L,)).copy()
+        self._tol = 4.0 * np.finfo(float).eps * np.maximum(
+            np.maximum(np.abs(self.s_lo), np.abs(self.s_hi)), 1.0
+        )
+        pieces = max(c._left.size for c in curves)
+        D = curves[0].ndim
+        # padding pieces are never reached: their edges are +inf
+        self._coef = np.zeros((7, L, pieces, D))
+        self._left = np.zeros((L, pieces))
+        self._edges = np.full((L, pieces - 1), np.inf)
+        for l, c in enumerate(curves):
+            n = c._left.size
+            self._coef[:, l, :n] = c._coef
+            self._left[l, :n] = c._left
+            self._edges[l, : n - 1] = c._edges
+        tables = [c._dense_table(lo, hi) for c, lo, hi in zip(curves, self.s_lo, self.s_hi)]
+        self._scan_s = np.stack([t[0] for t in tables])  # (L, S)
+        self._scan_pts_t = np.stack([t[1] for t in tables])  # (L, D, S)
+        self._scan_pts = np.ascontiguousarray(self._scan_pts_t.transpose(0, 2, 1))
+        self._scan_norm2 = np.stack([t[2] for t in tables])  # (L, S)
+        # every point farther than `reach` from the box is farther than
+        # `reach` from the curve, also as the projection rounds: the box is
+        # grown by a further 1e-9 of its scale
+        corners = [_hull_corners(c, lo, hi) for c, lo, hi in zip(curves, self.s_lo, self.s_hi)]
+        lo = np.stack([p.min(axis=0) for p in corners])
+        hi = np.stack([p.max(axis=0) for p in corners])
+        pad = reach + 1e-9 * (reach + max(np.max(np.abs(lo)), np.max(np.abs(hi))))
+        self.box_lo = (lo - pad)[:, None, :]
+        self.box_hi = (hi + pad)[:, None, :]
+
+    def near(self, points) -> np.ndarray:
+        """(L, M) mask of the (curve, point) pairs whose point lies in the
+        curve's box: every other point is farther than `reach` from the
+        curve over its range."""
+        inside = points >= self.box_lo
+        inside &= points <= self.box_hi
+        return inside.all(axis=2)
+
+    def _jet(self, cl, s, edges=None):
+        """Jets of curves cl at parameters s, each (P, D); `edges` is
+        self._edges[cl] if the caller has it."""
+        edges = self._edges[cl] if edges is None else edges
+        i = np.count_nonzero(edges <= s[:, None], axis=1)
+        x = (s - self._left[cl, i])[:, None]
+        return _piece_jet(self._coef[:, cl, i], x)
+
+    def _scan(self, cl, q):
+        """Index of each pair's nearest sample among its curve's 512 scan
+        samples, the pairs sorted by curve."""
+        j = np.empty(cl.size, dtype=np.intp)
+        rows = _SCAN_BLOCK // self._scan_s.shape[1]
+        bounds = np.searchsorted(cl, np.arange(self.s_lo.size + 1)).tolist()
+        for l, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if start == stop:
+                continue
+            pts_t, norm2 = self._scan_pts_t[l], self._scan_norm2[l]
+            cuts = _row_blocks(start, stop, rows)
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                # |q - c|^2 less its per-point constant |q|^2; a lone row is
+                # doubled, so that it rounds as it would in any larger block
+                d2 = (q[a:b] if b - a > 1 else q[[a, a]]) @ pts_t
+                d2 *= -2.0
+                d2 += norm2
+                j[a:b] = np.argmin(d2, axis=1)[: b - a]
+        return j
+
+    def _newton(self, cl, q, s, iters, lo, hi):
+        """Newton steps on g(s) = (q - c(s)) . c'(s), each clipped to 0.1 and
+        to the range, from s for every pair. A pair stops at the first
+        iterate from which its step would move it by at most 4 ulps of its
+        range's magnitude, and keeps that iterate and its jet; a pair still
+        moving after `iters` steps keeps its last iterate. Returns the
+        parameters (P,) and their jets (c, dc, d2c), each (P, D).
+
+        A stopped pair takes every later step from the same iterate, so it
+        stays stopped, and each pair's result does not depend on the others.
+        `lo` and `hi` are the pairs' ranges.
+        """
+        tol, edges = self._tol[cl], self._edges[cl]
+        for _ in range(iters):
+            c, dc, d2c = self._jet(cl, s, edges)
+            r = q - c
+            g = np.einsum("ij,ij->i", r, dc)
+            gp = np.einsum("ij,ij->i", r, d2c) - np.einsum("ij,ij->i", dc, dc)
+            step = -g / np.where(np.abs(gp) > 1e-30, gp, np.inf)
+            step = np.minimum(np.maximum(step, -0.1), 0.1)
+            s_new = np.minimum(np.maximum(s + step, lo), hi)
+            moving = np.abs(s_new - s) > tol
+            if not moving.any():
+                return s, (c, dc, d2c)
+            s = np.where(moving, s_new, s)
+        return s, self._jet(cl, s, edges)
+
+    def project(self, points, pairs=None, s_start=None, newton_iters=8):
+        """Nearest parameter, squared distance and jet (position, first and
+        second derivative) of (curve, point) pairs.
+
+        `pairs` holds curve and point indices, sorted by curve; every pair by
+        default, curve-major. A scan over 512 samples of the curve's range
+        gives each pair's start, and `_newton` refines it. With `s_start`,
+        one start per pair (nan for none), Newton starts there instead, and a
+        pair that ends farther from its point than the scan's nearest sample
+        starts again from that sample, so that no result is worse than the
+        scan. Returns s (P,), f (P,) and the jet as three (P, D) arrays.
+        """
+        points = np.atleast_2d(points)
+        if pairs is None:
+            L, M = self.s_lo.size, points.shape[0]
+            pairs = (np.repeat(np.arange(L), M), np.tile(np.arange(M), L))
+        cl, pm = pairs
+        q = points[pm]
+        lo, hi = self.s_lo[cl], self.s_hi[cl]
+        j = self._scan(cl, q)
+        s_scan = self._scan_s[cl, j]
+        if s_start is None:
+            s, jet = self._newton(cl, q, s_scan, newton_iters, lo, hi)
+            diff = q - jet[0]
+            return s, np.einsum("ij,ij->i", diff, diff), jet
+        warm = ~np.isnan(s_start)
+        s0 = np.minimum(np.maximum(np.where(warm, s_start, s_scan), lo), hi)
+        s, jet = self._newton(cl, q, s0, newton_iters, lo, hi)
+        diff = q - jet[0]
+        f = np.einsum("ij,ij->i", diff, diff)
+        to_sample = q - self._scan_pts[cl, j]
+        back = np.flatnonzero(warm & (f > np.einsum("ij,ij->i", to_sample, to_sample)))
+        if back.size:
+            s_b, jet_b = self._newton(
+                cl[back], q[back], s_scan[back], newton_iters, lo[back], hi[back]
+            )
+            s[back] = s_b
+            for part, part_b in zip(jet, jet_b):
+                part[back] = part_b
+            diff = q[back] - jet_b[0]
+            f[back] = np.einsum("ij,ij->i", diff, diff)
+        return s, f, jet
 
 
 def curve_from_dict(d) -> SegmentCurve | SplineCurve:
@@ -456,6 +618,18 @@ def linear_collision_parameter(a1, b1, a2, b2):
     return t, float(np.linalg.norm(d0 + t * v))
 
 
+def _collision_distances(p1, p2):
+    """`linear_collision_parameter`'s distance for each pair of rows of p1
+    and p2, (P, 2, D) start and end points, rounded as it rounds it."""
+    d0 = p1[:, 0] - p2[:, 0]
+    v = (p1[:, 1] - p2[:, 1]) - d0
+    vv = _dots(v, v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(-_dots(d0, v) / vv, 0.0, 1.0)
+    t[vv < 1e-300] = 0.0
+    return _norms(d0 + t[:, None] * v)
+
+
 def _chord_knots(waypoints: np.ndarray) -> np.ndarray:
     chords = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
     if np.any(chords < 1e-12):
@@ -480,12 +654,14 @@ def catmull_rom_tangents(knots: np.ndarray, waypoints: np.ndarray) -> np.ndarray
 def curve_pair_min_distance(c1, c2, num: int = 1000) -> float:
     _, p1 = c1.sample(num)
     _, p2 = c2.sample(num)
-    d2 = (
-        np.sum(p1**2, axis=1)[:, None]
-        - 2.0 * p1 @ p2.T
-        + np.sum(p2**2, axis=1)[None, :]
-    )
-    return float(np.sqrt(max(d2.min(), 0.0)))
+    n1 = np.sum(p1**2, axis=1)[:, None]
+    n2 = np.sum(p2**2, axis=1)[None, :]
+    best = np.inf
+    cuts = _row_blocks(0, num, _DISTANCE_ROWS)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        d2 = n1[a:b] - 2.0 * p1[a:b] @ p2.T + n2
+        best = min(best, d2.min())
+    return float(np.sqrt(max(best, 0.0)))
 
 
 def curve_self_min_distance(curve, num: int = 1000, arc_ratio: float = 0.3) -> float:
@@ -498,15 +674,16 @@ def curve_self_min_distance(curve, num: int = 1000, arc_ratio: float = 0.3) -> f
     s, p = curve.sample(num)
     seg = np.linalg.norm(np.diff(p, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)])
-    d2 = (
-        np.sum(p**2, axis=1)[:, None] - 2.0 * p @ p.T + np.sum(p**2, axis=1)[None, :]
-    )
-    d = np.sqrt(np.maximum(d2, 0.0))
-    gap = np.abs(arc[:, None] - arc[None, :])
-    approach = d < arc_ratio * gap
-    if not np.any(approach):
-        return float("inf")
-    return float(d[approach].min())
+    n2 = np.sum(p**2, axis=1)
+    best = np.inf
+    cuts = _row_blocks(0, num, _DISTANCE_ROWS)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        d2 = n2[a:b, None] - 2.0 * p[a:b] @ p.T + n2[None, :]
+        d = np.sqrt(np.maximum(d2, 0.0))
+        approach = d < arc_ratio * np.abs(arc[a:b, None] - arc[None, :])
+        if np.any(approach):
+            best = min(best, d[approach].min())
+    return float(best)
 
 
 def build_paths(
@@ -533,21 +710,12 @@ def build_paths(
         rng = np.random.default_rng(seed)
         pos = plan.positions.copy()
         h = float(np.max(grid.spacing)) if grid is not None else plan.delta_path / 4.0
+        i1, i2 = np.triu_indices(plan.num_particles, 1)
         for _ in range(max_perturbations):
-            colliding = None
-            for i in range(plan.num_particles):
-                for j in range(i + 1, plan.num_particles):
-                    _, dist = linear_collision_parameter(
-                        pos[i, 0], pos[i, 1], pos[j, 0], pos[j, 1]
-                    )
-                    if dist < collision_tol:
-                        colliding = i
-                        break
-                if colliding is not None:
-                    break
-            if colliding is None:
+            colliding = np.flatnonzero(_collision_distances(pos[i1], pos[i2]) < collision_tol)
+            if colliding.size == 0:
                 return [SegmentCurve(pos[l, 0], pos[l, 1]) for l in range(plan.num_particles)]
-            pos[colliding, 0] += rng.uniform(-h / 10, h / 10, size=D)
+            pos[i1[colliding[0]], 0] += rng.uniform(-h / 10, h / 10, size=D)
         raise ConstructionError("collision unresolved after bounded perturbations")
     if mode == "spline":
         if D < 3:

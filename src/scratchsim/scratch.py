@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from scratchsim.geometry import SegmentFamily
+from scratchsim.geometry import SegmentFamily, SplineFamily
 
 _SAMPLE_PAIRS = 1 << 13  # (scratch, point) pairs per block of `sample`
 
@@ -80,21 +80,39 @@ class TangentialPotential:
     def __init__(self, s_samples: np.ndarray, v_samples: np.ndarray):
         self.s_samples = np.asarray(s_samples, dtype=float)
         self.v_samples = np.asarray(v_samples, dtype=float)
-        self._pp = CubicSpline(self.s_samples, self.v_samples)
-        self._dpp = self._pp.derivative()
-        self._end_slopes = self._dpp([0.0, 1.0])
+        # per interval the coefficients of V (cubic first) and of V' from
+        # scipy's own derivative, each summed in ascending powers as scipy's
+        # PPoly sums them, so that the values are scipy's bit for bit
+        spline = CubicSpline(self.s_samples, self.v_samples)
+        self._coef = np.concatenate([spline.c, spline.derivative().c])
+        self._inner = self.s_samples[1:-1]
+        self._end_slopes = self.deriv(np.array([0.0, 1.0]))
 
-    def __call__(self, s):
+    def _local(self, s):
+        """Coefficient rows and offset into its interval of s clipped to
+        [0, 1]."""
+        sc = np.minimum(np.maximum(s, 0.0), 1.0)
+        i = np.searchsorted(self._inner, sc, side="right")
+        return self._coef[:, i], sc - self.s_samples[i]
+
+    def jet(self, s):
+        """V and V' at s, in one pass: V continued linearly outside [0, 1],
+        V' held at its end values there."""
         s = np.asarray(s, dtype=float)
-        sc = np.clip(s, 0.0, 1.0)
-        out = self._pp(sc)
+        (a3, a2, a1, a0, b2, b1, b0), x = self._local(s)
+        xx = x * x
+        v = 0.0 + a0 + a1 * x + a2 * xx + a3 * (xx * x)
         below = np.minimum(s, 0.0)
         above = np.maximum(s - 1.0, 0.0)
-        return out + below * self._end_slopes[0] + above * self._end_slopes[1]
+        v = v + below * self._end_slopes[0] + above * self._end_slopes[1]
+        return v, 0.0 + b0 + b1 * x + b2 * xx
+
+    def __call__(self, s):
+        return self.jet(s)[0]
 
     def deriv(self, s):
-        s = np.asarray(s, dtype=float)
-        return self._dpp(np.clip(s, 0.0, 1.0))
+        (_, _, _, _, b2, b1, b0), x = self._local(np.asarray(s, dtype=float))
+        return 0.0 + b0 + b1 * x + b2 * (x * x)
 
     def to_dict(self):
         return {"s": self.s_samples.tolist(), "v": self.v_samples.tolist()}
@@ -104,8 +122,10 @@ class ScratchedPotential:
     """Base potential with N scratches and optional tangential potentials.
 
     `eval` treats all scratches at once, on (scratch, point) arrays: the
-    straight scratches are projected together in one pass, the spline
-    scratches one curve at a time into rows of the same arrays.
+    straight scratches are projected together in one pass, and so are the
+    spline scratches, each only on the points in its box grown by the tube
+    radius (`SplineFamily.near`). A point outside a scratch's box is outside its
+    tube, where the scratch's factor is exactly 1, so the box changes no bit.
     """
 
     def __init__(
@@ -133,7 +153,6 @@ class ScratchedPotential:
         if len(tangential) != len(self.profiles):
             raise ScratchError("one tangential potential slot per scratch required")
         self.tangential = tangential
-        # straight scratches projected together; spline scratches one by one
         self._lines = [l for l, p in enumerate(self.profiles) if p.curve.kind == "line"]
         self._splines = [l for l, p in enumerate(self.profiles) if p.curve.kind != "line"]
         self._segments = None
@@ -144,6 +163,16 @@ class ScratchedPotential:
                 [-p.extension for p in line_profiles],
                 [1.0 + p.extension for p in line_profiles],
             )
+        self._family = None
+        if self._splines:
+            spline_profiles = [self.profiles[l] for l in self._splines]
+            self._family = SplineFamily(
+                [p.curve for p in spline_profiles],
+                [-p.extension for p in spline_profiles],
+                [1.0 + p.extension for p in spline_profiles],
+                reach=self.tube_radius,
+            )
+            self._spline_rows = np.array(self._splines)
         self._snap_f = np.array([[p.snap_f] for p in self.profiles])
         self._driven = [l for l, v in enumerate(tangential) if v is not None]
 
@@ -151,12 +180,18 @@ class ScratchedPotential:
     def num_scratches(self) -> int:
         return len(self.profiles)
 
-    def _nearest(self, points: np.ndarray):
+    def _nearest(self, points: np.ndarray, own: bool = False, s_warm=None):
         """Every scratch against every point: nearest parameters s (N, M),
         squared distances f (N, M), zero below each profile's snap threshold,
         residuals q - c(s) stored component-major (N, D, M), and per spline
         scratch l the first and second derivative at s, jets[l] = (dc, d2c),
-        each (M, D)."""
+        each (M, D).
+
+        A spline scratch projects only the points in its box, and with `own`
+        also point l onto scratch l; its other pairs get s = nan, f = inf and
+        zero residuals and derivatives. `s_warm` (N, M), if given, holds a
+        start for each pair's Newton iteration (nan for none) and receives s.
+        """
         M, D = points.shape
         s = np.empty((self.num_scratches, M))
         f = np.empty((self.num_scratches, M))
@@ -164,21 +199,34 @@ class ScratchedPotential:
         if self._segments is not None:
             s[self._lines], r[self._lines], f[self._lines] = self._segments.project(points)
         jets = {}
-        for l in self._splines:
-            prof = self.profiles[l]
-            s[l], f[l], (c, dc, d2c) = prof.curve.project_jet(
-                points, -prof.extension, 1.0 + prof.extension
-            )
-            r[l] = (points - c).T
-            jets[l] = (dc, d2c)
+        if self._family is not None:
+            rows = self._spline_rows
+            near = self._family.near(points)
+            if own:
+                near[np.arange(rows.size), rows] = True
+            cl, pm = np.nonzero(near)
+            pair_rows = rows[cl]
+            start = None if s_warm is None else s_warm[pair_rows, pm]
+            sp, fp, (c, dc, d2c) = self._family.project(points, (cl, pm), start)
+            s[rows], f[rows], r[rows] = np.nan, np.inf, 0.0
+            s[pair_rows, pm] = sp
+            f[pair_rows, pm] = fp
+            r[pair_rows, :, pm] = points[pm] - c
+            dcs = np.zeros((2, rows.size, M, D))
+            dcs[0, cl, pm] = dc
+            dcs[1, cl, pm] = d2c
+            jets = {l: (dcs[0, k], dcs[1, k]) for k, l in enumerate(self._splines)}
         f[f < self._snap_f] = 0.0
+        if s_warm is not None:
+            s_warm[:] = s
         return s, f, r, jets
 
-    def _value(self, points: np.ndarray, u: np.ndarray, own_f: np.ndarray | None = None):
+    def _value(self, points: np.ndarray, u: np.ndarray, own_f=None, s_warm=None):
         """The scratched value over the base values u, with what the gradient
         reuses: (value, (r, jets, exps, one_minus, prod_all, drives)),
-        drives[l] = (idx, s, V_l(s), e) on the points inside driven tube l."""
-        s, f, r, jets = self._nearest(points)
+        drives[l] = (idx, s, V_l(s), V_l'(s), e) on the points inside driven
+        tube l."""
+        s, f, r, jets = self._nearest(points, own_f is not None, s_warm)
         if own_f is not None:
             own_f[:] = f.diagonal()
         inside = f <= self.tube_radius**2
@@ -192,26 +240,30 @@ class ScratchedPotential:
             if idx.size == 0:
                 continue
             sl = s[l, idx]
-            v = self.tangential[l](sl)
+            v, dv = self.tangential[l].jet(sl)
             e = exps[l, idx]
             value[idx] += v * e
-            drives[l] = (idx, sl, v, e)
+            drives[l] = (idx, sl, v, dv, e)
         return value, (r, jets, exps, one_minus, prod_all, drives)
 
-    def eval(self, points: np.ndarray, *, own_f: np.ndarray | None = None):
+    def eval(self, points: np.ndarray, *, own_f: np.ndarray | None = None, s_warm=None):
         """Analytic value and gradient of the scratched potential.
 
         Outside every tube returns the base potential and gradient exactly.
         With `own_f` (one entry per scratch, and one point per scratch), entry
         l receives f_l at point l: the squared distance of point l to curve l
         as the force uses it, zero below the profile's snap threshold.
+        With `s_warm` (scratches x points), each spline pair's Newton
+        iteration starts from its entry (nan: from the scan), and the array
+        receives the nearest parameters found (nan for pairs outside the
+        scratch's box).
         """
         points = np.atleast_2d(points)
         u, grad_u = self.base.value_and_grad(points)
         if not self.profiles:
             return u, grad_u
         value, (r, jets, exps, one_minus, prod_all, drives) = self._value(
-            points, u, own_f
+            points, u, own_f, s_warm
         )
         prod_others = np.divide(
             prod_all, one_minus, out=np.zeros_like(exps), where=one_minus > 1e-300
@@ -226,7 +278,7 @@ class ScratchedPotential:
         np.multiply(r, 2.0, out=terms[1:])
         terms[1:] *= coef[:, None, :]
         grad = np.ascontiguousarray(terms.sum(axis=0).T)
-        for l, (idx, sl, v, e) in drives.items():
+        for l, (idx, sl, v, dv, e) in drives.items():
             rl = r[l][:, idx].T
             if l in jets:
                 dc, d2c = jets[l][0][idx], jets[l][1][idx]
@@ -235,7 +287,7 @@ class ScratchedPotential:
             denom = np.einsum("ij,ij->i", dc, dc) - np.einsum("ij,ij->i", rl, d2c)
             denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
             grad_sigma = dc / denom[:, None]
-            grad[idx] += e[:, None] * (self.tangential[l].deriv(sl)[:, None] * grad_sigma)
+            grad[idx] += e[:, None] * (dv[:, None] * grad_sigma)
             grad[idx] -= (self.lam * v * e)[:, None] * (2.0 * rl)
         return value, grad
 

@@ -165,10 +165,10 @@ class StepRecorder:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def eval(self, points, *, own_f=None):
+    def eval(self, points, *, own_f=None, s_warm=None):
         if own_f is not None:
             self.steps.append(points.copy())
-        return self.inner.eval(points, own_f=own_f)
+        return self.inner.eval(points, own_f=own_f, s_warm=s_warm)
 
 
 class TestDeviationTracking:
@@ -228,22 +228,33 @@ class CountingPotential:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def eval(self, points, *, own_f=None):
+    def eval(self, points, *, own_f=None, s_warm=None):
         self.calls += 1
-        return self.inner.eval(points, own_f=own_f)
+        return self.inner.eval(points, own_f=own_f, s_warm=s_warm)
 
 
-def reference_energy_log(ensemble, scratched, times, dt_max, stride=10):
+def reference_energy_log(ensemble, scratched, times, dt_max, stride=10, warm=True):
     """The Verlet loop with its energy rows from separate potential
-    evaluations: at the start, every `stride` steps and at the end."""
+    evaluations: at the start, every `stride` steps and at the end. With
+    `warm`, each force evaluation, and the energy evaluation after it, starts
+    its projections where `integrate` starts them: from the linear
+    prediction 2 s_k - s_(k-1) of the two evaluations before it."""
     m = ensemble.mass
     q, p = ensemble.positions.copy(), ensemble.momenta.copy()
+    s = np.full((scratched.num_scratches, len(q)), np.nan)
 
-    def energy(qv, pv):
-        return np.sum(pv**2, axis=1) / (2.0 * m) + scratched.eval(qv)[0]
+    def force_at(qv):
+        # with warm, s goes from the prediction to the parameters found
+        return -(scratched.eval(qv, s_warm=s) if warm else scratched.eval(qv))[1]
 
-    force = -scratched.eval(q)[1]
-    rows = [energy(q, p)]
+    def energy(qv, pv, start):
+        value = scratched.eval(qv, s_warm=start.copy())[0] if warm else scratched.eval(qv)[0]
+        return np.sum(pv**2, axis=1) / (2.0 * m) + value
+
+    start = s.copy()
+    force = force_at(q)
+    rows = [energy(q, p, start)]
+    s_prev = s.copy()
     step = 0
     for t1, t2 in zip(times[:-1], times[1:]):
         nsteps = max(1, int(np.ceil((t2 - t1) / dt_max)))
@@ -251,12 +262,14 @@ def reference_energy_log(ensemble, scratched, times, dt_max, stride=10):
         for _ in range(nsteps):
             p = p + 0.5 * dt * force
             q = q + dt * p / m
-            force = -scratched.eval(q)[1]
+            s, s_prev = 2.0 * s - s_prev, s
+            start = s.copy()
+            force = force_at(q)
             p = p + 0.5 * dt * force
             step += 1
             if step % stride == 0:
-                rows.append(energy(q, p))
-    rows.append(energy(q, p))
+                rows.append(energy(q, p, start))
+    rows.append(energy(q, p, start))
     return np.stack(rows), step
 
 
@@ -290,6 +303,20 @@ class TestEvaluationCount:
         assert counting.calls == steps + 1
         assert np.array_equal(res2.energy_log, ref_log)
         assert np.array_equal(res2.energy_log, res.energy_log)
+
+
+class TestWarmStarts:
+    def test_cold_projections_change_the_log_by_round_off(self):
+        # a warm start ends Newton a few ulps from where the scan's start
+        # ends it; over the run the energy rows drift apart by round-off only
+        curves, sp, res = TestDeviationTracking().driven_run()
+        ens = ClassicalEnsemble(
+            res.snapshots[0].positions, res.snapshots[0].momenta, res.snapshots[0].mass
+        )
+        dt = stable_timestep(1e3, 2.0, 1.0, safety=40.0)
+        cold, steps = reference_energy_log(ens, sp.inner, res.times, dt, warm=False)
+        assert steps > 1000
+        assert np.max(np.abs(res.energy_log - cold) / np.abs(cold)) < 1e-10
 
 
 class TestOccupancy:

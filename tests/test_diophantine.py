@@ -1,13 +1,17 @@
 """Simultaneous rational approximation: certificates, oracle cross-checks."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scratchsim.diophantine import (
     ApproximationProblem,
     DiophantineError,
+    RationalApproximation,
     problem_from_probabilities,
     solve,
     verify,
@@ -146,6 +150,57 @@ class TestVerify:
             error_bound=r.error_bound,
         )
         assert not verify(p, bad).ok
+
+
+    def test_bound_is_checked_exactly(self):
+        # Q = 36 and nK = 4: 1/36^(1/4) rounds up in floating point, and the
+        # double just below it passes the float bound while
+        # |q alpha - a|^(nK) Q >= 1 in exact arithmetic
+        bound = 1.0 / 36 ** 0.25
+        alpha = float(np.nextafter(bound, 0.0))
+        assert Fraction(alpha) ** 4 * 36 >= 1
+        p = ApproximationProblem(((alpha, 1.0 - alpha),) * 2, ((1, 1),) * 2, 36)
+        cand = RationalApproximation(q=1, numerators=((0, 1),) * 2, error_bound=bound)
+        cert = verify(p, cand)
+        assert cert.max_error < cert.error_bound
+        assert not cert.bound_holds and not cert.ok
+
+
+class TestCertificateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 3),
+        K=st.integers(1, 3),
+        max_b=st.integers(1, 2),
+    )
+    def test_identities(self, seed, n, K, max_b):
+        p = random_problem(np.random.default_rng(seed), n=n, K=K, max_b=max_b)
+        r = solve(p)
+        assert verify(p, r).ok
+        nk = p.n * p.num_groups
+        assert 0 < r.q <= p.budget
+        for g, grp, (A, B) in zip(p.groups, r.numerators, p.constraints):
+            assert B * sum(grp) == A * r.q
+            for alpha, a in zip(g, grp):
+                assert abs(r.q * Fraction(alpha) - a) ** nk * p.budget < 1
+        zeros = {
+            (i + 1, j + 1) for i, grp in enumerate(r.numerators) for j, a in enumerate(grp) if a == 0
+        }
+        assert set(r.zero_numerators) == zeros
+        assert r.error_bound == verify(p, r).error_bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_deterministic_per_seed(self, seed):
+        runs = []
+        for _ in range(2):
+            rng = np.random.default_rng(seed)
+            n, K = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+            p = problem_from_probabilities([rng.random(n) for _ in range(K)], n ** (n * K) + 1)
+            r = solve(p)
+            runs.append((p, r, verify(p, r)))
+        assert runs[0] == runs[1]
 
 
 class TestProblemFromProbabilities:

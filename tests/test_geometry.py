@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
 from scratchsim.geometry import (
+    _DISTANCE_ROWS,
     _SCAN_BLOCK,
     CapacityError,
     SegmentFamily,
     GeometryError,
+    SplineFamily,
     MomentumConditioning,
     SegmentCurve,
     SplineCurve,
@@ -29,7 +31,8 @@ from scratchsim.geometry import (
 )
 from scratchsim.grid import SpatialGrid, half_planes, momentum_half_spaces
 
-_chord_knots = __import__("scratchsim.geometry", fromlist=["_chord_knots"])._chord_knots
+_geometry = __import__("scratchsim.geometry", fromlist=["_chord_knots"])
+_chord_knots = _geometry._chord_knots
 
 
 def grid3d(n=32, half=6.0):
@@ -183,11 +186,13 @@ class TestSplineProjection:
         assert np.all(f <= f_dense + 1e-12)
         assert np.all(f_dense - f <= np.sqrt(f) * h + h * h / 4 + 1e-12)
 
-    def test_stops_early(self):
+    def test_stops_early(self, monkeypatch):
         c = random_spline(np.random.default_rng(3), 3)
         calls = []
-        jet = c.jet
-        c.jet = lambda s: calls.append(1) or jet(s)
+        jet = SplineFamily._jet
+        monkeypatch.setattr(
+            SplineFamily, "_jet", lambda self, *a: calls.append(1) or jet(self, *a)
+        )
         pts = c(np.array([0.1, 0.45, 0.8])) + 0.05
         c.project(pts, newton_iters=8)
         # Newton reaches machine precision in about 3 steps from the scan;
@@ -212,6 +217,173 @@ class TestSplineProjection:
                 sp, fp = zip(*(c.project(p, -0.2, 1.2, newton_iters=iters) for p in parts))
                 assert np.allclose(s, np.concatenate(sp), rtol=0.0, atol=tol)
                 assert np.allclose(f, np.concatenate(fp), rtol=0.0, atol=tol)
+
+
+def one_product_pair_distance(c1, c2, num=1000):
+    """`curve_pair_min_distance` as one 1000 x 1000 product."""
+    _, p1 = c1.sample(num)
+    _, p2 = c2.sample(num)
+    d2 = np.sum(p1**2, axis=1)[:, None] - 2.0 * p1 @ p2.T + np.sum(p2**2, axis=1)[None, :]
+    return float(np.sqrt(max(d2.min(), 0.0)))
+
+
+def one_product_self_distance(curve, num=1000, arc_ratio=0.3):
+    """`curve_self_min_distance` as one 1000 x 1000 product."""
+    s, p = curve.sample(num)
+    arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(p, axis=0), axis=1))])
+    d2 = np.sum(p**2, axis=1)[:, None] - 2.0 * p @ p.T + np.sum(p**2, axis=1)[None, :]
+    d = np.sqrt(np.maximum(d2, 0.0))
+    approach = d < arc_ratio * np.abs(arc[:, None] - arc[None, :])
+    return float(d[approach].min()) if np.any(approach) else float("inf")
+
+
+class TestBlockedProducts:
+    def test_row_blocks_are_equal_and_never_single_rows(self):
+        for start, stop, rows in ((0, 1000, 64), (5, 262, 128), (3, 5, 128), (0, 129, 128), (7, 8, 128)):
+            cuts = _geometry._row_blocks(start, stop, rows)
+            sizes = np.diff(cuts)
+            assert cuts[0] == start and cuts[-1] == stop
+            assert sizes.max() <= rows and sizes.max() - sizes.min() <= 1
+            assert stop - start < 2 or sizes.min() >= 2
+
+    def test_blocks_round_as_one_product(self):
+        rng = np.random.default_rng(31)
+        pts = rng.normal(scale=3.0, size=(2000, 3))
+        table = rng.normal(scale=2.0, size=(3, 512))
+        whole = pts @ table
+        for rows in (2, 3, 15, 16, 64, 128, 1000):
+            cuts = _geometry._row_blocks(0, len(pts), rows)
+            blocked = np.concatenate([pts[a:b] @ table for a, b in zip(cuts[:-1], cuts[1:])])
+            assert np.array_equal(blocked, whole)
+
+    def test_curve_distances_as_one_product(self):
+        rng = np.random.default_rng(32)
+        for _ in range(4):
+            c1 = random_spline(rng, 4, bend=0.8)
+            c2 = random_spline(rng, 3, bend=0.8)
+            assert curve_pair_min_distance(c1, c2) == one_product_pair_distance(c1, c2)
+            assert curve_self_min_distance(c1, arc_ratio=0.9) == one_product_self_distance(c1, arc_ratio=0.9)
+        # a loop that comes back close to itself, so that approaches exist
+        wp = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 2.0, 0.0], [0.0, 2.0, 0.2], [0.3, 0.1, 0.4]])
+        knots = _chord_knots(wp)
+        loop = SplineCurve(knots, wp, catmull_rom_tangents(knots, wp))
+        got = curve_self_min_distance(loop)
+        assert np.isfinite(got) and got == one_product_self_distance(loop)
+        assert 1000 > _DISTANCE_ROWS
+
+    def test_scan_of_a_lone_row_rounds_as_in_a_block(self):
+        # points halfway between neighbouring scan samples, where rounding
+        # picks the nearer one: a one-row product (the matrix-vector path)
+        # picks differently for about one in eight of them
+        rng = np.random.default_rng(33)
+        c = random_spline(rng, 4, bend=0.5)
+        fam = SplineFamily([c], -0.2, 1.2)
+        _, samples = c.sample(512, -0.2, 1.2)
+        k = rng.integers(0, 511, 300)
+        pts = 0.5 * (samples[k] + samples[k + 1])
+        cl = np.zeros(len(pts), dtype=np.intp)
+        whole = fam._scan(cl, pts)
+        lone = [fam._scan(cl[:1], pts[i : i + 1])[0] for i in range(len(pts))]
+        assert np.array_equal(lone, whole)
+
+
+def family_curves(rng):
+    """Splines of 2 to 5 waypoints, so that the piece tables are padded."""
+    return [random_spline(rng, K, bend=0.4) for K in (2, 5, 3, 4)]
+
+
+class TestSplineFamily:
+    def test_rows_are_single_curve_projections(self):
+        rng = np.random.default_rng(41)
+        curves = family_curves(rng)
+        lo = np.array([-0.3, 0.0, -0.1, -0.25])
+        hi = np.array([1.3, 1.0, 1.05, 1.25])
+        fam = SplineFamily(curves, lo, hi)
+        pts = np.concatenate([c(rng.uniform(-0.3, 1.3, 40)) for c in curves])
+        pts += rng.normal(scale=0.5, size=pts.shape)
+        s, f, jet = fam.project(pts)
+        M = len(pts)
+        for l, c in enumerate(curves):
+            s1, f1, jet1 = c.project_jet(pts, lo[l], hi[l])
+            rows = slice(l * M, (l + 1) * M)
+            assert np.array_equal(s[rows], s1) and np.array_equal(f[rows], f1)
+            for got, want in zip(jet, jet1):
+                assert np.array_equal(got[rows], want)
+            # the family's jets are the curve's own, bit for bit
+            for got, want in zip(c.jet(s1), jet1):
+                assert np.array_equal(got, want)
+
+    def test_a_pair_does_not_depend_on_the_others(self):
+        rng = np.random.default_rng(42)
+        curves = family_curves(rng)
+        fam = SplineFamily(curves, -0.2, 1.2)
+        pts = rng.uniform(-4.0, 6.0, (60, 3))
+        s, f, jet = fam.project(pts)
+        pick = np.sort(rng.choice(len(curves) * 60, 37, replace=False))
+        cl, pm = np.divmod(pick, 60)
+        s2, f2, jet2 = fam.project(pts, (cl, pm))
+        assert np.array_equal(s2, s[pick]) and np.array_equal(f2, f[pick])
+        for got, want in zip(jet2, jet):
+            assert np.array_equal(got, want[pick])
+
+    def test_boxes_hold_the_curves(self):
+        rng = np.random.default_rng(43)
+        curves = family_curves(rng)
+        fam = SplineFamily(curves, -0.4, 1.4)
+        for l, c in enumerate(curves):
+            pts = c(np.linspace(-0.4, 1.4, 4001))
+            assert fam.near(pts)[l].all()
+        # a point outside a grown box is farther than the reach from the curve
+        fam = SplineFamily(curves, -0.4, 1.4, reach=0.7)
+        far = rng.uniform(-12.0, 12.0, (3000, 3))
+        mask = fam.near(far)
+        for l, c in enumerate(curves):
+            _, f = c.project(far[~mask[l]], -0.4, 1.4)
+            assert np.all(f > 0.7**2)
+        assert not mask.all()
+
+    def test_stopped_pairs_keep_their_jet(self, monkeypatch):
+        # one Newton iteration per pair from a converged start: the iterate
+        # comes back with the jet just evaluated, and no further jet
+        c = random_spline(np.random.default_rng(44), 3)
+        fam = SplineFamily([c], -0.2, 1.2)
+        pts = c(np.array([0.1, 0.45, 0.8])) + 0.05
+        s, f, jet = fam.project(pts)
+        calls = []
+        inner = SplineFamily._jet
+        monkeypatch.setattr(SplineFamily, "_jet", lambda self, *a: calls.append(1) or inner(self, *a))
+        cl = np.zeros(3, dtype=np.intp)
+        s2, f2, jet2 = fam.project(pts, (cl, np.arange(3)), s_start=s)
+        assert len(calls) == 1
+        assert np.array_equal(s2, s) and np.array_equal(f2, f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.floats(0.0, 1.0),
+        jump=st.floats(-2.0, 2.0),
+    )
+    def test_warm_start_never_worse_than_the_scan(self, seed, offset, jump):
+        rng = np.random.default_rng(seed)
+        c = random_spline(rng, int(rng.integers(2, 6)), bend=0.5)
+        fam = SplineFamily([c], -0.3, 1.3)
+        u = rng.normal(size=(12, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        pts = c(rng.uniform(-0.3, 1.3, 12)) + offset * u
+        cold_s, cold_f, _ = fam.project(pts)
+        # warm starts anywhere, some far off (another basin) and some none
+        start = cold_s + jump * rng.uniform(0.0, 1.0, 12)
+        start[rng.uniform(size=12) < 0.2] = np.nan
+        pairs = (np.zeros(12, dtype=np.intp), np.arange(12))
+        s, f, (pos, _, _) = fam.project(pts, pairs, s_start=start)
+        assert np.all((s >= -0.3) & (s <= 1.3))
+        assert np.array_equal(f, np.einsum("ij,ij->i", pts - pos, pts - pos))
+        _, samples = c.sample(512, -0.3, 1.3)
+        scan_best = np.min(np.sum((pts[:, None, :] - samples[None]) ** 2, axis=2), axis=1)
+        assert np.all(f <= scan_best + 1e-12)
+        # a start at the cold result gives the cold result
+        s2, f2, _ = fam.project(pts, pairs, s_start=cold_s)
+        assert np.allclose(s2, cold_s, rtol=0.0, atol=1e-12)
 
 
 class TestItineraries:
@@ -446,6 +618,69 @@ class TestPaths:
 
         with pytest.raises(ConstructionError):
             verify_curve_family([c1, c2], delta_path=0.5)
+
+
+def reference_line_paths(plan, h, seed=0, collision_tol=1e-9, max_perturbations=50):
+    """Line-mode `build_paths` with its per-pair loop: perturb the start of
+    the first particle of the first colliding pair, in (i, j) order."""
+    rng = np.random.default_rng(seed)
+    pos = plan.positions.copy()
+    N, _, D = pos.shape
+    for _ in range(max_perturbations):
+        colliding = None
+        for i in range(N):
+            for j in range(i + 1, N):
+                _, dist = linear_collision_parameter(pos[i, 0], pos[i, 1], pos[j, 0], pos[j, 1])
+                if dist < collision_tol:
+                    colliding = i
+                    break
+            if colliding is not None:
+                break
+        if colliding is None:
+            return [SegmentCurve(pos[l, 0], pos[l, 1]) for l in range(N)]
+        pos[colliding, 0] += rng.uniform(-h / 10, h / 10, size=D)
+    raise AssertionError("unresolved")
+
+
+class TestLinePathsAgainstLoop:
+    def same_curves(self, plan, g, seed):
+        got = build_paths(plan, "line", grid=g, seed=seed)
+        want = reference_line_paths(plan, float(np.max(g.spacing)), seed)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.a, b.a) and np.array_equal(a.b, b.b)
+
+    def test_t1_many_geometry(self):
+        g = SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (128, 128))
+        part = half_planes(g, 0, 0.0)
+        assignment = assign_itineraries(np.array([[13, 12], [11, 14]]), 25)
+        for seed in (1, 2, 77):
+            plan = sample_waypoints(part, assignment, g, seed=seed, general_position=True)
+            self.same_curves(plan, g, seed)
+
+    def test_colliding_pairs(self):
+        # head-on pairs meet halfway, in two and three dimensions; several
+        # pairs collide at once, so the order of the perturbations matters
+        from scratchsim.geometry import WaypointPlan
+
+        rng = np.random.default_rng(9)
+        for D in (2, 3):
+            g = SpatialGrid(((-6.0, 6.0),) * D, (32,) * D)
+            ends = rng.uniform(-5.0, 5.0, (4, 2, D))
+            pos = np.concatenate([ends, ends[:, ::-1], rng.uniform(-5.0, 5.0, (3, 2, D))])
+            pos = pos[rng.permutation(len(pos))]
+            plan = WaypointPlan(pos, np.ones((len(pos), 2), dtype=int), 0.5, 1e-6, "line")
+            assert any(
+                linear_collision_parameter(pos[i, 0], pos[i, 1], pos[j, 0], pos[j, 1])[1] < 1e-9
+                for i in range(len(pos))
+                for j in range(i + 1, len(pos))
+            )
+            for seed in (0, 5):
+                self.same_curves(plan, g, seed)
+            # translated copies: zero relative velocity
+            same = np.concatenate([ends[:1], ends[:1] + 0.3, ends[1:]])
+            plan = WaypointPlan(same, np.ones((len(same), 2), dtype=int), 0.5, 1e-6, "line")
+            self.same_curves(plan, g, 3)
 
 
 class TestConditioning:

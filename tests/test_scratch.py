@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from scratchsim.geometry import SegmentCurve, SplineCurve, catmull_rom_tangents
 from scratchsim.grid import SpatialGrid
@@ -11,6 +12,7 @@ from scratchsim.scratch import (
     InfeasibleTimingError,
     ScratchError,
     ScratchedPotential,
+    TangentialPotential,
     TimingConditions,
     construct_tangential_potential,
     integrate_lagrange,
@@ -371,6 +373,79 @@ class TestSampleBlocks:
         assert np.array_equal(sp.value(pts), sp.eval(pts)[0])
         no_scratches = ScratchedPotential(sp.base, [], lam=30.0)
         assert np.array_equal(no_scratches.value(pts), sp.base.value(pts))
+
+
+def unculled(sp):
+    """`sp` with every spline pair projected: its boxes hold every point."""
+    L = len(sp._family.s_lo)
+    sp._family.near = lambda points: np.ones((L, len(points)), dtype=bool)
+    return sp
+
+
+class TestCulling:
+    @pytest.mark.parametrize("lam", [10.0, 100.0])
+    def test_sample_and_eval_are_those_of_every_pair(self, lam):
+        rng = np.random.default_rng(51)
+        sp = driven_splines(5, rng, lam=lam)
+        full = unculled(driven_splines(5, np.random.default_rng(51), lam=lam))
+        g = SpatialGrid(((-4.0, 4.0),) * 3, (20, 21, 22))
+        near = sp._family.near(g.points())
+        assert 0 < near.mean() < 1
+        assert np.array_equal(sp.sample(g), full.sample(g))
+        pts = rng.uniform(-4.0, 4.0, (400, 3))
+        for got, want in zip(sp.eval(pts), full.eval(pts)):
+            assert np.array_equal(got, want)
+        # one point per scratch: the own pairs are projected even out of the box
+        far = np.full((5, 3), 40.0)
+        own, own_full = np.zeros(5), np.zeros(5)
+        sp.eval(far, own_f=own)
+        full.eval(far, own_f=own_full)
+        assert np.array_equal(own, own_full) and np.all(own > 30.0**2)
+
+
+class TestWarmStart:
+    def test_warm_eval_matches_the_reference(self):
+        rng = np.random.default_rng(52)
+        sp = driven_splines(4, rng)
+        s = rng.uniform(0.0, 1.0, 4)
+        near = np.array([p.curve(np.array([t]))[0] for p, t in zip(sp.profiles, s)])
+        near += rng.normal(scale=0.3 * sp.tube_radius, size=near.shape)
+        s_warm = np.full((4, 4), np.nan)
+        sp.eval(near, s_warm=s_warm)
+        moved = near + rng.normal(scale=0.01, size=near.shape)
+        start = s_warm + rng.normal(scale=1e-3, size=s_warm.shape)
+        start[0, 1] = np.nan
+        own, own_ref = np.zeros(4), np.zeros(4)
+        value, grad = sp.eval(moved, own_f=own, s_warm=start)
+        ref_value, ref_grad = reference_eval(sp, moved, own_f=own_ref)
+        for got, want in ((value, ref_value), (grad, ref_grad), (own, own_ref)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1e-300)
+        # the array receives the parameters found; nan off the boxes
+        cold = np.full((4, 4), np.nan)
+        sp.eval(moved, s_warm=cold)
+        assert np.array_equal(np.isnan(start), np.isnan(cold))
+        assert np.allclose(start, cold, rtol=0.0, atol=1e-12, equal_nan=True)
+
+
+class TestTangentialPotential:
+    def test_values_are_scipys(self):
+        rng = np.random.default_rng(53)
+        for n, first, last in ((5, 0.0, 1.0), (50, 1e-17, 1.0 - 1e-16), (2001, 0.0, 1.0)):
+            s = np.sort(rng.uniform(0.0, 1.0, n))
+            s[0], s[-1] = first, last
+            v = TangentialPotential(s, rng.normal(size=n))
+            pp = CubicSpline(s, v.v_samples)
+            dpp = pp.derivative()
+            slopes = dpp([0.0, 1.0])
+            x = np.concatenate(
+                [rng.uniform(-0.5, 1.5, 100_000), s, np.nextafter(s, -1.0), np.nextafter(s, 2.0)]
+            )
+            inner = np.clip(x, 0.0, 1.0)
+            want = pp(inner) + np.minimum(x, 0.0) * slopes[0] + np.maximum(x - 1.0, 0.0) * slopes[1]
+            got, dgot = v.jet(x)
+            assert np.array_equal(got, want) and np.array_equal(v(x), want)
+            assert np.array_equal(dgot, dpp(inner)) and np.array_equal(v.deriv(x), dgot)
+            assert v.deriv(0.37) == dpp(0.37)
 
 
 class TestTiming:
