@@ -1,4 +1,4 @@
-"""Command-line entry points for the pipelines and the property suite."""
+"""Command-line entry points for the pipelines and the approximation solver."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from scratchsim import classical, diophantine, geometry, scratch
+from scratchsim import diophantine
 from scratchsim.experiment import (
     ExperimentConfig,
     default_theorem1_config,
@@ -17,8 +15,6 @@ from scratchsim.experiment import (
     run_theorem1,
     run_theorem2,
 )
-from scratchsim.grid import SpatialGrid
-from scratchsim.potentials import GaussianWellPotential
 
 
 def _load_config(args, default_factory) -> ExperimentConfig:
@@ -62,113 +58,6 @@ def _cmd_diophantine(args) -> int:
     return 0 if cert.ok else 1
 
 
-def _check(name: str, ok: bool, results: list) -> None:
-    results.append(ok)
-    print(f"{'PASS' if ok else 'FAIL'} {name}")
-
-
-def _cmd_verify(args) -> int:
-    """Reduced property suite: rational approximation certificates, scratch
-    structure, constrained motion, and the inverse-timing round trip."""
-    rng = np.random.default_rng(args.seed)
-    results: list[bool] = []
-
-    trials = 50 if args.fast else 200
-    ok = True
-    for _ in range(trials):
-        n = int(rng.integers(2, 5))
-        K = int(rng.integers(1, 4))
-        groups = []
-        for _ in range(K):
-            g = rng.random(n)
-            g = g / g.sum()
-            g[-1] += 1.0 - g.sum()
-            groups.append(tuple(g))
-        problem = diophantine.ApproximationProblem(
-            tuple(groups), tuple((1, 1) for _ in range(K)), n ** (n * K) + 1
-        )
-        cert = diophantine.verify(problem, diophantine.solve(problem))
-        ok = ok and cert.ok
-    _check(f"rational approximation certificates ({trials} random problems)", ok, results)
-
-    base = GaussianWellPotential(depth=0.5, width=2.0, offset=1.5, ndim=3)
-    curve = geometry.SegmentCurve([-2.0, -1.0, 0.0], [2.0, 1.0, 0.5])
-    lam = 1.0e4
-    sp = scratch.ScratchedPotential(base, [curve], lam)
-    s = np.linspace(0.0, 1.0, 200)
-    pts = curve(s)
-    vals, grads = sp.eval(pts)
-    gmax = float(np.max(np.linalg.norm(base.value_and_grad(pts)[1], axis=1)))
-    _check(
-        "plain scratch force-free on curve",
-        float(np.max(np.abs(vals))) == 0.0
-        and float(np.max(np.linalg.norm(grads, axis=1))) <= 1e-10 * gmax,
-        results,
-    )
-    evs, cos = sp.hessian_on_scratch(0, 0.5)
-    u_mid = float(base.value(curve(np.array([0.5])))[0])
-    _check(
-        "on-curve spectrum (one null direction, transverse 2*lambda*U)",
-        abs(evs[0]) <= 1e-6 * evs[-1]
-        and np.allclose(evs[1:], 2.0 * lam * u_mid, rtol=0.02)
-        and cos >= 0.999,
-        results,
-    )
-
-    grid = SpatialGrid(((-8.0, 8.0), (-8.0, 8.0), (-8.0, 8.0)), (64, 64, 64))
-    schedule = np.array([0.0, 4.0])
-    # small transverse kick: exactly on-curve tangential motion feels no
-    # transverse force, so the unperturbed deviation carries no scaling
-    tangent = curve.deriv(np.array([0.0]))[0]
-    kick = np.array([0.0, 0.0, 1.0])
-    kick -= (kick @ tangent) / (tangent @ tangent) * tangent
-    kick *= 0.02 / np.linalg.norm(kick)
-    q0 = curve(np.array([0.0]))
-    p0 = 0.25 * curve.deriv(np.array([0.0])) + kick
-    devs = []
-    for lam_i in (1.0e3, 1.0e4, 1.0e5):
-        sp_i = scratch.ScratchedPotential(base, [curve], lam_i)
-        dt = classical.stable_timestep(lam_i, 1.5, 1.0, safety=100.0)
-        res = classical.integrate(
-            classical.ClassicalEnsemble(q0.copy(), p0.copy(), 1.0),
-            sp_i,
-            schedule,
-            dt_max=dt,
-            domain=grid,
-            curves=[curve],
-        )
-        devs.append(float(res.max_curve_deviation[0]))
-    _check(
-        "constrained motion deviation decays with lambda",
-        all(b <= 1.05 * a for a, b in zip(devs, devs[1:])),
-        results,
-    )
-
-    trials = 10 if args.fast else 30
-    ok = True
-    for _ in range(trials):
-        K = int(rng.integers(2, 5))
-        times = np.sort(rng.uniform(0.0, 5.0, K))
-        while np.any(np.diff(times) < 0.2):
-            times = np.sort(rng.uniform(0.0, 5.0, K))
-        params = np.linspace(0.0, 1.0, K)
-        secants = np.diff(params) / np.diff(times)
-        speeds = np.array(
-            [
-                rng.uniform(0.3, 1.5) * secants[max(j - 1, 0) : j + 1].min()
-                for j in range(K)
-            ]
-        )
-        cond = scratch.TimingConditions(times, params, speeds)
-        vpot = scratch.construct_tangential_potential(curve, cond, 1.0)
-        s_hit, sdot_hit = scratch.integrate_lagrange(curve, vpot, cond, 1.0)
-        ok = ok and np.max(np.abs(s_hit - params)) < 1e-3
-        ok = ok and np.max(np.abs(sdot_hit - speeds) / speeds) < 1e-2
-    _check(f"inverse-timing round trip ({trials} random condition sets)", ok, results)
-
-    return 0 if all(results) else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="scratchsim",
@@ -193,11 +82,6 @@ def main(argv=None) -> int:
         help='JSON {"alphas": [[..]], "constraints": [[A,B],..], "Q": int}; "-" for stdin',
     )
     p.set_defaults(func=_cmd_diophantine)
-
-    p = sub.add_parser("verify", help="run the reduced property suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fast", action="store_true", help="smaller trial counts")
-    p.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -139,12 +139,26 @@ def _candidate_for_q(problem: ApproximationProblem, q: int):
     return numerators, penalty
 
 
+def _bound_holds(problem: ApproximationProblem, q: int, numerators) -> bool:
+    """Whether every |alpha - a/q| < 1/(q * Q^(1/(nK))), in exact arithmetic:
+    each alpha is read as the rational its float is, and the bound holds iff
+    |q alpha - a|^(nK) * Q < 1."""
+    nk = problem.n * problem.num_groups
+    return all(
+        abs(q * Fraction(alpha) - a) ** nk * problem.budget < 1
+        for g, grp in zip(problem.groups, numerators)
+        for alpha, a in zip(g, grp)
+    )
+
+
 def solve(problem: ApproximationProblem) -> RationalApproximation:
     """Smallest q in [1, Q] whose rounded (and constraint-repaired) numerators
     satisfy both lemma conclusions.
 
-    The scan is vectorized in blocks; exact certificates are re-derived in
-    integer arithmetic for the accepted q only.
+    The scan is vectorized in blocks, and its floating-point bound only
+    prefilters: a q is accepted only once its numerators pass the bound in
+    exact arithmetic (`_bound_holds`, which `verify` checks too) and the
+    group sums hold as integer identities.
     """
     Q = problem.budget
     thr = problem.error_threshold
@@ -163,6 +177,8 @@ def solve(problem: ApproximationProblem) -> RationalApproximation:
             if got is None:
                 continue
             numerators, penalty = got
+            if not _bound_holds(problem, int(q), numerators):
+                continue
             _check_exact_constraints(problem, int(q), numerators)
             zeros = tuple(
                 (r + 1, j + 1)
@@ -192,21 +208,18 @@ def _check_exact_constraints(problem, q: int, numerators) -> None:
 def verify(problem: ApproximationProblem, cand: RationalApproximation) -> CertificateReport:
     """Independently re-check both lemma conclusions and q <= Q.
 
-    The bound is checked in exact arithmetic: each alpha is read as the
-    rational its float is, and |alpha - a/q| < 1/(q * Q^(1/(nK))) holds iff
-    |q alpha - a|^(nK) * Q < 1. `max_error` is the largest |alpha - a/q| in
-    floating point, for the report.
+    The bound is checked in exact arithmetic (`_bound_holds`). `max_error`
+    is the largest |alpha - a/q| in floating point, for the report.
     """
     q = cand.q
     Q = problem.budget
     nk = problem.n * problem.num_groups
     q_in_range = 0 < q <= Q
     max_err = 0.0
-    bound_holds = True
     for g, grp in zip(problem.groups, cand.numerators):
         for alpha, a in zip(g, grp):
             max_err = max(max_err, abs(alpha - a / q))
-            bound_holds = bound_holds and abs(q * Fraction(alpha) - a) ** nk * Q < 1
+    bound_holds = _bound_holds(problem, q, cand.numerators)
     bound = 1.0 / (q * Q ** (1.0 / nk))
     constraints_hold = all(
         B * sum(grp) == A * q

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from scratchsim.grid import RegionPartition, SpatialGrid
 
@@ -115,6 +114,23 @@ def _row_blocks(start: int, stop: int, rows: int) -> list[int]:
     return [start + k * n // nb for k in range(nb + 1)]
 
 
+def hermite_coefficients(x, y, dydx) -> np.ndarray:
+    """Coefficients of the cubic Hermite interpolant through values y with
+    slopes dydx at increasing breakpoints x, shaped (4, len(x) - 1) + the
+    shape of one value: per piece, descending powers of the offset from its
+    left end. Bit for bit scipy's `CubicHermiteSpline(x, y, dydx, axis=0).c`,
+    which the tests hold it to; the package computes it itself so that it
+    need not import `scipy.interpolate`."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dydx = np.asarray(dydx, dtype=float)
+    dx = np.diff(x)
+    dxr = dx.reshape(dx.shape + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - dydx[:-1]) / dxr - t, dydx[:-1], y[:-1]))
+
+
 def _piece_jet(table, x):
     """Position, first and second derivative from gathered piece-table rows
     (a3, a2, a1, a0, 3 a3, 2 a2, 6 a3) at offsets x from the pieces' left
@@ -179,7 +195,7 @@ class SplineCurve:
         # linear continuation above 1; per piece the coefficients a3..a0 of
         # the offset from its left end, then 3*a3, 2*a2 and 6*a3 for the
         # derivatives
-        cubic = CubicHermiteSpline(self.knots, self.waypoints, self.tangents, axis=0).c
+        cubic = hermite_coefficients(self.knots, self.waypoints, self.tangents)
         zero = np.zeros(self.ndim)
         below = np.stack([zero, zero, self.tangents[0], self.waypoints[0]])
         above = np.stack([zero, zero, self.tangents[-1], self.waypoints[-1]])

@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.linalg import solve, solve_banded
 
-from scratchsim.geometry import SegmentFamily, SplineFamily
+from scratchsim.geometry import SegmentFamily, SplineFamily, hermite_coefficients
 
 _SAMPLE_PAIRS = 1 << 13  # (scratch, point) pairs per block of `sample`
 
@@ -72,47 +71,119 @@ class ScratchProfile:
         self.snap_f = (1e-9 * max(curve.length, 1.0)) ** 2
 
 
+class PiecewiseCubic:
+    """Scalar piecewise cubic on increasing breakpoints x, with coefficients
+    c shaped (4, len(x) - 1) in scipy's `PPoly` layout (see
+    `hermite_coefficients`); the end pieces continue beyond [x[0], x[-1]].
+
+    Values and first derivatives are summed in ascending powers, as `PPoly`
+    sums them, from the coefficients of the cubic and of its derivative as
+    `PPoly.derivative` forms them, so that both are `PPoly`'s bit for bit.
+    """
+
+    def __init__(self, x, c):
+        self.x = np.asarray(x, dtype=float)
+        self._coef = np.concatenate([c, [3.0 * c[0], 2.0 * c[1], c[2]]])
+        self._inner = self.x[1:-1]
+
+    def _local(self, t):
+        """Coefficient rows and offset into its piece of t."""
+        i = np.searchsorted(self._inner, t, side="right")
+        return self._coef[:, i], t - self.x[i]
+
+    def jet(self, t):
+        """Value and first derivative at t, from one search."""
+        (a3, a2, a1, a0, b2, b1, b0), x = self._local(np.asarray(t, dtype=float))
+        xx = x * x
+        return 0.0 + a0 + a1 * x + a2 * xx + a3 * (xx * x), 0.0 + b0 + b1 * x + b2 * xx
+
+    def __call__(self, t):
+        return self.jet(t)[0]
+
+    def deriv(self, t):
+        (_, _, _, _, b2, b1, b0), x = self._local(np.asarray(t, dtype=float))
+        return 0.0 + b0 + b1 * x + b2 * (x * x)
+
+
+def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Slopes at x of the not-a-knot cubic spline through (x, y), y 1-D: the
+    ones scipy's `CubicSpline(x, y)` solves for, bit for bit, by the same
+    system, expressions and solver calls. Two points give the chord and
+    three the parabola, as in scipy."""
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    if n == 2:
+        return np.array([slope[0], slope[0]])
+    if n == 3:
+        A = np.zeros((3, 3))
+        A[0, 0] = 1
+        A[0, 1] = 1
+        A[1, 0] = dx[1]
+        A[1, 1] = 2 * (dx[0] + dx[1])
+        A[1, 2] = dx[0]
+        A[2, 1] = 1
+        A[2, 2] = 1
+        b = np.array(
+            [2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]]
+        )
+        return solve(
+            A, b.reshape(3, -1), overwrite_a=True, overwrite_b=True, check_finite=False
+        ).reshape(3)
+    # tridiagonal system in banded storage: upper, main and lower diagonal
+    A = np.zeros((3, n))
+    b = np.empty(n)
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot at both ends: the third derivative is continuous across the
+    # second and the second-to-last breakpoint
+    d = x[2] - x[0]
+    A[1, 0] = dx[1]
+    A[0, 1] = d
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    A[1, -1] = dx[-2]
+    A[-1, -2] = d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    return solve_banded(
+        (1, 1), A, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True, check_finite=False
+    ).reshape(n)
+
+
 class TangentialPotential:
-    """V(s) as a fitted piecewise cubic; C1 linear continuation outside [0, 1]
-    (a slope discontinuity at the curve ends would break energy conservation
-    for particles oscillating around a checkpoint there)."""
+    """V(s) as the not-a-knot cubic spline through samples on [0, 1]; C1
+    linear continuation outside [0, 1] (a slope discontinuity at the curve
+    ends would break energy conservation for particles oscillating around a
+    checkpoint there)."""
 
     def __init__(self, s_samples: np.ndarray, v_samples: np.ndarray):
         self.s_samples = np.asarray(s_samples, dtype=float)
         self.v_samples = np.asarray(v_samples, dtype=float)
-        # per interval the coefficients of V (cubic first) and of V' from
-        # scipy's own derivative, each summed in ascending powers as scipy's
-        # PPoly sums them, so that the values are scipy's bit for bit
-        spline = CubicSpline(self.s_samples, self.v_samples)
-        self._coef = np.concatenate([spline.c, spline.derivative().c])
-        self._inner = self.s_samples[1:-1]
-        self._end_slopes = self.deriv(np.array([0.0, 1.0]))
-
-    def _local(self, s):
-        """Coefficient rows and offset into its interval of s clipped to
-        [0, 1]."""
-        sc = np.minimum(np.maximum(s, 0.0), 1.0)
-        i = np.searchsorted(self._inner, sc, side="right")
-        return self._coef[:, i], sc - self.s_samples[i]
+        s, v = self.s_samples, self.v_samples
+        if not (
+            s.ndim == 1 and s.shape == v.shape and s.size >= 2
+            and np.all(np.isfinite(s)) and np.all(np.isfinite(v)) and np.all(np.diff(s) > 0)
+        ):
+            raise ScratchError("need two or more finite samples at strictly increasing s")
+        self._spline = PiecewiseCubic(s, hermite_coefficients(s, v, _not_a_knot_slopes(s, v)))
+        self._end_slopes = self._spline.deriv(np.array([0.0, 1.0]))
 
     def jet(self, s):
         """V and V' at s, in one pass: V continued linearly outside [0, 1],
         V' held at its end values there."""
         s = np.asarray(s, dtype=float)
-        (a3, a2, a1, a0, b2, b1, b0), x = self._local(s)
-        xx = x * x
-        v = 0.0 + a0 + a1 * x + a2 * xx + a3 * (xx * x)
+        v, dv = self._spline.jet(np.minimum(np.maximum(s, 0.0), 1.0))
         below = np.minimum(s, 0.0)
         above = np.maximum(s - 1.0, 0.0)
-        v = v + below * self._end_slopes[0] + above * self._end_slopes[1]
-        return v, 0.0 + b0 + b1 * x + b2 * xx
+        return v + below * self._end_slopes[0] + above * self._end_slopes[1], dv
 
     def __call__(self, s):
         return self.jet(s)[0]
 
     def deriv(self, s):
-        (_, _, _, _, b2, b1, b0), x = self._local(np.asarray(s, dtype=float))
-        return 0.0 + b0 + b1 * x + b2 * (x * x)
+        return self._spline.deriv(np.minimum(np.maximum(np.asarray(s, dtype=float), 0.0), 1.0))
 
     def to_dict(self):
         return {"s": self.s_samples.tolist(), "v": self.v_samples.tolist()}
@@ -358,8 +429,9 @@ class ScratchedPotential:
         }
 
 
-def monotone_timing(conditions: TimingConditions, tol: float = 1e-9) -> CubicHermiteSpline:
-    """Monotone C1 interpolant s(t) with prescribed knot values and slopes.
+def monotone_timing(conditions: TimingConditions, tol: float = 1e-9) -> PiecewiseCubic:
+    """Monotone C1 interpolant s(t) with prescribed knot values and slopes:
+    the cubic Hermite spline through them.
 
     Uses the sufficient monotonicity box 0 < c <= 3 * min(adjacent secants);
     slopes outside the box cannot be honored without breaking the requested
@@ -373,7 +445,7 @@ def monotone_timing(conditions: TimingConditions, tol: float = 1e-9) -> CubicHer
             raise InfeasibleTimingError(
                 f"slope {c[j]:.4g} at checkpoint {j} exceeds 3x adjacent secant {lo:.4g}"
             )
-    return CubicHermiteSpline(t, s, c)
+    return PiecewiseCubic(t, hermite_coefficients(t, s, c))
 
 
 def construct_tangential_potential(
@@ -394,8 +466,7 @@ def construct_tangential_potential(
     timing = monotone_timing(conditions)
     t0, t1 = conditions.times[0], conditions.times[-1]
     t_dense = np.linspace(t0, t1, num_samples)
-    s_dense = timing(t_dense)
-    sdot_dense = timing.derivative()(t_dense)
+    s_dense, sdot_dense = timing.jet(t_dense)
     if np.any(sdot_dense <= 0):
         raise InfeasibleTimingError("timing interpolant is not strictly increasing")
     # de-duplicate parameters (monotone, but guard the spline fit)
@@ -428,6 +499,10 @@ def integrate_lagrange(
         coupling = float(dq @ d2q)
         sddot = (-potential.deriv(s) - mass * coupling * sdot**2) / (mass * w)
         return [sdot, sddot]
+
+    # imported here, not with the module: no pipeline calls this check, and
+    # scipy.integrate would add its import to every process that loads it
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         rhs,

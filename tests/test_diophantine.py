@@ -166,6 +166,23 @@ class TestVerify:
         assert not cert.bound_holds and not cert.ok
 
 
+    @pytest.mark.parametrize(
+        "alpha, budget, groups, rejected",
+        [
+            # the case above: q = 1 with numerators (0, 1) fails exactly
+            (float(np.nextafter(1.0 / 36**0.25, 0.0)), 36, 2, 1),
+            # the double nearest 3 alpha lies within the float bound of 1,
+            # while |3 alpha - 1| >= 1e-3 = Q^(-1/2) exactly
+            (0.33366666666666667, 10**6, 1, 3),
+        ],
+    )
+    def test_solve_accepts_only_exact_certificates(self, alpha, budget, groups, rejected):
+        p = ApproximationProblem(((alpha, 1.0 - alpha),) * groups, ((1, 1),) * groups, budget)
+        r = solve(p)
+        assert r.q != rejected
+        assert verify(p, r).ok
+
+
 class TestCertificateProperties:
     @settings(max_examples=60, deadline=None)
     @given(

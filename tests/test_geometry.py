@@ -23,6 +23,7 @@ from scratchsim.geometry import (
     curve_from_dict,
     curve_pair_min_distance,
     curve_self_min_distance,
+    hermite_coefficients,
     linear_collision_parameter,
     recount_momenta,
     recount_positions,
@@ -142,6 +143,16 @@ class TestSplineJet:
         for got, ref in zip(c.jet(s), reference_jet(c, s)):
             assert got.shape == (s.size, 3)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    @pytest.mark.parametrize("K", [2, 3, 5, 40])
+    def test_hermite_coefficients_are_scipys(self, K, shape):
+        rng = np.random.default_rng(K)
+        x = np.sort(rng.uniform(-1.0, 2.0, K))
+        y, dydx = rng.normal(size=(2, K) + shape)
+        want = CubicHermiteSpline(x, y, dydx, axis=0).c
+        got = hermite_coefficients(x, y, dydx)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_call_and_derivatives_are_parts_of_jet(self):
         c = random_spline(np.random.default_rng(1), 4)

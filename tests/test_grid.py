@@ -1,7 +1,11 @@
 """Grid geometry, region partitions, Fourier duals, and field I/O."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scratchsim.grid import (
     Box,
@@ -64,6 +68,32 @@ class TestSpatialGrid:
         )
 
 
+@st.composite
+def box_partitions(draw):
+    """A box cut into cells along integer cuts per axis, each cell given to
+    one of n >= 2 regions, and up to three more boxes spanning several cells
+    given to any region, so that regions overlap: the cuts and, per region,
+    its boxes as (lo, hi) pairs."""
+    ndim = draw(st.integers(1, 3))
+    cuts = [
+        [float(x) for x in sorted(draw(st.sets(st.integers(-4, 4), min_size=3 if d == 0 else 2, max_size=5)))]
+        for d in range(ndim)
+    ]
+    cells = list(itertools.product(*(range(len(c) - 1) for c in cuts)))
+    order = draw(st.permutations(cells))
+    n = draw(st.integers(2, len(cells)))
+    labels = list(range(1, n + 1)) + [draw(st.integers(1, n)) for _ in order[n:]]
+    regions = [[] for _ in range(n)]
+    for cell, k in zip(order, labels):
+        lo = tuple(c[i] for c, i in zip(cuts, cell))
+        hi = tuple(c[i + 1] for c, i in zip(cuts, cell))
+        regions[k - 1].append((lo, hi))
+    for _ in range(draw(st.integers(0, 3))):
+        span = [sorted(draw(st.lists(st.sampled_from(c), min_size=2, max_size=2))) for c in cuts]
+        regions[draw(st.integers(0, n - 1))].append(tuple(zip(*span)))
+    return cuts, regions
+
+
 class TestRegionPartition:
     def test_boundary_tiebreak_lowest_label(self):
         part = half_planes(grid2d(), axis=0, split=0.0)
@@ -83,6 +113,26 @@ class TestRegionPartition:
         part = half_planes(grid2d(), axis=0, split=0.0)
         pts = np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.0]])
         assert list(part.interior_membership(pts, 2)) == [True, False, False]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_lowest_label_on_random_box_partitions(self, data):
+        cuts, regions = data.draw(box_partitions())
+        part = RegionPartition([[Box(lo, hi) for lo, hi in boxes] for boxes in regions])
+        # coordinates on the cuts put points on shared faces and edges
+        coordinate = [st.one_of(st.sampled_from(c), st.floats(c[0], c[-1])) for c in cuts]
+        points = np.array(data.draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=20)))
+        labels = part.labels_for(points)
+        for p, label in zip(points, labels):
+            assert label == min(
+                k
+                for k, boxes in enumerate(regions, start=1)
+                for lo, hi in boxes
+                if all(a <= x <= b for a, x, b in zip(lo, p, hi))
+            )
+        for k in range(1, part.n + 1):
+            inside = part.interior_membership(points, k)
+            assert np.all(labels[inside] == k)
 
     def test_momentum_half_spaces_cover_everything(self):
         part = momentum_half_spaces(3)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from scratchsim.geometry import SegmentCurve, SplineCurve, catmull_rom_tangents
 from scratchsim.grid import SpatialGrid
@@ -447,6 +447,39 @@ class TestTangentialPotential:
             assert np.array_equal(dgot, dpp(inner)) and np.array_equal(v.deriv(x), dgot)
             assert v.deriv(0.37) == dpp(0.37)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 2001])
+    def test_coefficients_are_scipys(self, n):
+        rng = np.random.default_rng(n)
+        s = np.sort(rng.uniform(0.0, 1.0, n))
+        s[0], s[-1] = 0.0, 1.0
+        v = TangentialPotential(s, rng.normal(size=n))
+        assert_coefficients_are_scipys(v)
+
+    def test_constructed_coefficients_are_scipys(self):
+        cond = TimingConditions([0.0, 1.5, 4.0], [0.0, 0.45, 1.0], [0.3, 0.35, 0.3])
+        v = construct_tangential_potential(spline3d(), cond, mass=1.0)
+        assert v.s_samples.size == 60001
+        assert_coefficients_are_scipys(v)
+
+    def test_rejects_samples_scipy_rejects(self):
+        for s, v in (
+            ([0.0, 0.5, 0.5, 1.0], [0.0] * 4),
+            ([0.0, np.inf], [0.0, 1.0]),
+            ([0.0, 1.0], [0.0, np.nan]),
+            ([0.0], [0.0]),
+        ):
+            with pytest.raises(ScratchError):
+                TangentialPotential(s, v)
+
+
+def assert_coefficients_are_scipys(v):
+    """The cubic's coefficients and its derivative's, per piece, as scipy's
+    not-a-knot `CubicSpline` through the samples gives them."""
+    pp = CubicSpline(v.s_samples, v.v_samples)
+    coef = v._spline._coef
+    assert np.array_equal(coef[:4], pp.c)
+    assert np.array_equal(coef[4:], pp.derivative().c)
+
 
 class TestTiming:
     def test_monotone_box_violation(self):
@@ -458,9 +491,23 @@ class TestTiming:
         cond = TimingConditions([0.0, 1.0, 3.0], [0.0, 0.4, 1.0], [0.3, 0.35, 0.25])
         timing = monotone_timing(cond)
         assert np.allclose(timing(cond.times), cond.params, atol=1e-14)
-        assert np.allclose(timing.derivative()(cond.times), cond.speeds, atol=1e-14)
+        assert np.allclose(timing.deriv(cond.times), cond.speeds, atol=1e-14)
         t = np.linspace(0.0, 3.0, 500)
         assert np.all(np.diff(timing(t)) > 0)
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_values_are_scipys(self, K):
+        rng = np.random.default_rng(K)
+        times = np.cumsum(rng.uniform(0.5, 2.0, K))
+        params = np.linspace(0.0, 1.0, K)
+        secants = np.diff(params) / np.diff(times)
+        speeds = [rng.uniform(0.3, 2.5) * secants[max(j - 1, 0) : j + 1].min() for j in range(K)]
+        timing = monotone_timing(TimingConditions(times, params, speeds))
+        pp = CubicHermiteSpline(times, params, speeds)
+        t = np.concatenate([np.linspace(times[0], times[-1], 10_001), times, [times[0] - 1.0]])
+        value, deriv = timing.jet(t)
+        assert np.array_equal(value, pp(t)) and np.array_equal(timing(t), value)
+        assert np.array_equal(deriv, pp.derivative()(t)) and np.array_equal(timing.deriv(t), deriv)
 
     def test_validation(self):
         with pytest.raises(ScratchError):
