@@ -2,8 +2,8 @@
 
 Velocity-Verlet (symplectic, second order) over all particles at once;
 particles are non-interacting, so the integration is vectorized over the
-ensemble. The step resolves the stiffest transverse tube frequency
-sqrt(2 * lambda * U_max / m).
+ensemble. The caller sets the step bound; `stable_timestep` resolves the
+stiffest transverse tube frequency sqrt(2 * lambda * U_max / m).
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ import numpy as np
 
 from scratchsim.grid import RegionPartition, SpatialGrid
 from scratchsim.quantum import CheckpointSchedule
+
+# Verlet steps between two rows of the energy log
+_ENERGY_LOG_STRIDE = 10
 
 
 class ClassicalError(ValueError):
@@ -70,7 +73,7 @@ class TrajectoryResult:
 
 
 def initialize_on_scratches(
-    curves, mass: float, schedule, conditioning=None
+    curves, mass: float, schedule: CheckpointSchedule, conditioning=None
 ) -> ClassicalEnsemble:
     """Place particle l at q^(l)(s_1) with tangential momentum.
 
@@ -78,7 +81,6 @@ def initialize_on_scratches(
     momentum m * (q(t_f) - q(t_i)) / (t_f - t_i), which is the same choice
     with c = 1/(t_f - t_i).
     """
-    times = _times(schedule)
     N = len(curves)
     D = curves[0].ndim
     q = np.zeros((N, D))
@@ -90,7 +92,7 @@ def initialize_on_scratches(
         if conditioning is not None:
             speed = conditioning.speeds[l, 0]
         else:
-            speed = 1.0 / (times[-1] - times[0])
+            speed = 1.0 / (schedule.t_final - schedule.t_initial)
         p[l] = mass * speed * dq
     return ClassicalEnsemble(q, p, mass)
 
@@ -119,33 +121,19 @@ def drift_law_timestep(dt: float, drift: float, energy_tol: float) -> float:
         return dt * 0.8 * float(np.sqrt(energy_tol / np.float64(drift)))
 
 
-def _times(schedule) -> np.ndarray:
-    return schedule.times if isinstance(schedule, CheckpointSchedule) else np.asarray(schedule, dtype=float)
-
-
-def _interval_steps(times: np.ndarray, dt_max: float) -> list[int]:
-    return [max(1, int(np.ceil(span / dt_max))) for span in np.diff(times)]
-
-
-def num_steps(schedule, dt_max: float) -> int:
-    """Verlet steps `integrate` takes over the schedule with step bound
-    `dt_max`: ceil(span / dt_max) per checkpoint interval, at least one."""
-    return sum(_interval_steps(_times(schedule), dt_max))
-
-
 def integrate(
     ensemble: ClassicalEnsemble,
     scratched,
-    schedule,
+    schedule: CheckpointSchedule,
     *,
-    dt_max: float | None = None,
+    dt_max: float,
     domain: SpatialGrid | None = None,
     energy_tol: float = 1e-6,
     curves=None,
-    energy_log_stride: int = 10,
     check_energy: bool = True,
 ) -> TrajectoryResult:
-    """Velocity-Verlet evolution with snapshots at exact checkpoint times.
+    """Velocity-Verlet evolution with snapshots at exact checkpoint times:
+    each interval takes `schedule.steps(dt_max)` equal steps.
 
     With `curves`, the scratched potential's own curves in order (one per
     particle), tracks each particle's maximum distance to its own curve
@@ -158,7 +146,7 @@ def integrate(
     the linear prediction 2 s_k - s_(k-1) of the two evaluations before it
     (`ScratchedPotential.eval`'s `s_warm`); the first two start from s_0.
     """
-    times = _times(schedule)
+    times = schedule.times
     mass = ensemble.mass
     own_f = None
     if curves is not None:
@@ -171,11 +159,6 @@ def integrate(
             )
         own_f = np.zeros(ensemble.num_particles)
         max_f = np.zeros(ensemble.num_particles)
-    if dt_max is None:
-        u_max = 1.0
-        if domain is not None:
-            u_max = max(scratched.base.max_on(domain), 1e-6)
-        dt_max = stable_timestep(scratched.lam, u_max, mass)
     q = ensemble.positions.copy()
     p = ensemble.momenta.copy()
     s_warm = np.full((scratched.num_scratches, ensemble.num_particles), np.nan)
@@ -192,7 +175,7 @@ def integrate(
     energy_rows = [e0]
     snapshots = [ClassicalEnsemble(q.copy(), p.copy(), mass)]
     step_count = 0
-    for span, nsteps in zip(np.diff(times), _interval_steps(times, dt_max)):
+    for span, nsteps in zip(np.diff(times), schedule.steps(dt_max)):
         dt = span / nsteps
         for _ in range(nsteps):
             p = p + 0.5 * dt * force
@@ -204,7 +187,7 @@ def integrate(
             step_count += 1
             if own_f is not None:
                 np.maximum(max_f, own_f, out=max_f)
-            if step_count % energy_log_stride == 0:
+            if step_count % _ENERGY_LOG_STRIDE == 0:
                 energy_rows.append(energy(p, vals))
             if domain is not None and (
                 np.any(q < domain.lo) or np.any(q > domain.hi)
@@ -235,22 +218,11 @@ def occupancy(
     momentum_partition: RegionPartition | None = None,
 ) -> OccupancyRecord:
     """Per-checkpoint region counts for positions and (optionally) momenta."""
-    K = len(result.snapshots)
-    n = position_partition.n
-    counts = np.zeros((K, n), dtype=np.int64)
-    counts_p = (
-        np.zeros((K, momentum_partition.n), dtype=np.int64)
-        if momentum_partition is not None
-        else None
-    )
-    for j, snap in enumerate(result.snapshots):
-        labels = position_partition.labels_for(snap.positions)
-        for lab in labels:
-            counts[j, lab - 1] += 1
-        if counts_p is not None:
-            plabels = momentum_partition.labels_for(snap.momenta)
-            for lab in plabels:
-                counts_p[j, lab - 1] += 1
+    snaps = result.snapshots
+    counts = np.stack([position_partition.counts(s.positions) for s in snaps])
+    counts_p = None
+    if momentum_partition is not None:
+        counts_p = np.stack([momentum_partition.counts(s.momenta) for s in snaps])
     return OccupancyRecord(times=result.times, counts=counts, counts_momentum=counts_p)
 
 

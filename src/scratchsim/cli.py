@@ -12,8 +12,7 @@ from scratchsim.experiment import (
     default_theorem1_config,
     default_theorem2_config,
     run_blackbox,
-    run_theorem1,
-    run_theorem2,
+    run_pipeline,
 )
 
 
@@ -66,8 +65,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, default_factory, runner, doc in (
-        ("theorem1", default_theorem1_config, run_theorem1, "two-checkpoint position pipeline"),
-        ("theorem2", default_theorem2_config, run_theorem2, "full position-and-momentum pipeline"),
+        ("theorem1", default_theorem1_config, run_pipeline, "two-checkpoint position pipeline"),
+        ("theorem2", default_theorem2_config, run_pipeline, "full position-and-momentum pipeline"),
         ("blackbox", default_theorem2_config, run_blackbox, "finite-resolution record comparison"),
     ):
         p = sub.add_parser(name, help=doc)

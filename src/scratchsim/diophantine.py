@@ -116,9 +116,23 @@ def _repair_group(qa: np.ndarray, a: np.ndarray, deficit: int) -> np.ndarray:
     return a
 
 
+def _prefilter(problem: ApproximationProblem) -> float:
+    """`error_threshold` widened by 1e-12 of itself, past the rounding of
+    Q^(-1/(nK)) in floating point."""
+    return problem.error_threshold * (1.0 + 1e-12)
+
+
+def _errors_below(qa: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """|qa - a| less one ulp of qa: qa is q * alpha rounded to within half
+    an ulp and a is an integer, so this is at most the exact |q alpha - a|.
+    A float prefilter on it passes every q that certifies exactly."""
+    return np.abs(qa - a) - np.spacing(np.abs(qa))
+
+
 def _candidate_for_q(problem: ApproximationProblem, q: int):
-    """Best integer numerators for denominator q, or None if infeasible."""
-    thr = problem.error_threshold
+    """Best integer numerators for denominator q, or None if they fail the
+    float prefilter or the constraints cannot hold."""
+    thr = _prefilter(problem)
     numerators = []
     penalty = 0.0
     for g, (A, B) in zip(problem.groups, problem.constraints):
@@ -133,7 +147,7 @@ def _candidate_for_q(problem: ApproximationProblem, q: int):
             before = float(np.abs(qa - a).sum())
             a = _repair_group(qa, a, int(deficit))
             penalty += float(np.abs(qa - a).sum()) - before
-        if float(np.max(np.abs(qa - a))) >= thr:
+        if float(np.max(_errors_below(qa, a))) >= thr:
             return None
         numerators.append(tuple(int(x) for x in a))
     return numerators, penalty
@@ -156,12 +170,13 @@ def solve(problem: ApproximationProblem) -> RationalApproximation:
     satisfy both lemma conclusions.
 
     The scan is vectorized in blocks, and its floating-point bound only
-    prefilters: a q is accepted only once its numerators pass the bound in
-    exact arithmetic (`_bound_holds`, which `verify` checks too) and the
-    group sums hold as integer identities.
+    prefilters, widened so that it passes every q that certifies exactly
+    (`_prefilter`, `_errors_below`): a q is accepted only once its
+    numerators pass the bound in exact arithmetic (`_bound_holds`, which
+    `verify` checks too) and the group sums hold as integer identities.
     """
     Q = problem.budget
-    thr = problem.error_threshold
+    thr = _prefilter(problem)
     alphas = np.concatenate([np.asarray(g) for g in problem.groups])
     block = 4096
     for start in range(1, Q + 1, block):
@@ -170,7 +185,7 @@ def solve(problem: ApproximationProblem) -> RationalApproximation:
         # Rounding minimizes each |q*alpha - a|, and constraint repair can only
         # grow errors, so q is infeasible unless every rounded error clears the
         # threshold already.
-        err = np.abs(qa - np.rint(qa))
+        err = _errors_below(qa, np.rint(qa))
         plausible = np.max(err, axis=1) < thr
         for q in qs[plausible].astype(int):
             got = _candidate_for_q(problem, int(q))

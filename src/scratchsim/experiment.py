@@ -317,7 +317,6 @@ def _integrate_with_retries(
     ensemble_factory,
     scratched,
     schedule,
-    lam,
     u_max,
     g,
     curves,
@@ -340,15 +339,15 @@ def _integrate_with_retries(
     config's safety, so the config's value exactly when dt = dt0) and every
     attempt's [dt, drift] in order.
     """
-    dt0 = classical.stable_timestep(lam, u_max, config.mass, config.stiffness_safety)
+    dt0 = classical.stable_timestep(scratched.lam, u_max, config.mass, config.stiffness_safety)
     dt = min(dt0, seed_dt)
-    budget = _STEP_BUDGET * classical.num_steps(schedule, dt)
+    budget = _STEP_BUDGET * sum(schedule.steps(dt))
     spent = 0
     attempts: list[list[float]] = []
     last: classical.StabilityError | None = None
     stop = f"{_MAX_ATTEMPTS} attempts made"
     for _ in range(_MAX_ATTEMPTS):
-        steps = classical.num_steps(schedule, dt) if dt > 0 else math.inf
+        steps = sum(schedule.steps(dt)) if dt > 0 else math.inf
         if spent + steps > budget:
             stop = f"the next, at dt={dt:.3e}, would pass the budget of {budget} steps"
             break
@@ -382,7 +381,7 @@ def _quantum_stage(config: ExperimentConfig):
     psi0 = quantum.gaussian_packet(
         g, pk["center"], pk["sigma"], pk.get("momentum"), config.hbar
     )
-    schedule = quantum.CheckpointSchedule(np.asarray(config.schedule, dtype=float))
+    schedule = quantum.CheckpointSchedule(config.schedule)
     snaps = quantum.propagate(
         system, psi0, schedule, dt_max=config.dt_quantum, edge_eps=config.edge_eps
     )
@@ -438,13 +437,13 @@ def _checkpoint_rows(times, probs_pos, probs_mom, occ, bound):
     return rows
 
 
-def _geometry_stage(config, g, pos_part, mom_part, counts_pos, counts_mom, N):
+def _geometry_stage(config, g, schedule, pos_part, mom_part, counts_pos, counts_mom, N):
     """Waypoints and scratches, re-sampled with seed + 1000 * attempt while
     the waypoints or the timing are infeasible. Without a momentum partition
     the scratches are straight lines in general position, undriven; with one
     they are splines, conditioned to the momentum counts and driven by
     tangential potentials."""
-    times = np.asarray(config.schedule, dtype=float)
+    times = schedule.times
     last_err: Exception | None = None
     for attempt in range(config.max_retries):
         seed = config.seed + 1000 * attempt
@@ -531,15 +530,18 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
         counts_mom = None
 
     plan, curves, cond, tangential = _geometry_stage(
-        config, g, pos_part, mom_part, counts_pos, counts_mom, N
+        config, g, schedule, pos_part, mom_part, counts_pos, counts_mom, N
     )
 
-    lambdas = config.lambdas if full else config.lambdas[-1:]
+    # one scratched potential per lambda, for the ensemble and the decay table
+    potentials = [
+        scratch.ScratchedPotential(base, curves, lam, tangential=tangential)
+        for lam in config.lambdas
+    ]
     u_max = max(base.max_on(g), 1e-6)
     per_lambda = []
     seed_dt = math.inf
-    for lam in map(float, lambdas):
-        scratched = scratch.ScratchedPotential(base, curves, lam, tangential=tangential)
+    for scratched in potentials if full else potentials[-1:]:
         result, dt, safety, attempts = _integrate_with_retries(
             config,
             lambda: classical.initialize_on_scratches(
@@ -547,7 +549,6 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
             ),
             scratched,
             schedule,
-            lam,
             u_max,
             g,
             curves,
@@ -557,7 +558,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
         seed_dt = classical.drift_law_timestep(dt, result.energy_drift, config.energy_tol)
         per_lambda.append(
             {
-                "lambda": lam,
+                "lambda": scratched.lam,
                 "energy_drift": result.energy_drift,
                 "max_curve_deviation": float(np.max(result.max_curve_deviation)),
                 "timestep": dt,
@@ -571,14 +572,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
     rows = _checkpoint_rows(schedule.times, renorm[:K], renorm[K:], occ, bound)
     planned_pos = geometry.recount_positions(curves, pos_part)
     decay = quantum.scratch_insensitivity(
-        system,
-        scratched,
-        psi0,
-        schedule,
-        config.lambdas,
-        dt_max=config.dt_quantum,
-        edge_eps=config.edge_eps,
-        reference=snaps[-1],
+        system, potentials, psi0, schedule, snaps[-1], config.dt_quantum, config.edge_eps
     )
     min_dist = classical.min_pairwise_distance(result.snapshots)
     deviations = [row["max_curve_deviation"] for row in per_lambda]
@@ -639,6 +633,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
     return report
 
 
+# bench/worker.py calls the pipeline by these names
 run_theorem1 = run_theorem2 = run_pipeline
 
 
@@ -650,7 +645,7 @@ def run_blackbox(config: ExperimentConfig, out_dir: str | None = None) -> Discri
     uniform rounding; with resolution at or above the theorem bound the
     records coincide.
     """
-    base_report = run_theorem2(config)
+    base_report = run_pipeline(config)
     res = config.instrument_resolution
     if res is None:
         res = 10.0 * base_report.bound

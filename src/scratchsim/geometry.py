@@ -14,6 +14,8 @@ import numpy as np
 
 from scratchsim.grid import RegionPartition, SpatialGrid
 
+# Samples of a curve's range that the projection scan compares each point to
+_SCAN_SAMPLES = 512
 # Doubles in one block of the projection scan (512 KiB, 128 rows of 512
 # samples), and rows in one block of a curve distance matrix. OpenBLAS
 # splits a gemm over its threads from about 2^18 multiply-adds on, and its
@@ -205,7 +207,6 @@ class SplineCurve:
         # s < 0 -> piece 0; knots[i] <= s < knots[i+1] -> cubic piece i + 1;
         # s > 1 -> the last piece, so that s = 1 stays on the cubic
         self._edges = np.concatenate([self.knots[:-1], [np.nextafter(1.0, 2.0)]])
-        self._dense: dict[tuple[float, float], tuple] = {}
 
     @property
     def ndim(self) -> int:
@@ -239,16 +240,6 @@ class SplineCurve:
     def sample(self, num: int, s_lo=0.0, s_hi=1.0):
         s = np.linspace(s_lo, s_hi, num)
         return s, self(s)
-
-    def _dense_table(self, s_lo: float, s_hi: float, num: int = 512):
-        """Scan samples of [s_lo, s_hi]: parameters, points transposed and
-        squared point norms, built once per range."""
-        table = self._dense.get((s_lo, s_hi))
-        if table is None:
-            s, pts = self.sample(num, s_lo, s_hi)
-            table = (s, np.ascontiguousarray(pts.T), np.einsum("ij,ij->i", pts, pts))
-            self._dense[(s_lo, s_hi)] = table
-        return table
 
     def project(self, points, s_lo=0.0, s_hi=1.0, newton_iters=8):
         """Nearest parameter in [s_lo, s_hi] and squared distance per point
@@ -316,11 +307,13 @@ class SplineFamily:
             self._coef[:, l, :n] = c._coef
             self._left[l, :n] = c._left
             self._edges[l, : n - 1] = c._edges
-        tables = [c._dense_table(lo, hi) for c, lo, hi in zip(curves, self.s_lo, self.s_hi)]
-        self._scan_s = np.stack([t[0] for t in tables])  # (L, S)
-        self._scan_pts_t = np.stack([t[1] for t in tables])  # (L, D, S)
-        self._scan_pts = np.ascontiguousarray(self._scan_pts_t.transpose(0, 2, 1))
-        self._scan_norm2 = np.stack([t[2] for t in tables])  # (L, S)
+        samples = [
+            c.sample(_SCAN_SAMPLES, lo, hi) for c, lo, hi in zip(curves, self.s_lo, self.s_hi)
+        ]
+        self._scan_s = np.stack([s for s, _ in samples])  # (L, S)
+        self._scan_pts = np.stack([pts for _, pts in samples])  # (L, S, D)
+        self._scan_pts_t = np.ascontiguousarray(self._scan_pts.transpose(0, 2, 1))
+        self._scan_norm2 = np.stack([np.einsum("ij,ij->i", pts, pts) for _, pts in samples])
         # every point farther than `reach` from the box is farther than
         # `reach` from the curve, also as the projection rounds: the box is
         # grown by a further 1e-9 of its scale
@@ -888,23 +881,12 @@ def condition_momenta(
 
 def recount_positions(curves, partition: RegionPartition) -> np.ndarray:
     """Counts (K, n) of checkpoint positions per region."""
-    K = len(curves[0].checkpoint_params)
-    counts = np.zeros((K, partition.n), dtype=np.int64)
-    for c in curves:
-        pts = c(c.checkpoint_params)
-        labels = partition.labels_for(pts)
-        for j, lab in enumerate(labels):
-            counts[j, lab - 1] += 1
-    return counts
+    pts = np.stack([c(c.checkpoint_params) for c in curves])  # (N, K, D)
+    return np.stack([partition.counts(pts[:, j]) for j in range(pts.shape[1])])
 
 
 def recount_momenta(curves, cond: MomentumConditioning, partition: RegionPartition, mass: float) -> np.ndarray:
-    K = len(curves[0].checkpoint_params)
-    counts = np.zeros((K, partition.n), dtype=np.int64)
-    for l, c in enumerate(curves):
-        dq = c.deriv(c.checkpoint_params)
-        for j in range(K):
-            p = mass * cond.speeds[l, j] * dq[j]
-            lab = partition.labels_for(p[None, :])[0]
-            counts[j, lab - 1] += 1
-    return counts
+    """Counts (K, n) of checkpoint momenta m * c_(l,j) * q_l'(s_j) per region."""
+    dq = np.stack([c.deriv(c.checkpoint_params) for c in curves])  # (N, K, D)
+    p = mass * cond.speeds[:, :, None] * dq
+    return np.stack([partition.counts(p[:, j]) for j in range(p.shape[1])])

@@ -167,6 +167,10 @@ class RegionPartition:
             raise GridError(f"point {bad} not covered by any region")
         return labels
 
+    def counts(self, points: np.ndarray) -> np.ndarray:
+        """Points per region, (n,) in label order."""
+        return np.bincount(self.labels_for(points) - 1, minlength=self.n)
+
     def label_grid(self, grid: SpatialGrid) -> np.ndarray:
         return self.labels_for(grid.points()).reshape(grid.shape)
 

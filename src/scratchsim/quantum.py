@@ -2,12 +2,11 @@
 
 Strang-split spectral stepping (half potential kick, exact kinetic factor,
 half kick): norm-preserving by construction, second order in the step.
-For a static potential the two half kicks that meet between steps are
-merged into one full kick, so a checkpoint interval of n steps applies one
-half kick, n kinetic factors with n - 1 full kicks between them, and a
-closing half kick: every snapshot lands on the Strang-split state. The
-wavefunction is transformed in place. Time-dependent potentials keep both
-half kicks of each step, evaluated at its midpoint time.
+The potential is static, as the paper's Hamiltonian is, so the two half
+kicks that meet between steps are merged into one full kick: a checkpoint
+interval of n steps applies one half kick, n kinetic factors with n - 1
+full kicks between them, and a closing half kick, and every snapshot lands
+on the Strang-split state. The wavefunction is transformed in place.
 """
 
 from __future__ import annotations
@@ -61,6 +60,11 @@ class CheckpointSchedule:
     def t_final(self) -> float:
         return float(self.times[-1])
 
+    def steps(self, dt_max: float) -> list[int]:
+        """Equal steps per checkpoint interval for a step bound dt_max:
+        ceil(span / dt_max), at least one."""
+        return [max(1, int(np.ceil(span / dt_max))) for span in np.diff(self.times)]
+
 
 def check_lambdas(lambdas) -> np.ndarray:
     """The scratch strengths as floats: nonempty, positive and strictly
@@ -79,23 +83,13 @@ def check_lambdas(lambdas) -> np.ndarray:
 class QuantumSystem:
     mass: float
     grid: SpatialGrid
-    potential: AnalyticPotential | ScalarField | None
+    potential: AnalyticPotential | ScalarField
     hbar: float = 1.0
 
-    def potential_values(self, t: float) -> np.ndarray:
-        if self.potential is None:
-            return np.zeros(self.grid.shape)
+    def potential_values(self) -> np.ndarray:
         if isinstance(self.potential, ScalarField):
             return self.potential.values
-        if isinstance(self.potential, AnalyticPotential):
-            return self.potential.sample(self.grid).values
-        return np.asarray(self.potential(self.grid.points(), t)).reshape(self.grid.shape)
-
-    @property
-    def time_dependent(self) -> bool:
-        return callable(self.potential) and not isinstance(
-            self.potential, (AnalyticPotential, ScalarField)
-        )
+        return self.potential.sample(self.grid).values
 
 
 @dataclass
@@ -149,7 +143,7 @@ def edge_density(field: ComplexField) -> float:
 def propagate(
     system: QuantumSystem,
     psi0: Wavefunction,
-    schedule,
+    schedule: CheckpointSchedule,
     dt_max: float = 5e-3,
     norm_tol: float = 1e-8,
     edge_eps: float = 1e-6,
@@ -157,39 +151,29 @@ def propagate(
     """Evolve psi0 through every checkpoint time; returns one snapshot per
     checkpoint (the first checkpoint is psi0 itself, retimed).
 
-    Steps subdivide each interval so snapshots land exactly on checkpoints.
-    Raises on norm drift beyond norm_tol; warns when edge density exceeds
-    edge_eps.
+    Each interval takes `schedule.steps(dt_max)` equal steps, so snapshots
+    land exactly on checkpoints. Raises on norm drift beyond norm_tol; warns
+    when edge density exceeds edge_eps.
     """
-    times = schedule.times if isinstance(schedule, CheckpointSchedule) else np.asarray(schedule, dtype=float)
+    times = schedule.times
     g = psi0.field.grid
     psi = psi0.field.values.copy()
     snapshots = [Wavefunction(ComplexField(g, psi.copy()), float(times[0]))]
-    static = not system.time_dependent
-    v_static = system.potential_values(times[0]) if static else None
+    v = system.potential_values()
     hbar = system.hbar
-    for t1, t2 in zip(times[:-1], times[1:]):
-        span = t2 - t1
-        nsteps = max(1, int(np.ceil(abs(span) / dt_max)))
+    for t2, span, nsteps in zip(times[1:], np.diff(times), schedule.steps(dt_max)):
         dt = span / nsteps
         kin = _kinetic_factor(g, system.mass, hbar, dt)
-        if static:
-            half_kick = np.exp(-0.5j * dt * v_static / hbar)
-            full_kick = np.exp(-1j * dt * v_static / hbar)
-            psi *= half_kick
-        t = t1
+        half_kick = np.exp(-0.5j * dt * v / hbar)
+        full_kick = np.exp(-1j * dt * v / hbar)
+        psi *= half_kick
         for step in range(nsteps):
-            if not static:
-                v = system.potential_values(t + dt / 2.0)
-                half_kick = np.exp(-0.5j * dt * v / hbar)
-                psi *= half_kick
             psi = scipy.fft.fftn(psi, overwrite_x=True)
             psi *= kin
             psi = scipy.fft.ifftn(psi, overwrite_x=True)
-            # a static potential's closing half kick merges with the next
-            # step's opening one, except at the checkpoint
-            psi *= full_kick if static and step < nsteps - 1 else half_kick
-            t += dt
+            # the closing half kick merges with the next step's opening one,
+            # except at the checkpoint
+            psi *= full_kick if step < nsteps - 1 else half_kick
         snap = Wavefunction(ComplexField(g, psi.copy()), float(t2))
         drift = abs(snap.norm_sq() - 1.0)
         if drift > norm_tol:
@@ -283,62 +267,42 @@ def scratch_insensitivity(
     system: QuantumSystem,
     scratched,
     psi0: Wavefunction,
-    schedule,
-    lambdas,
+    schedule: CheckpointSchedule,
+    reference: Wavefunction,
     dt_max: float = 5e-3,
     edge_eps: float = 1e-6,
-    *,
-    reference: Wavefunction | None = None,
 ) -> list[dict]:
-    """Decay table of scratch effects on the quantum side.
+    """Decay table of scratch effects on the quantum side, one row per
+    scratched potential in `scratched`, each over the plain potential of
+    `system`.
 
-    Per lambda: the tube-quadrature L1 distance of the potentials, the sup
-    over Fourier modes of the transform of the sampled difference, and the
-    final-time L2 distance of the wavefunctions propagated in the scratched
-    versus the plain potential. `reference` is that plain-potential final
-    wavefunction, psi0 propagated through the schedule in `scratched.base`
-    with the same dt_max, when the caller already has it; without it the
-    run is made here.
+    Per potential: the tube-quadrature L1 distance of the potentials, the
+    sup over Fourier modes of the transform of the sampled difference, and
+    the final-time L2 distance of the wavefunctions propagated in the
+    scratched versus the plain potential. `reference` is that plain-potential
+    final wavefunction, psi0 propagated through the schedule with the same
+    dt_max.
     """
-    from scratchsim.scratch import ScratchedPotential
-
-    lambdas = check_lambdas(lambdas)
     g = system.grid
     hbar = system.hbar
-    base = scratched.base
-    curves = [p.curve for p in scratched.profiles]
-    u_plain = base.sample(g).values
-    if reference is None:
-        ref_system = QuantumSystem(system.mass, g, base, hbar)
-        reference = propagate(ref_system, psi0, schedule, dt_max=dt_max, edge_eps=edge_eps)[-1]
-    rows = []
+    u_plain = system.potential_values()
     fourier_norm = g.cell_volume / (2.0 * np.pi * hbar) ** g.ndim
-    for lam in lambdas:
-        if curves:
-            sp = ScratchedPotential(base, curves, lam, tangential=scratched.tangential)
-            u_lam = sp.sample(g)
-            l1 = sum(tube_l1_difference(base, c, lam) for c in curves)
-        else:
-            u_lam = u_plain
-            l1 = 0.0
-        du = u_lam - u_plain
-        linf = float(np.max(np.abs(np.fft.fftn(du))) * fourier_norm)
-        if curves:
-            lam_system = QuantumSystem(system.mass, g, ScalarField(g, u_lam), hbar)
-            fin = propagate(
-                lam_system, psi0, schedule, dt_max=dt_max, edge_eps=edge_eps
-            )[-1]
-            l2 = float(
-                np.sqrt(
-                    np.sum(np.abs(fin.field.values - reference.field.values) ** 2)
-                    * g.cell_volume
-                )
+    rows = []
+    for sp in scratched:
+        u_lam = sp.sample(g)
+        l1 = sum(tube_l1_difference(sp.base, p.curve, sp.lam) for p in sp.profiles)
+        linf = float(np.max(np.abs(np.fft.fftn(u_lam - u_plain))) * fourier_norm)
+        lam_system = QuantumSystem(system.mass, g, ScalarField(g, u_lam), hbar)
+        fin = propagate(lam_system, psi0, schedule, dt_max=dt_max, edge_eps=edge_eps)[-1]
+        l2 = float(
+            np.sqrt(
+                np.sum(np.abs(fin.field.values - reference.field.values) ** 2)
+                * g.cell_volume
             )
-        else:
-            l2 = 0.0
+        )
         rows.append(
             {
-                "lambda": float(lam),
+                "lambda": sp.lam,
                 "l1_potential": l1,
                 "linf_fourier": linf,
                 "l2_wavefunction": l2,

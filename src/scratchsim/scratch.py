@@ -205,19 +205,14 @@ class ScratchedPotential:
         curves,
         lam: float,
         tangential: list[TangentialPotential | None] | None = None,
-        tube_radius: float | None = None,
     ):
         if lam <= 0:
             raise ScratchError("lambda must be positive")
         self.base = base
         self.lam = float(lam)
-        # flush e^{-lam f} to zero beyond R_tube with R_tube^2 >= 40/lam
+        # flush e^{-lam f} to zero beyond R_tube with R_tube^2 = 40/lam
         # (relative error below e^-40)
-        if tube_radius is None:
-            tube_radius = np.sqrt(40.0 / self.lam)
-        self.tube_radius = float(tube_radius)
-        if self.tube_radius**2 < 40.0 / self.lam * (1.0 - 1e-12):
-            raise ScratchError("tube radius below the flush-consistency floor")
+        self.tube_radius = float(np.sqrt(40.0 / self.lam))
         self.profiles = [ScratchProfile(c, self.tube_radius) for c in curves]
         if tangential is None:
             tangential = [None] * len(self.profiles)

@@ -19,8 +19,7 @@ from scratchsim.diophantine import solve, verify
 from scratchsim.experiment import (
     default_theorem1_config,
     default_theorem2_config,
-    run_theorem1,
-    run_theorem2,
+    run_pipeline,
 )
 from scratchsim.geometry import SegmentCurve, SplineCurve, catmull_rom_tangents
 from scratchsim.grid import SpatialGrid
@@ -29,6 +28,7 @@ from scratchsim.quantum import (
     CheckpointSchedule,
     QuantumSystem,
     gaussian_packet,
+    propagate,
     scratch_insensitivity,
 )
 from scratchsim.scratch import (
@@ -81,7 +81,7 @@ def test_criterion_1_rational_approximation_battery():
 def test_criterion_2_two_checkpoint_pipeline():
     """Position statistics match within 1/(N * 17^(1/4)) at both checkpoints."""
     t0 = time.time()
-    report = run_theorem1(default_theorem1_config())
+    report = run_pipeline(default_theorem1_config())
     elapsed = time.time() - t0
     ok = elapsed < 300.0
     worst = 0.0
@@ -99,7 +99,7 @@ def test_criterion_2_two_checkpoint_pipeline():
 def test_criterion_3_full_pipeline():
     """Position and momentum statistics within 1/(N * 257^(1/8)) throughout."""
     t0 = time.time()
-    report = run_theorem2(default_theorem2_config())
+    report = run_pipeline(default_theorem2_config())
     elapsed = time.time() - t0
     ok = elapsed < 1800.0
     worst = 0.0
@@ -126,8 +126,9 @@ def test_criterion_4_quantum_insensitivity():
     # one straight scratch kept away from the packet's path
     curve = SegmentCurve([-4.0, -3.0], [4.0, -3.0])
     lambdas = [1.0e2, 1.0e3, 1.0e4]
-    sp = ScratchedPotential(base, [curve], lam=lambdas[0])
-    rows = scratch_insensitivity(system, sp, psi0, schedule, lambdas, dt_max=5e-3)
+    scratched = [ScratchedPotential(base, [curve], lam=lam) for lam in lambdas]
+    reference = propagate(system, psi0, schedule, dt_max=5e-3)[-1]
+    rows = scratch_insensitivity(system, scratched, psi0, schedule, reference, dt_max=5e-3)
     l1 = np.array([r["l1_potential"] for r in rows])
     l2 = np.array([r["l2_wavefunction"] for r in rows])
     slopes = np.diff(np.log(l1)) / np.diff(np.log(lambdas))
@@ -181,15 +182,16 @@ def test_criterion_6_constrained_motion():
     curve = SegmentCurve([-2.0, 0.0], [2.0, 0.0])
     g = SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (256, 256))
     h = float(np.max(g.spacing))
+    schedule = CheckpointSchedule([0.0, 1.0])
     devs, drifts = [], []
     for lam in (1e2, 1e3, 1e4, 1e5):
         sp = ScratchedPotential(base, [curve], lam=lam)
-        ens = initialize_on_scratches([curve], 1.0, np.array([0.0, 1.0]))
+        ens = initialize_on_scratches([curve], 1.0, schedule)
         # a small transverse kick makes the confinement scale visible: exact
         # on-line motion feels no transverse force at all
         ens.momenta[0, 1] += 0.01
         dt = stable_timestep(lam, 1.0, 1.0, safety=200.0)
-        res = integrate(ens, sp, np.array([0.0, 1.0]), dt_max=dt, domain=g, curves=[curve])
+        res = integrate(ens, sp, schedule, dt_max=dt, domain=g, curves=[curve])
         devs.append(float(res.max_curve_deviation[0]))
         drifts.append(res.energy_drift)
     ok = all(b <= 1.05 * a for a, b in zip(devs, devs[1:]))
@@ -233,8 +235,8 @@ def test_criterion_7_inverse_timing_round_trips():
 
 def test_criterion_8_determinism(tmp_path):
     """Identical config and seed reproduce report.json byte for byte."""
-    run_theorem1(default_theorem1_config(), out_dir=str(tmp_path / "a"))
-    run_theorem1(default_theorem1_config(), out_dir=str(tmp_path / "b"))
+    run_pipeline(default_theorem1_config(), out_dir=str(tmp_path / "a"))
+    run_pipeline(default_theorem1_config(), out_dir=str(tmp_path / "b"))
     a = (tmp_path / "a" / "report.json").read_bytes()
     b = (tmp_path / "b" / "report.json").read_bytes()
     _report("criterion 8: deterministic reports", a == b, f"{len(a)} bytes")

@@ -18,6 +18,7 @@ from scratchsim.experiment import deviation_floor
 from scratchsim.geometry import SegmentCurve, SplineCurve, catmull_rom_tangents
 from scratchsim.grid import SpatialGrid, half_planes, momentum_half_spaces
 from scratchsim.potentials import GaussianWellPotential, HarmonicPotential, ZeroPotential
+from scratchsim.quantum import CheckpointSchedule
 from scratchsim.scratch import (
     ScratchedPotential,
     TimingConditions,
@@ -37,13 +38,13 @@ class TestInitialization:
     def test_line_mode_momentum_formula(self):
         # p = m (q_f - q_i) / (t_f - t_i)
         c = SegmentCurve([0.0, 0.0], [1.0, 1.0])
-        ens = initialize_on_scratches([c], 1.0, np.array([0.0, 1.0]))
+        ens = initialize_on_scratches([c], 1.0, CheckpointSchedule([0.0, 1.0]))
         assert np.allclose(ens.positions[0], [0.0, 0.0])
         assert np.allclose(ens.momenta[0], [1.0, 1.0])
 
     def test_line_mode_scales_with_interval(self):
         c = SegmentCurve([0.0, 0.0], [2.0, 0.0])
-        ens = initialize_on_scratches([c], 2.0, np.array([1.0, 5.0]))
+        ens = initialize_on_scratches([c], 2.0, CheckpointSchedule([1.0, 5.0]))
         assert np.allclose(ens.momenta[0], [1.0, 0.0])
 
 
@@ -53,7 +54,7 @@ class TestIntegrate:
         ens = ClassicalEnsemble(
             np.array([[0.0, 0.0]]), np.array([[1.0, 0.5]]), 1.0
         )
-        res = integrate(ens, sp, np.array([0.0, 2.0]), dt_max=0.01)
+        res = integrate(ens, sp, CheckpointSchedule([0.0, 2.0]), dt_max=0.01)
         assert np.allclose(res.snapshots[-1].positions[0], [2.0, 1.0], atol=1e-12)
         assert res.energy_drift < 1e-14
 
@@ -62,13 +63,13 @@ class TestIntegrate:
         period = 2.0 * np.pi * np.sqrt(m / k)
         sp = ScratchedPotential(HarmonicPotential(k), [], lam=1.0)
         ens = ClassicalEnsemble(np.array([[1.0, 0.0]]), np.zeros((1, 2)), m)
-        res = integrate(ens, sp, np.array([0.0, period]), dt_max=period / 4000)
+        res = integrate(ens, sp, CheckpointSchedule([0.0, period]), dt_max=period / 4000)
         assert np.allclose(res.snapshots[-1].positions[0], [1.0, 0.0], atol=1e-4)
 
     def test_checkpoint_times_exact(self):
         sp = ScratchedPotential(ZeroPotential(2), [], lam=1.0)
         ens = ClassicalEnsemble(np.zeros((1, 2)), np.zeros((1, 2)), 1.0)
-        res = integrate(ens, sp, np.array([0.0, 0.337, 0.998]), dt_max=0.01)
+        res = integrate(ens, sp, CheckpointSchedule([0.0, 0.337, 0.998]), dt_max=0.01)
         assert np.allclose(res.times, [0.0, 0.337, 0.998])
         assert len(res.snapshots) == 3
 
@@ -83,14 +84,14 @@ class TestIntegrate:
         )
         with pytest.raises(StabilityError):
             # grossly under-resolved transverse frequency
-            integrate(ens, sp, np.array([0.0, 1.0]), dt_max=0.05)
+            integrate(ens, sp, CheckpointSchedule([0.0, 1.0]), dt_max=0.05)
 
     def test_domain_confinement(self):
         g = grid2d(half=1.0, n=8)
         sp = ScratchedPotential(ZeroPotential(2), [], lam=1.0)
         ens = ClassicalEnsemble(np.zeros((1, 2)), np.array([[5.0, 0.0]]), 1.0)
         with pytest.raises(ConfinementError):
-            integrate(ens, sp, np.array([0.0, 1.0]), dt_max=0.01, domain=g)
+            integrate(ens, sp, CheckpointSchedule([0.0, 1.0]), dt_max=0.01, domain=g)
 
     def test_particles_independent_under_permutation(self):
         sp = ScratchedPotential(
@@ -98,10 +99,11 @@ class TestIntegrate:
         )
         q = np.array([[0.5, 0.0], [-0.5, 0.3], [0.2, -0.7]])
         p = np.array([[0.1, 0.2], [-0.3, 0.0], [0.0, 0.4]])
-        res1 = integrate(ClassicalEnsemble(q, p, 1.0), sp, [0.0, 1.0], dt_max=0.01)
+        schedule = CheckpointSchedule([0.0, 1.0])
+        res1 = integrate(ClassicalEnsemble(q, p, 1.0), sp, schedule, dt_max=0.01)
         perm = [2, 0, 1]
         res2 = integrate(
-            ClassicalEnsemble(q[perm], p[perm], 1.0), sp, [0.0, 1.0], dt_max=0.01
+            ClassicalEnsemble(q[perm], p[perm], 1.0), sp, schedule, dt_max=0.01
         )
         assert np.array_equal(res1.snapshots[-1].positions[perm], res2.snapshots[-1].positions)
 
@@ -122,14 +124,13 @@ class TestConstraintRealization:
         c = SegmentCurve([-2.0, 0.0], [2.0, 0.0])
         g = grid2d()
         devs = []
+        schedule = CheckpointSchedule([0.0, 1.0])
         for lam in (1e2, 1e3, 1e4):
             sp = ScratchedPotential(base, [c], lam=lam)
-            ens = initialize_on_scratches([c], 1.0, np.array([0.0, 1.0]))
+            ens = initialize_on_scratches([c], 1.0, schedule)
             ens.momenta[0, 1] += 0.01
             dt = stable_timestep(lam, 1.0, 1.0, safety=200.0)
-            res = integrate(
-                ens, sp, np.array([0.0, 1.0]), dt_max=dt, domain=g, curves=[c]
-            )
+            res = integrate(ens, sp, schedule, dt_max=dt, domain=g, curves=[c])
             assert res.energy_drift < 1e-6
             devs.append(float(res.max_curve_deviation[0]))
         assert devs[1] < devs[0] and devs[2] < devs[1]
@@ -143,11 +144,10 @@ class TestConstraintRealization:
         c = SegmentCurve([-2.0, 0.0], [2.0, 0.0])
         lam = 1e3
         sp = ScratchedPotential(base, [c], lam=lam)
-        ens = initialize_on_scratches([c], 1.0, np.array([0.0, 10.0]))
+        schedule = CheckpointSchedule([0.0, 10.0])
+        ens = initialize_on_scratches([c], 1.0, schedule)
         dt = stable_timestep(lam, 1.0, 1.0, safety=200.0)
-        res = integrate(
-            ens, sp, np.array([0.0, 10.0]), dt_max=dt, energy_tol=1e-5
-        )
+        res = integrate(ens, sp, schedule, dt_max=dt, energy_tol=1e-5)
         e = res.energy_log[:, 0]
         drift_first = np.max(np.abs(e[: len(e) // 2] - e[0]))
         drift_all = np.max(np.abs(e - e[0]))
@@ -193,7 +193,9 @@ class TestDeviationTracking:
         sp = StepRecorder(ScratchedPotential(base, curves, 1e3, tangential=tangential))
         ens = ClassicalEnsemble(np.array(q), np.array(p), 1.0)
         dt = stable_timestep(1e3, 2.0, 1.0, safety=40.0)
-        res = integrate(ens, sp, times, dt_max=dt, curves=curves, check_energy=False)
+        res = integrate(
+            ens, sp, CheckpointSchedule(times), dt_max=dt, curves=curves, check_energy=False
+        )
         return curves, sp, res
 
     def test_matches_reprojection(self):
@@ -213,9 +215,10 @@ class TestDeviationTracking:
         c = SegmentCurve([-2.0, 0.0], [2.0, 0.0])
         other = SegmentCurve([-2.0, 0.0], [2.0, 0.0])
         sp = ScratchedPotential(HarmonicPotential(1.0, ndim=2), [c], lam=10.0)
-        ens = initialize_on_scratches([c], 1.0, np.array([0.0, 1.0]))
+        schedule = CheckpointSchedule([0.0, 1.0])
+        ens = initialize_on_scratches([c], 1.0, schedule)
         with pytest.raises(ClassicalError):
-            integrate(ens, sp, [0.0, 1.0], dt_max=0.01, curves=[other])
+            integrate(ens, sp, schedule, dt_max=0.01, curves=[other])
 
 
 class CountingPotential:
@@ -282,10 +285,11 @@ class TestEvaluationCount:
             SegmentCurve([1.0, -3.0], [-1.0, 3.0]),
         ]
         times = np.array([0.0, 0.37, 1.0])
+        schedule = CheckpointSchedule(times)
         sp = CountingPotential(ScratchedPotential(base, curves, lam=1e3))
-        ens = initialize_on_scratches(curves, 1.0, times)
+        ens = initialize_on_scratches(curves, 1.0, schedule)
         dt = stable_timestep(1e3, 1.0, 1.0)
-        res = integrate(ens, sp, times, dt_max=dt, curves=curves)
+        res = integrate(ens, sp, schedule, dt_max=dt, curves=curves)
         ref_log, steps = reference_energy_log(ens, sp.inner, times, dt)
         assert steps > 20 and steps % 10 != 0
         assert sp.calls == steps + 1
@@ -298,7 +302,10 @@ class TestEvaluationCount:
             res.snapshots[0].positions, res.snapshots[0].momenta, res.snapshots[0].mass
         )
         dt = stable_timestep(1e3, 2.0, 1.0, safety=40.0)
-        res2 = integrate(ens, counting, res.times, dt_max=dt, curves=curves, check_energy=False)
+        res2 = integrate(
+            ens, counting, CheckpointSchedule(res.times), dt_max=dt, curves=curves,
+            check_energy=False,
+        )
         ref_log, steps = reference_energy_log(ens, sp.inner, res.times, dt)
         assert counting.calls == steps + 1
         assert np.array_equal(res2.energy_log, ref_log)

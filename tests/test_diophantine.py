@@ -39,8 +39,11 @@ def exhaustive_min_q(problem):
 
     For each group, any numerator satisfying the error bound lies within 2 of
     floor(q * alpha), so the enumeration over the cross product is complete.
+    Numerators within 1e-9 of the float bound are judged in exact arithmetic:
+    |q alpha - a|^(nK) * Q < 1, each alpha read as the rational its float is.
     """
     thr = problem.error_threshold
+    nk = problem.n * problem.num_groups
     for q in range(1, problem.budget + 1):
         ok_all = True
         for g, (A, B) in zip(problem.groups, problem.constraints):
@@ -51,7 +54,10 @@ def exhaustive_min_q(problem):
                 a = base + np.asarray(offs)
                 if B * int(a.sum()) != A * q:
                     continue
-                if float(np.max(np.abs(qa - a))) < thr:
+                if float(np.max(np.abs(qa - a))) < thr + 1e-9 and all(
+                    abs(q * Fraction(x) - int(y)) ** nk * problem.budget < 1
+                    for x, y in zip(g, a)
+                ):
                     found = True
                     break
             if not found:
@@ -180,6 +186,23 @@ class TestVerify:
         p = ApproximationProblem(((alpha, 1.0 - alpha),) * groups, ((1, 1),) * groups, budget)
         r = solve(p)
         assert r.q != rejected
+        assert verify(p, r).ok
+
+
+    @pytest.mark.parametrize(
+        "alphas, smallest",
+        [
+            # 5 alpha = 1.01 in floating point, exactly |5 alpha - 1| < 1e-2
+            ((0.20199999999999999, 0.798), 5),
+            # 91 alpha rounds onto the float bound, exactly it lies below it
+            ((0.89, 0.10999999999999999), 91),
+        ],
+    )
+    def test_smallest_exact_q_when_q_alpha_rounds_up(self, alphas, smallest):
+        # Q = 10^4 and nK = 2: the bound is |q alpha - a| < 1e-2
+        p = ApproximationProblem((alphas,), ((1, 1),), 10**4)
+        r = solve(p)
+        assert r.q == smallest == exhaustive_min_q(p)
         assert verify(p, r).ok
 
 

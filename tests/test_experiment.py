@@ -20,6 +20,7 @@ from scratchsim.experiment import (
     deviation_decreasing,
     partition_from_spec,
     run_blackbox,
+    run_pipeline,
     run_theorem1,
     run_theorem2,
     write_decay_csv,
@@ -202,7 +203,7 @@ class TestBound:
             edge_eps=1e-2,
             position_only=True,
         )
-        report = run_theorem2(ExperimentConfig.from_dict(d))
+        report = run_pipeline(ExperimentConfig.from_dict(d))
         N = report.num_particles
         assert np.isclose(report.bound, 1.0 / (N * 257.0**0.25), rtol=1e-14)
         assert np.isclose(report.bound, report.diagnostics["lemma_error_bound"], rtol=1e-14)
@@ -256,7 +257,7 @@ class TestCsvWriters:
 
 class TestTheorem1Pipeline:
     def test_default_run_and_report(self, tmp_path):
-        report = run_theorem1(default_theorem1_config(), out_dir=str(tmp_path))
+        report = run_pipeline(default_theorem1_config(), out_dir=str(tmp_path))
         assert report.passed
         assert report.num_particles >= 1
         for cp in report.checkpoints:
@@ -282,13 +283,13 @@ class TestTheorem1Pipeline:
         monkeypatch.setattr(
             experiment.quantum, "propagate", lambda *a, **k: calls.append(1) or propagate(*a, **k)
         )
-        report = run_theorem1(ExperimentConfig.from_dict(d))
+        report = run_pipeline(ExperimentConfig.from_dict(d))
         assert len(calls) == 1 + len(d["lambdas"]) == 4
         assert len(report.decay) == 3
 
     def test_runs_the_largest_lambda_once(self):
         d = small_theorem1_config()
-        report = run_theorem1(ExperimentConfig.from_dict(d))
+        report = run_pipeline(ExperimentConfig.from_dict(d))
         diag = report.diagnostics
         (row,) = diag["per_lambda"]
         assert diag["lambda_run"] == row["lambda"] == d["lambdas"][-1]
@@ -312,7 +313,7 @@ class TestTheorem1Pipeline:
 
         monkeypatch.setattr(experiment.geometry, "sample_waypoints", fail_first)
         cfg = ExperimentConfig.from_dict(small_theorem1_config())
-        report = run_theorem1(cfg)
+        report = run_pipeline(cfg)
         assert seeds == [cfg.seed, cfg.seed + 1000]
         assert report.num_particles >= 1
 
@@ -321,8 +322,8 @@ class TestTheorem1Pipeline:
 
     def test_deterministic_reports(self, tmp_path):
         cfg = default_theorem1_config()
-        run_theorem1(cfg, out_dir=str(tmp_path / "a"))
-        run_theorem1(cfg, out_dir=str(tmp_path / "b"))
+        run_pipeline(cfg, out_dir=str(tmp_path / "a"))
+        run_pipeline(cfg, out_dir=str(tmp_path / "b"))
         a = (tmp_path / "a" / "report.json").read_bytes()
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b
@@ -347,7 +348,7 @@ class TestTheorem2Pipeline:
             "occupancy",
             lambda *a, **k: calls.append(1) or occupancy(*a, **k),
         )
-        report = run_theorem2(ExperimentConfig.from_dict(d))
+        report = run_pipeline(ExperimentConfig.from_dict(d))
         assert len(calls) == 1
         diag = report.diagnostics
         assert [row["lambda"] for row in diag["per_lambda"]] == d["lambdas"]
@@ -384,7 +385,7 @@ class TestTimestepSizing:
     def retry(self, cfg, seed_dt=float("inf")):
         return experiment._integrate_with_retries(
             cfg, lambda: None, SimpleNamespace(lam=self.LAM),
-            CheckpointSchedule([0.0, 1.0]), self.LAM, self.U_MAX, None, None, seed_dt,
+            CheckpointSchedule([0.0, 1.0]), self.U_MAX, None, None, seed_dt,
         )
 
     def patched(self, monkeypatch, drift_of):
@@ -462,7 +463,7 @@ class TestTimestepSizing:
 
         calls = []
         drift_law_integrate(monkeypatch, drift_of, calls, real=True)
-        report = run_theorem2(cfg)
+        report = run_pipeline(cfg)
         rows = report.diagnostics["per_lambda"]
         (lam1, dt1), (_, dt2), (lam2, dt3) = calls
         assert [lam for lam, _ in calls] == [10.0, 10.0, 100.0]
@@ -519,7 +520,7 @@ def _stub_theorem2_report():
 class TestBlackboxQuantization:
     def test_coarse_resolution_identical(self, monkeypatch, tmp_path):
         monkeypatch.setattr(
-            experiment, "run_theorem2", lambda cfg, out_dir=None: _stub_theorem2_report()
+            experiment, "run_pipeline", lambda cfg, out_dir=None: _stub_theorem2_report()
         )
         d = default_theorem2_config().to_dict()
         d["instrument_resolution"] = 0.5
@@ -531,7 +532,7 @@ class TestBlackboxQuantization:
 
     def test_fine_resolution_distinguishes(self, monkeypatch):
         monkeypatch.setattr(
-            experiment, "run_theorem2", lambda cfg, out_dir=None: _stub_theorem2_report()
+            experiment, "run_pipeline", lambda cfg, out_dir=None: _stub_theorem2_report()
         )
         d = default_theorem2_config().to_dict()
         d["instrument_resolution"] = 1e-6

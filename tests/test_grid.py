@@ -134,6 +134,23 @@ class TestRegionPartition:
             inside = part.interior_membership(points, k)
             assert np.all(labels[inside] == k)
 
+    def test_counts_per_label(self):
+        part = RegionPartition(
+            [
+                Box((-1.0, -1.0), (0.0, 1.0)),
+                [Box((0.0, -1.0), (1.0, 0.0)), Box((0.0, 0.5), (1.0, 1.0))],
+                Box((0.0, -1.0), (1.0, 1.0)),
+            ]
+        )
+        points = np.random.default_rng(5).uniform(-1.0, 1.0, (200, 2))
+        points[:3] = [[0.0, 0.0], [0.0, 0.7], [0.5, 0.25]]  # ties and region 3
+        labels = part.labels_for(points)
+        want = [int(np.sum(labels == k)) for k in (1, 2, 3)]
+        counts = part.counts(points)
+        assert counts.dtype == np.int64 and counts.tolist() == want
+        # a region nobody lands in still gets its zero
+        assert part.counts(np.array([[-0.5, 0.0]])).tolist() == [1, 0, 0]
+
     def test_momentum_half_spaces_cover_everything(self):
         part = momentum_half_spaces(3)
         pts = np.random.default_rng(0).normal(scale=100.0, size=(50, 3))

@@ -10,6 +10,7 @@ from scratchsim.grid import (
     Box,
     ComplexField,
     RegionPartition,
+    ScalarField,
     SpatialGrid,
     half_planes,
     momentum_half_spaces,
@@ -45,6 +46,14 @@ class TestSchedule:
     def test_strictly_increasing(self):
         with pytest.raises(QuantumError):
             CheckpointSchedule([0.0, 1.0, 1.0])
+
+    def test_steps_per_interval(self):
+        # ceil(span / dt_max) equal steps per interval, at least one
+        schedule = CheckpointSchedule([0.0, 0.337, 1.001])
+        assert schedule.steps(2e-2) == [17, 34]
+        assert schedule.steps(0.664) == [1, 1]
+        assert schedule.steps(10.0) == [1, 1]
+        assert CheckpointSchedule([0.0, 1.0]).steps(0.25) == [4]
 
 
 class TestPropagation:
@@ -112,23 +121,11 @@ class TestPropagation:
         snaps = propagate(system, psi0, CheckpointSchedule([0.0, 0.337, 1.001]))
         assert [s.t for s in snaps] == [0.0, 0.337, 1.001]
 
-    def test_time_dependent_potential_accepted(self):
-        g = grid2d(64, 8.0)
-
-        def pot(points, t):
-            return 0.1 * t * np.sum(points**2, axis=1)
-
-        system = QuantumSystem(1.0, g, pot)
-        assert system.time_dependent
-        psi0 = gaussian_packet(g, [0.0, 0.0], 1.0)
-        snaps = propagate(system, psi0, CheckpointSchedule([0.0, 0.2]))
-        assert abs(snaps[-1].norm_sq() - 1.0) < 1e-12
-
 
 def reference_propagate(system, psi0, times, dt_max):
     """Strang splitting with both half kicks in every step, by np.fft."""
     g = psi0.field.grid
-    v = system.potential_values(times[0])
+    v = system.potential_values()
     psi = psi0.field.values.copy()
     out = [psi.copy()]
     for t1, t2 in zip(times[:-1], times[1:]):
@@ -258,43 +255,48 @@ class TestInsensitivity:
         system = QuantumSystem(1.0, g, base)
         psi0 = gaussian_packet(g, [-1.0, 0.0], 1.2, momentum=[1.0, 0.0])
         c = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
-        sp = ScratchedPotential(base, [c], lam=100.0)
-        rows = scratch_insensitivity(
-            system, sp, psi0, CheckpointSchedule([0.0, 0.5]), [1e2, 1e3], dt_max=5e-3
-        )
+        schedule = CheckpointSchedule([0.0, 0.5])
+        reference = propagate(system, psi0, schedule)[-1]
+        scratched = [ScratchedPotential(base, [c], lam) for lam in (1e2, 1e3)]
+        rows = scratch_insensitivity(system, scratched, psi0, schedule, reference)
+        assert [row["lambda"] for row in rows] == [1e2, 1e3]
         assert rows[1]["l1_potential"] < rows[0]["l1_potential"]
         assert rows[1]["linf_fourier"] < rows[0]["linf_fourier"]
         assert rows[1]["l2_wavefunction"] < rows[0]["l2_wavefunction"]
 
-    def test_reference_gives_identical_rows(self, monkeypatch):
+    def test_one_propagation_per_scratched_potential(self, monkeypatch):
+        # the plain run is the caller's; each scratched potential is sampled
+        # and propagated once, as it is given
         g = grid2d(64, 8.0)
         base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
         system = QuantumSystem(1.0, g, base)
         psi0 = gaussian_packet(g, [-1.0, 0.0], 1.2, momentum=[1.0, 0.0])
-        sp = ScratchedPotential(base, [SegmentCurve([-4.0, -2.0], [4.0, -2.0])], 100.0)
+        curve = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
+        scratched = [ScratchedPotential(base, [curve], lam) for lam in (1e2, 1e3)]
         schedule = CheckpointSchedule([0.0, 0.3])
-        plain = propagate(system, psi0, schedule, dt_max=1e-2)
-        calls = []
-        monkeypatch.setattr(quantum, "propagate", lambda *a, **k: calls.append(1) or propagate(*a, **k))
-        lambdas = [1e2, 1e3]
-        rows = scratch_insensitivity(system, sp, psi0, schedule, lambdas, dt_max=1e-2)
-        assert len(calls) == 3
-        reused = scratch_insensitivity(
-            system, sp, psi0, schedule, lambdas, dt_max=1e-2, reference=plain[-1]
-        )
-        assert len(calls) == 5
-        assert reused == rows
+        reference = propagate(system, psi0, schedule, dt_max=1e-2)[-1]
+        propagated, sampled = [], []
 
-    def test_lambda_list_validation(self):
-        g = grid2d(64, 8.0)
-        base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
-        system = QuantumSystem(1.0, g, base)
-        psi0 = gaussian_packet(g, [0.0, 0.0], 1.0)
-        sp = ScratchedPotential(base, [SegmentCurve([-1.0, -2.0], [1.0, -2.0])], 100.0)
-        with pytest.raises(QuantumError):
-            scratch_insensitivity(
-                system, sp, psi0, CheckpointSchedule([0.0, 0.5]), [1e3, 1e2]
-            )
+        def recording_propagate(lam_system, *args, **kwargs):
+            propagated.append(lam_system.potential.values)
+            return propagate(lam_system, *args, **kwargs)
+
+        def recording_sample(sp, grid):
+            sampled.append(sp)
+            return sample(sp, grid)
+
+        sample = ScratchedPotential.sample
+        monkeypatch.setattr(quantum, "propagate", recording_propagate)
+        monkeypatch.setattr(ScratchedPotential, "sample", recording_sample)
+        rows = scratch_insensitivity(system, scratched, psi0, schedule, reference, dt_max=1e-2)
+        assert sampled == scratched
+        assert len(propagated) == 2
+        for values, sp in zip(propagated, scratched):
+            assert np.array_equal(values, sample(sp, g))
+        lam_system = QuantumSystem(1.0, g, ScalarField(g, sample(scratched[0], g)))
+        fin = propagate(lam_system, psi0, schedule, dt_max=1e-2)[-1]
+        l2 = np.sqrt(np.sum(np.abs(fin.field.values - reference.field.values) ** 2) * g.cell_volume)
+        assert rows[0]["l2_wavefunction"] == l2
 
 
 def _transverse_frame(tangent):

@@ -33,12 +33,6 @@ class TestConstruction:
         with pytest.raises(ScratchError):
             ScratchedPotential(base, [], lam=-1.0)
 
-    def test_tube_radius_floor(self):
-        base = HarmonicPotential(1.0)
-        c = SegmentCurve([0.0, 0.0], [1.0, 0.0])
-        with pytest.raises(ScratchError):
-            ScratchedPotential(base, [c], lam=100.0, tube_radius=0.1)
-
     def test_tangential_slot_count(self):
         base = HarmonicPotential(1.0)
         c = SegmentCurve([0.0, 0.0], [1.0, 0.0])
