@@ -81,12 +81,19 @@ class ApproximationProblem:
         """Per-component bound on |q*alpha - a|: Q^(-1/(nK))."""
         return float(self.budget) ** (-1.0 / (self.n * self.num_groups))
 
+    def bound(self, q: int) -> np.longdouble:
+        """The certified bound 1/(q * Q^(1/(nK))) for denominator q, in
+        extended precision: every report and certificate states this value,
+        rounded to a double."""
+        exponent = np.longdouble(1.0) / (self.n * self.num_groups)
+        return 1.0 / (np.longdouble(q) * np.longdouble(self.budget) ** exponent)
+
 
 @dataclass(frozen=True)
 class RationalApproximation:
     q: int
     numerators: tuple[tuple[int, ...], ...]
-    error_bound: float  # certified value 1/(q * Q^(1/(nK)))
+    error_bound: float  # certified value 1/(q * Q^(1/(nK))), `problem.bound(q)`
     repair_penalty: float = 0.0  # total |q*alpha - a| added by constraint repair
     zero_numerators: tuple[tuple[int, int], ...] = ()  # (group, index) with a == 0
 
@@ -175,12 +182,11 @@ def solve(problem: ApproximationProblem) -> RationalApproximation:
     numerators pass the bound in exact arithmetic (`_bound_holds`, which
     `verify` checks too) and the group sums hold as integer identities.
     """
-    Q = problem.budget
     thr = _prefilter(problem)
     alphas = np.concatenate([np.asarray(g) for g in problem.groups])
     block = 4096
-    for start in range(1, Q + 1, block):
-        qs = np.arange(start, min(start + block, Q + 1), dtype=np.float64)
+    for start in range(1, problem.budget + 1, block):
+        qs = np.arange(start, min(start + block, problem.budget + 1), dtype=np.float64)
         qa = qs[:, None] * alphas[None, :]
         # Rounding minimizes each |q*alpha - a|, and constraint repair can only
         # grow errors, so q is infeasible unless every rounded error clears the
@@ -204,7 +210,7 @@ def solve(problem: ApproximationProblem) -> RationalApproximation:
             return RationalApproximation(
                 q=int(q),
                 numerators=tuple(tuple(grp) for grp in numerators),
-                error_bound=1.0 / (q * Q ** (1.0 / (problem.n * problem.num_groups))),
+                error_bound=float(problem.bound(int(q))),
                 repair_penalty=penalty,
                 zero_numerators=zeros,
             )
@@ -227,15 +233,12 @@ def verify(problem: ApproximationProblem, cand: RationalApproximation) -> Certif
     is the largest |alpha - a/q| in floating point, for the report.
     """
     q = cand.q
-    Q = problem.budget
-    nk = problem.n * problem.num_groups
-    q_in_range = 0 < q <= Q
+    q_in_range = 0 < q <= problem.budget
     max_err = 0.0
     for g, grp in zip(problem.groups, cand.numerators):
         for alpha, a in zip(g, grp):
             max_err = max(max_err, abs(alpha - a / q))
     bound_holds = _bound_holds(problem, q, cand.numerators)
-    bound = 1.0 / (q * Q ** (1.0 / nk))
     constraints_hold = all(
         B * sum(grp) == A * q
         for grp, (A, B) in zip(cand.numerators, problem.constraints)
@@ -245,7 +248,7 @@ def verify(problem: ApproximationProblem, cand: RationalApproximation) -> Certif
         bound_holds=bound_holds,
         constraints_hold=constraints_hold,
         max_error=max_err,
-        error_bound=bound,
+        error_bound=float(problem.bound(q)),
     )
 
 

@@ -280,12 +280,10 @@ def write_trajectory_csv(path: str, result: classical.TrajectoryResult, scratche
 
 
 def certified_bound(num_particles: int, problem: diophantine.ApproximationProblem) -> tuple[float, str]:
-    """1 / (N * Q^(1/(nG))) for the problem's G groups of n: the bound its
-    certificate proves, in double and extended precision."""
-    exponent = problem.n * problem.num_groups
-    ext = 1.0 / (
-        np.longdouble(num_particles) * np.longdouble(problem.budget) ** (np.longdouble(1.0) / exponent)
-    )
+    """1 / (N * Q^(1/(nG))) for the problem's G groups of n,
+    `problem.bound(N)`: the bound its certificate proves, in double and
+    extended precision."""
+    ext = problem.bound(num_particles)
     return float(ext), repr(float(ext)) if np.longdouble is np.float64 else str(ext)
 
 
@@ -314,7 +312,7 @@ _STEP_BUDGET = 85
 
 def _integrate_with_retries(
     config: ExperimentConfig,
-    ensemble_factory,
+    ensemble,
     scratched,
     schedule,
     u_max,
@@ -354,7 +352,7 @@ def _integrate_with_retries(
         spent += steps
         try:
             result = classical.integrate(
-                ensemble_factory(),
+                ensemble,
                 scratched,
                 schedule,
                 dt_max=dt,
@@ -459,10 +457,9 @@ def _geometry_stage(config, g, schedule, pos_part, mom_part, counts_pos, counts_
                 eps_coll=config.eps_coll,
                 general_position=mom_part is None,
             )
+            curves = geometry.build_paths(plan, grid=g, seed=seed)
             if mom_part is None:
-                curves = geometry.build_paths(plan, "line", grid=g, seed=seed)
                 return plan, curves, None, None
-            curves = geometry.build_paths(plan, "spline")
             cond, curves = geometry.condition_momenta(
                 curves,
                 mom_part,
@@ -541,18 +538,11 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
     u_max = max(base.max_on(g), 1e-6)
     per_lambda = []
     seed_dt = math.inf
+    # `integrate` copies the ensemble, so every attempt starts from this one
+    ensemble = classical.initialize_on_scratches(curves, config.mass, schedule, conditioning=cond)
     for scratched in potentials if full else potentials[-1:]:
         result, dt, safety, attempts = _integrate_with_retries(
-            config,
-            lambda: classical.initialize_on_scratches(
-                curves, config.mass, schedule, conditioning=cond
-            ),
-            scratched,
-            schedule,
-            u_max,
-            g,
-            curves,
-            seed_dt,
+            config, ensemble, scratched, schedule, u_max, g, curves, seed_dt
         )
         # the drift constant changes little from one lambda to the next
         seed_dt = classical.drift_law_timestep(dt, result.energy_drift, config.energy_tol)

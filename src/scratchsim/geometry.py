@@ -92,9 +92,6 @@ class SegmentCurve:
         s = np.linspace(s_lo, s_hi, num)
         return s, self(s)
 
-    def to_dict(self):
-        return {"kind": "line", "a": self.a.tolist(), "b": self.b.tolist()}
-
 
 def _dots(u, v):
     """Row-wise dot products of u and v, each row one `u[i] @ v[i]`, so that
@@ -253,14 +250,6 @@ class SplineCurve:
         the one-curve case of `SplineFamily.project`."""
         return SplineFamily([self], s_lo, s_hi).project(points, newton_iters=newton_iters)
 
-    def to_dict(self):
-        return {
-            "kind": "spline",
-            "knots": self.knots.tolist(),
-            "waypoints": self.waypoints.tolist(),
-            "tangents": self.tangents.tolist(),
-        }
-
 
 def _hull_corners(curve, s_lo: float, s_hi: float) -> np.ndarray:
     """Points whose convex hull holds the curve over [s_lo, s_hi]: the
@@ -394,10 +383,11 @@ class SplineFamily:
         `pairs` holds curve and point indices, sorted by curve; every pair by
         default, curve-major. A scan over 512 samples of the curve's range
         gives each pair's start, and `_newton` refines it. With `s_start`,
-        one start per pair (nan for none), Newton starts there instead, and a
-        pair that ends farther from its point than the scan's nearest sample
-        starts again from that sample, so that no result is worse than the
-        scan. Returns s (P,), f (P,) and the jet as three (P, D) arrays.
+        one start per pair (nan for none, the default for every pair),
+        Newton starts there instead, and a pair that ends farther from its
+        point than the scan's nearest sample starts again from that sample,
+        so that no result is worse than the scan. Returns s (P,), f (P,) and
+        the jet as three (P, D) arrays.
         """
         points = np.atleast_2d(points)
         if pairs is None:
@@ -409,9 +399,7 @@ class SplineFamily:
         j = self._scan(cl, q)
         s_scan = self._scan_s[cl, j]
         if s_start is None:
-            s, jet = self._newton(cl, q, s_scan, newton_iters, lo, hi)
-            diff = q - jet[0]
-            return s, np.einsum("ij,ij->i", diff, diff), jet
+            s_start = np.full(cl.size, np.nan)
         warm = ~np.isnan(s_start)
         s0 = np.minimum(np.maximum(np.where(warm, s_start, s_scan), lo), hi)
         s, jet = self._newton(cl, q, s0, newton_iters, lo, hi)
@@ -429,12 +417,6 @@ class SplineFamily:
             diff = q[back] - jet_b[0]
             f[back] = np.einsum("ij,ij->i", diff, diff)
         return s, f, jet
-
-
-def curve_from_dict(d) -> SegmentCurve | SplineCurve:
-    if d["kind"] == "line":
-        return SegmentCurve(d["a"], d["b"])
-    return SplineCurve(d["knots"], d["waypoints"], d["tangents"])
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +438,6 @@ class WaypointPlan:
     @property
     def num_checkpoints(self) -> int:
         return self.positions.shape[1]
-
-    def to_dict(self):
-        return {
-            "positions": self.positions.tolist(),
-            "assignment": self.assignment.tolist(),
-            "delta_path": self.delta_path,
-            "eps_coll": self.eps_coll,
-            "mode": self.mode,
-        }
 
 
 @dataclass
@@ -697,46 +670,43 @@ def curve_self_min_distance(curve, num: int = 1000, arc_ratio: float = 0.3) -> f
 
 def build_paths(
     plan: WaypointPlan,
-    mode: str,
     *,
-    grid: SpatialGrid | None = None,
-    seed: int = 0,
+    grid: SpatialGrid,
+    seed: int,
     collision_tol: float = 1e-9,
     max_perturbations: int = 50,
 ) -> list[SegmentCurve] | list[SplineCurve]:
-    """Scratch curves through the plan's waypoints.
+    """Scratch curves through the plan's waypoints, of the kind `plan.mode`
+    names.
 
     line mode (two checkpoints, D >= 2): straight segments plus the temporal
     no-collision certificate -- any pair achieving simultaneous equal
-    positions triggers a waypoint perturbation of at most h/10 and a recheck.
-    spline mode (D = 3): clamped cubic Hermite curves, verified simple and
-    pairwise separated by delta_path.
+    positions triggers a waypoint perturbation of at most h/10, h the
+    grid's largest spacing, and a recheck.
+    spline mode (D >= 3): clamped cubic Hermite curves with Catmull-Rom
+    tangents, which `condition_momenta` replaces and then verifies.
     """
     D = plan.positions.shape[2]
-    if mode == "line":
-        if plan.num_checkpoints != 2:
-            raise GeometryError("line mode needs exactly two checkpoints")
-        rng = np.random.default_rng(seed)
-        pos = plan.positions.copy()
-        h = float(np.max(grid.spacing)) if grid is not None else plan.delta_path / 4.0
-        i1, i2 = np.triu_indices(plan.num_particles, 1)
-        for _ in range(max_perturbations):
-            colliding = np.flatnonzero(_collision_distances(pos[i1], pos[i2]) < collision_tol)
-            if colliding.size == 0:
-                return [SegmentCurve(pos[l, 0], pos[l, 1]) for l in range(plan.num_particles)]
-            pos[i1[colliding[0]], 0] += rng.uniform(-h / 10, h / 10, size=D)
-        raise ConstructionError("collision unresolved after bounded perturbations")
-    if mode == "spline":
+    if plan.mode == "spline":
         if D < 3:
             raise GeometryError("spline mode requires D >= 3")
         curves = []
-        for l in range(plan.num_particles):
-            wp = plan.positions[l]
+        for wp in plan.positions:
             knots = _chord_knots(wp)
             curves.append(SplineCurve(knots, wp, catmull_rom_tangents(knots, wp)))
-        verify_curve_family(curves, plan.delta_path)
         return curves
-    raise GeometryError(f"unknown path mode {mode!r}")
+    if plan.num_checkpoints != 2:
+        raise GeometryError("line mode needs exactly two checkpoints")
+    rng = np.random.default_rng(seed)
+    pos = plan.positions.copy()
+    h = float(np.max(grid.spacing))
+    i1, i2 = np.triu_indices(plan.num_particles, 1)
+    for _ in range(max_perturbations):
+        colliding = np.flatnonzero(_collision_distances(pos[i1], pos[i2]) < collision_tol)
+        if colliding.size == 0:
+            return [SegmentCurve(pos[l, 0], pos[l, 1]) for l in range(plan.num_particles)]
+        pos[i1[colliding[0]], 0] += rng.uniform(-h / 10, h / 10, size=D)
+    raise ConstructionError("collision unresolved after bounded perturbations")
 
 
 def verify_curve_family(curves, delta_path: float, num: int = 1000) -> None:
@@ -792,6 +762,15 @@ def _region_rep_direction(partition: RegionPartition, k: int, p_clip: float) -> 
     return c / np.linalg.norm(c)
 
 
+def adjacent_secant_min(params, times) -> np.ndarray:
+    """Per checkpoint j, the smallest of the secants (s_i - s_(i-1)) /
+    (t_i - t_(i-1)) of the intervals next to it: a cubic Hermite timing
+    s(t) through the checkpoints is monotone if each slope c_j lies in
+    (0, 3 * this] (Fritsch & Carlson's sufficient box)."""
+    secants = np.diff(np.asarray(params, dtype=float)) / np.diff(np.asarray(times, dtype=float))
+    return np.array([secants[max(j - 1, 0) : j + 1].min() for j in range(secants.size + 1)])
+
+
 def condition_momenta(
     curves: list[SplineCurve],
     momentum_partition: RegionPartition,
@@ -799,17 +778,19 @@ def condition_momenta(
     mass: float,
     times: np.ndarray,
     *,
-    seed: int = 0,
-    p_scale: float = 2.0,
-    p_margin: float = 0.05,
-    delta_path: float | None = None,
+    seed: int,
+    p_scale: float,
+    p_margin: float,
+    delta_path: float,
 ) -> tuple[MomentumConditioning, list[SplineCurve]]:
     """Adjust knot tangents and choose speed multipliers so that the momenta
     m * c_{l,j} * dq/ds(s_j) realize the required per-region counts.
 
     Tangent directions are replaced only when the existing tangent ray misses
     its assigned momentum region; magnitudes are rescaled so every c_{l,j} is
-    positive and compatible with a monotone timing interpolant.
+    positive and compatible with a monotone timing interpolant. The
+    conditioned curves are verified simple and pairwise separated by
+    `delta_path` (`verify_curve_family`).
     """
     rng = np.random.default_rng(seed)
     N = len(curves)
@@ -828,7 +809,7 @@ def condition_momenta(
         knots = curve.checkpoint_params
         if len(knots) != K:
             raise ConditioningError("curve checkpoint count mismatch")
-        secants = np.diff(knots) / np.diff(times)
+        dmins = adjacent_secant_min(knots, times)
         chord = max(curve.length, 1e-9)
         tangents = np.array(curve.tangents, dtype=float)
         for j in range(K):
@@ -847,7 +828,7 @@ def condition_momenta(
                     raise ConditioningError(f"no reachable direction for particle {l}, checkpoint {j}")
             r_lo, r_hi = interval
             r_pick = (r_lo + r_hi) / 2.0 if r_hi < 0.98 * p_clip else max(2.0 * r_lo, p_scale)
-            dmin = secants[max(j - 1, 0) : j + 1].min() if K > 1 else 1.0
+            dmin = dmins[j]
             c_target = float(dmin)
             g = r_pick / (mass * c_target)
             g_lo, g_hi = 0.2 * chord, 5.0 * chord
@@ -871,8 +852,7 @@ def condition_momenta(
             radii[l, j] = r_pick
             tangents[j] = u * g
         new_curves.append(SplineCurve(knots, curve.waypoints, tangents))
-    if delta_path is not None:
-        verify_curve_family(new_curves, delta_path)
+    verify_curve_family(new_curves, delta_path)
     cond = MomentumConditioning(
         directions=directions, speeds=speeds, radii=radii, assignment=assignment
     )

@@ -44,9 +44,6 @@ class HarmonicPotential(AnalyticPotential):
         vals = self.offset + 0.5 * self.k * np.einsum("ij,ij->i", d, d)
         return vals, self.k * d
 
-    def to_dict(self):
-        return {"name": "harmonic", "k": self.k, "center": self.center.tolist(), "offset": self.offset}
-
 
 class GaussianWellPotential(AnalyticPotential):
     """U = offset - depth * exp(-|q - center|^2 / (2 width^2)).
@@ -68,15 +65,6 @@ class GaussianWellPotential(AnalyticPotential):
         vals = self.offset - self.depth * g
         grads = (self.depth * g / self.width**2)[:, None] * d
         return vals, grads
-
-    def to_dict(self):
-        return {
-            "name": "gauss_well",
-            "depth": self.depth,
-            "width": self.width,
-            "center": self.center.tolist(),
-            "offset": self.offset,
-        }
 
 
 class DoubleWellPotential(AnalyticPotential):
@@ -101,15 +89,6 @@ class DoubleWellPotential(AnalyticPotential):
         grads[:, 1:] = self.k_perp * perp
         return vals, grads
 
-    def to_dict(self):
-        return {
-            "name": "double_well",
-            "a": self.a,
-            "b": self.b,
-            "k_perp": self.k_perp,
-            "offset": self.offset,
-        }
-
 
 class ZeroPotential(AnalyticPotential):
     def __init__(self, ndim: int = 2):
@@ -118,9 +97,6 @@ class ZeroPotential(AnalyticPotential):
     def value_and_grad(self, points):
         points = np.atleast_2d(points)
         return np.zeros(points.shape[0]), np.zeros_like(points)
-
-    def to_dict(self):
-        return {"name": "zero"}
 
 
 def potential_from_spec(spec: dict, ndim: int) -> AnalyticPotential:

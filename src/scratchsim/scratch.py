@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve, solve_banded
 
-from scratchsim.geometry import SegmentFamily, SplineFamily, hermite_coefficients
+from scratchsim.geometry import (
+    SegmentFamily,
+    SplineFamily,
+    adjacent_secant_min,
+    hermite_coefficients,
+)
 
 _SAMPLE_PAIRS = 1 << 13  # (scratch, point) pairs per block of `sample`
 
@@ -184,9 +189,6 @@ class TangentialPotential:
 
     def deriv(self, s):
         return self._spline.deriv(np.minimum(np.maximum(np.asarray(s, dtype=float), 0.0), 1.0))
-
-    def to_dict(self):
-        return {"s": self.s_samples.tolist(), "v": self.v_samples.tolist()}
 
 
 class ScratchedPotential:
@@ -413,16 +415,6 @@ class ScratchedPotential:
         cosine = float(abs(zero_vec @ tangent))
         return np.sort(evals), cosine
 
-    def to_dict(self):
-        return {
-            "lambda": self.lam,
-            "tube_radius": self.tube_radius,
-            "curves": [p.curve.to_dict() for p in self.profiles],
-            "tangential": [
-                None if v is None else v.to_dict() for v in self.tangential
-            ],
-        }
-
 
 def monotone_timing(conditions: TimingConditions, tol: float = 1e-9) -> PiecewiseCubic:
     """Monotone C1 interpolant s(t) with prescribed knot values and slopes:
@@ -433,9 +425,7 @@ def monotone_timing(conditions: TimingConditions, tol: float = 1e-9) -> Piecewis
     checkpoint speeds, so the construction fails rather than silently clamps.
     """
     t, s, c = conditions.times, conditions.params, conditions.speeds
-    secants = np.diff(s) / np.diff(t)
-    for j in range(len(t)):
-        lo = secants[max(j - 1, 0) : j + 1].min()
+    for j, lo in enumerate(adjacent_secant_min(s, t)):
         if c[j] > 3.0 * lo + tol:
             raise InfeasibleTimingError(
                 f"slope {c[j]:.4g} at checkpoint {j} exceeds 3x adjacent secant {lo:.4g}"

@@ -2,8 +2,9 @@
 
 bench/tracer.py patches functions and methods by (owner, attribute) and binds
 some of their calls by parameter name; bench/worker.py calls the pipeline by
-name. A rename there breaks only traced or benchmark runs, so the names are
-checked here. The bench files are read, never imported as modules: nothing
+name; bench/workloads.py holds the configs whose reports must echo them. A
+rename or a refused config breaks only traced or benchmark runs, so these
+are checked here. The bench files are read, never imported as modules: nothing
 is patched and no bytecode is written next to them.
 """
 
@@ -75,3 +76,14 @@ def test_worker_calls_exist():
         for part in chain:
             assert hasattr(target, part), f"experiment.{'.'.join(chain)} is gone"
             target = getattr(target, part)
+
+
+def test_workload_configs_echo_in_reports():
+    # bench/checks.py marks a run incorrect unless the report's config holds
+    # every workload key with its value unchanged
+    workloads = _read_module("workloads")
+    for name in workloads.WORKLOADS:
+        cfg = workloads.config(name, 1)
+        echoed = experiment.ExperimentConfig.from_dict(cfg).to_dict()
+        for key, value in cfg.items():
+            assert key in echoed and echoed[key] == value, f"{name}: config {key!r} is not echoed"

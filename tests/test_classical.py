@@ -1,5 +1,7 @@
 """Symplectic ensemble dynamics and occupancy statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,29 @@ class TestIntegrate:
         with pytest.raises(StabilityError):
             # grossly under-resolved transverse frequency
             integrate(ens, sp, CheckpointSchedule([0.0, 1.0]), dt_max=0.05)
+
+    def test_drift_must_lie_below_the_tolerance(self):
+        # a free particle keeps its energy exactly: drift 0.0, which passes
+        # any positive tolerance and fails a tolerance of 0.0, as the
+        # report's energy criterion judges it
+        sp = ScratchedPotential(ZeroPotential(2), [], lam=1.0)
+        ens = ClassicalEnsemble(np.array([[0.0, 0.0]]), np.array([[1.0, 0.5]]), 1.0)
+        schedule = CheckpointSchedule([0.0, 1.0])
+        assert integrate(ens, sp, schedule, dt_max=0.01, energy_tol=1e-300).energy_drift == 0.0
+        with pytest.raises(StabilityError) as err:
+            integrate(ens, sp, schedule, dt_max=0.01, energy_tol=0.0)
+        assert err.value.drift == 0.0
+
+    def test_nan_drift_fails_any_tolerance(self):
+        class NanPotential(ZeroPotential):
+            def value_and_grad(self, points):
+                vals, grads = super().value_and_grad(points)
+                return np.full_like(vals, np.nan), grads
+
+        sp = ScratchedPotential(NanPotential(2), [], lam=1.0)
+        ens = ClassicalEnsemble(np.zeros((1, 2)), np.array([[1.0, 0.0]]), 1.0)
+        with pytest.raises(StabilityError):
+            integrate(ens, sp, CheckpointSchedule([0.0, 1.0]), dt_max=0.1, energy_tol=math.inf)
 
     def test_domain_confinement(self):
         g = grid2d(half=1.0, n=8)
@@ -194,7 +219,7 @@ class TestDeviationTracking:
         ens = ClassicalEnsemble(np.array(q), np.array(p), 1.0)
         dt = stable_timestep(1e3, 2.0, 1.0, safety=40.0)
         res = integrate(
-            ens, sp, CheckpointSchedule(times), dt_max=dt, curves=curves, check_energy=False
+            ens, sp, CheckpointSchedule(times), dt_max=dt, curves=curves, energy_tol=math.inf
         )
         return curves, sp, res
 
@@ -304,7 +329,7 @@ class TestEvaluationCount:
         dt = stable_timestep(1e3, 2.0, 1.0, safety=40.0)
         res2 = integrate(
             ens, counting, CheckpointSchedule(res.times), dt_max=dt, curves=curves,
-            check_energy=False,
+            energy_tol=math.inf,
         )
         ref_log, steps = reference_energy_log(ens, sp.inner, res.times, dt)
         assert counting.calls == steps + 1

@@ -159,14 +159,13 @@ class TestVerify:
 
 
     def test_bound_is_checked_exactly(self):
-        # Q = 36 and nK = 4: 1/36^(1/4) rounds up in floating point, and the
-        # double just below it passes the float bound while
-        # |q alpha - a|^(nK) Q >= 1 in exact arithmetic
-        bound = 1.0 / 36 ** 0.25
-        alpha = float(np.nextafter(bound, 0.0))
-        assert Fraction(alpha) ** 4 * 36 >= 1
-        p = ApproximationProblem(((alpha, 1.0 - alpha),) * 2, ((1, 1),) * 2, 36)
-        cand = RationalApproximation(q=1, numerators=((0, 1),) * 2, error_bound=bound)
+        # Q = 10^6 and nK = 2, q = 11: |11 alpha - 4| >= 1e-3 in exact
+        # arithmetic, while the float error |alpha - 4/11| rounds below the
+        # float bound 1/11000
+        alpha = 0.36372727272727273
+        assert abs(11 * Fraction(alpha) - 4) >= Fraction(1, 1000)
+        p = ApproximationProblem(((alpha, 1.0 - alpha),), ((1, 1),), 10**6)
+        cand = RationalApproximation(q=11, numerators=((4, 7),), error_bound=float(p.bound(11)))
         cert = verify(p, cand)
         assert cert.max_error < cert.error_bound
         assert not cert.bound_holds and not cert.ok
@@ -175,7 +174,8 @@ class TestVerify:
     @pytest.mark.parametrize(
         "alpha, budget, groups, rejected",
         [
-            # the case above: q = 1 with numerators (0, 1) fails exactly
+            # Q = 36 and nK = 4: alpha is 1/36^(1/4) rounded up, so q = 1
+            # with numerators (0, 1) fails exactly
             (float(np.nextafter(1.0 / 36**0.25, 0.0)), 36, 2, 1),
             # the double nearest 3 alpha lies within the float bound of 1,
             # while |3 alpha - 1| >= 1e-3 = Q^(-1/2) exactly
@@ -228,7 +228,7 @@ class TestCertificateProperties:
             (i + 1, j + 1) for i, grp in enumerate(r.numerators) for j, a in enumerate(grp) if a == 0
         }
         assert set(r.zero_numerators) == zeros
-        assert r.error_bound == verify(p, r).error_bound
+        assert r.error_bound == verify(p, r).error_bound == float(p.bound(r.q))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -206,7 +207,7 @@ class TestBound:
         report = run_pipeline(ExperimentConfig.from_dict(d))
         N = report.num_particles
         assert np.isclose(report.bound, 1.0 / (N * 257.0**0.25), rtol=1e-14)
-        assert np.isclose(report.bound, report.diagnostics["lemma_error_bound"], rtol=1e-14)
+        assert report.bound == report.diagnostics["lemma_error_bound"]
         assert report.passed
 
 
@@ -372,7 +373,7 @@ def drift_law_integrate(monkeypatch, drift_of, calls, real=False):
         if not real:
             return SimpleNamespace(energy_drift=drift)
         result = integrate(
-            ensemble, scratched, schedule, dt_max=dt_max, check_energy=False, **kw
+            ensemble, scratched, schedule, dt_max=dt_max, energy_tol=math.inf, **kw
         )
         return dataclasses.replace(result, energy_drift=drift)
 
@@ -384,7 +385,7 @@ class TestTimestepSizing:
 
     def retry(self, cfg, seed_dt=float("inf")):
         return experiment._integrate_with_retries(
-            cfg, lambda: None, SimpleNamespace(lam=self.LAM),
+            cfg, None, SimpleNamespace(lam=self.LAM),
             CheckpointSchedule([0.0, 1.0]), self.U_MAX, None, None, seed_dt,
         )
 

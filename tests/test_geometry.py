@@ -16,11 +16,11 @@ from scratchsim.geometry import (
     MomentumConditioning,
     SegmentCurve,
     SplineCurve,
+    adjacent_secant_min,
     assign_itineraries,
     build_paths,
     catmull_rom_tangents,
     condition_momenta,
-    curve_from_dict,
     curve_pair_min_distance,
     curve_self_min_distance,
     hermite_coefficients,
@@ -55,11 +55,6 @@ class TestSegmentCurve:
         c = SegmentCurve([0.0, 0.0], [1.0, 1.0])
         assert np.allclose(c(np.array([2.0]))[0], [2.0, 2.0])
         assert np.allclose(c(np.array([-1.0]))[0], [-1.0, -1.0])
-
-    def test_round_trip_dict(self):
-        c = SegmentCurve([0.0, 1.0], [2.0, 3.0])
-        c2 = curve_from_dict(c.to_dict())
-        assert np.allclose(c2.a, c.a) and np.allclose(c2.b, c.b)
 
 
 class TestSplineCurve:
@@ -593,7 +588,7 @@ class TestPaths:
         part = half_planes(g, 0, 0.0)
         assignment = np.array([[1, 2], [2, 1], [1, 1]])
         plan = sample_waypoints(part, assignment, g, seed=1, general_position=True)
-        curves = build_paths(plan, "line", grid=g, seed=1)
+        curves = build_paths(plan, grid=g, seed=1)
         assert len(curves) == 3
         for l, c in enumerate(curves):
             assert np.allclose(c(np.array([0.0]))[0], plan.positions[l, 0], atol=0.1)
@@ -606,7 +601,8 @@ class TestPaths:
         from scratchsim.geometry import WaypointPlan
 
         plan = WaypointPlan(pos, np.array([[1, 2], [2, 1]]), 0.5, 1e-6, "line")
-        curves = build_paths(plan, "line", seed=0)
+        g = SpatialGrid(((-6.0, 6.0), (-6.0, 6.0)), (32, 32))
+        curves = build_paths(plan, grid=g, seed=0)
         t, d = linear_collision_parameter(
             curves[0].a, curves[0].b, curves[1].a, curves[1].b
         )
@@ -618,8 +614,9 @@ class TestPaths:
         pos = np.zeros((1, 2, 2))
         pos[0, 1] = [1.0, 1.0]
         plan = WaypointPlan(pos, np.ones((1, 2), dtype=int), 0.1, 1e-6, "spline")
+        g = SpatialGrid(((-6.0, 6.0), (-6.0, 6.0)), (32, 32))
         with pytest.raises(GeometryError):
-            build_paths(plan, "spline")
+            build_paths(plan, grid=g, seed=0)
 
     def test_family_separation_verified(self):
         c1 = SegmentCurve([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
@@ -629,6 +626,39 @@ class TestPaths:
 
         with pytest.raises(ConstructionError):
             verify_curve_family([c1, c2], delta_path=0.5)
+
+    def test_plan_mode_names_the_curve_kind(self):
+        from scratchsim.geometry import WaypointPlan
+
+        g = grid3d()
+        pos = np.array([[[-2.0, 0.0, 0.0], [2.0, 1.0, 0.0]], [[-2.0, 3.0, 0.0], [2.0, 4.0, 1.0]]])
+        assignment = np.array([[1, 2], [1, 2]])
+        for mode, kind in (("line", SegmentCurve), ("spline", SplineCurve)):
+            plan = WaypointPlan(pos, assignment, 0.5, 1e-6, mode)
+            curves = build_paths(plan, grid=g, seed=0)
+            assert all(type(c) is kind for c in curves)
+            for c, wp in zip(curves, pos):
+                assert np.allclose(c(c.checkpoint_params), wp, atol=1e-12)
+
+    def test_spline_family_is_verified_once_conditioned(self):
+        # build_paths leaves the Catmull-Rom curves unchecked: two splines
+        # closer than delta_path come back, and conditioning rejects them
+        from scratchsim.geometry import ConstructionError, WaypointPlan
+
+        g = grid3d()
+        wp = np.array([[-2.0, 0.0, 0.0], [0.0, 1.0, 0.5], [2.0, 0.0, 1.0]])
+        pos = np.stack([wp, wp + [0.0, 0.1, 0.0]])
+        plan = WaypointPlan(pos, np.ones((2, 3), dtype=int), 1.0, 1e-6, "spline")
+        curves = build_paths(plan, grid=g, seed=0)
+        assert curve_pair_min_distance(*curves) < plan.delta_path
+        # every momentum along +x, the direction the curves run in
+        counts_mom = np.array([[0, 2]] * 3)
+        with pytest.raises(ConstructionError, match="closer than delta_path"):
+            condition_momenta(
+                curves, momentum_half_spaces(3, 0, 0.0), counts_mom, 1.0,
+                np.array([0.0, 1.0, 2.0]), seed=0, p_scale=1.0, p_margin=0.3,
+                delta_path=plan.delta_path,
+            )
 
 
 def reference_line_paths(plan, h, seed=0, collision_tol=1e-9, max_perturbations=50):
@@ -655,7 +685,7 @@ def reference_line_paths(plan, h, seed=0, collision_tol=1e-9, max_perturbations=
 
 class TestLinePathsAgainstLoop:
     def same_curves(self, plan, g, seed):
-        got = build_paths(plan, "line", grid=g, seed=seed)
+        got = build_paths(plan, grid=g, seed=seed)
         want = reference_line_paths(plan, float(np.max(g.spacing)), seed)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -694,6 +724,19 @@ class TestLinePathsAgainstLoop:
             self.same_curves(plan, g, 3)
 
 
+class TestAdjacentSecantMin:
+    def test_values(self):
+        # secants 0.5, 0.25 and 1.5: the ends see one interval, the inner
+        # checkpoints the smaller of their two
+        params = np.array([0.0, 0.5, 0.75, 1.0])
+        times = np.array([0.0, 1.0, 2.0, 2.0 + 1.0 / 6.0])
+        assert np.allclose(adjacent_secant_min(params, times), [0.5, 0.25, 0.25, 1.5])
+
+    def test_two_checkpoints(self):
+        got = adjacent_secant_min(np.array([0.0, 1.0]), np.array([0.0, 4.0]))
+        assert np.array_equal(got, [0.25, 0.25])
+
+
 class TestConditioning:
     def build(self, seed=3):
         g = grid3d()
@@ -703,10 +746,12 @@ class TestConditioning:
         counts_mom = np.array([[1, 2], [2, 1]])
         assignment = assign_itineraries(counts_pos, 3)
         plan = sample_waypoints(part, assignment, g, seed=seed)
-        curves = build_paths(plan, "spline")
+        curves = build_paths(plan, grid=g, seed=seed)
         times = np.array([0.0, 4.0])
+        # the pipeline's momentum scale and margin (`ExperimentConfig`)
         cond, curves = condition_momenta(
-            curves, mom, counts_mom, 1.0, times, seed=seed, delta_path=plan.delta_path
+            curves, mom, counts_mom, 1.0, times,
+            seed=seed, p_scale=1.0, p_margin=0.3, delta_path=plan.delta_path,
         )
         return curves, cond, mom, part, counts_pos, counts_mom
 
@@ -722,10 +767,9 @@ class TestConditioning:
         curves, cond, mom, part, _, _ = self.build()
         times = np.array([0.0, 4.0])
         for l, c in enumerate(curves):
-            secants = np.diff(c.checkpoint_params) / np.diff(times)
-            for j in range(2):
-                assert cond.speeds[l, j] > 0
-                assert cond.speeds[l, j] <= 3.0 * secants.min() + 1e-12
+            box = 3.0 * adjacent_secant_min(c.checkpoint_params, times)
+            assert np.all(cond.speeds[l] > 0)
+            assert np.all(cond.speeds[l] <= box + 1e-12)
 
     def test_momentum_magnitude_matches_radius(self):
         curves, cond, mom, part, _, _ = self.build()
