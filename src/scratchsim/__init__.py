@@ -6,6 +6,10 @@ region-occupation statistics reproduce the quantum position and momentum
 probabilities within an explicit bound.
 """
 
+# numpy imports these on first use; a pipeline run should not pay for that
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
+
 from scratchsim.grid import (
     Box,
     ComplexField,

@@ -6,7 +6,8 @@ The potential is static, as the paper's Hamiltonian is, so the two half
 kicks that meet between steps are merged into one full kick: a checkpoint
 interval of n steps applies one half kick, n kinetic factors with n - 1
 full kicks between them, and a closing half kick, and every snapshot lands
-on the Strang-split state. The wavefunction is transformed in place.
+on the Strang-split state. The wavefunction is transformed in place, by
+numpy's FFT with `out=`, so that a step allocates no array.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from numpy.polynomial.hermite import hermgauss
 
 from scratchsim.grid import (
@@ -168,9 +168,9 @@ def propagate(
         full_kick = np.exp(-1j * dt * v / hbar)
         psi *= half_kick
         for step in range(nsteps):
-            psi = scipy.fft.fftn(psi, overwrite_x=True)
+            np.fft.fftn(psi, out=psi)
             psi *= kin
-            psi = scipy.fft.ifftn(psi, overwrite_x=True)
+            np.fft.ifftn(psi, out=psi)
             # the closing half kick merges with the next step's opening one,
             # except at the checkpoint
             psi *= full_kick if step < nsteps - 1 else half_kick

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve, solve_banded
 
 from scratchsim.geometry import (
     SegmentFamily,
@@ -109,70 +108,29 @@ class PiecewiseCubic:
         (_, _, _, _, b2, b1, b0), x = self._local(np.asarray(t, dtype=float))
         return 0.0 + b0 + b1 * x + b2 * (x * x)
 
-
-def _not_a_knot_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Slopes at x of the not-a-knot cubic spline through (x, y), y 1-D: the
-    ones scipy's `CubicSpline(x, y)` solves for, bit for bit, by the same
-    system, expressions and solver calls. Two points give the chord and
-    three the parabola, as in scipy."""
-    n = x.size
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    if n == 2:
-        return np.array([slope[0], slope[0]])
-    if n == 3:
-        A = np.zeros((3, 3))
-        A[0, 0] = 1
-        A[0, 1] = 1
-        A[1, 0] = dx[1]
-        A[1, 1] = 2 * (dx[0] + dx[1])
-        A[1, 2] = dx[0]
-        A[2, 1] = 1
-        A[2, 2] = 1
-        b = np.array(
-            [2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]]
-        )
-        return solve(
-            A, b.reshape(3, -1), overwrite_a=True, overwrite_b=True, check_finite=False
-        ).reshape(3)
-    # tridiagonal system in banded storage: upper, main and lower diagonal
-    A = np.zeros((3, n))
-    b = np.empty(n)
-    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[-1, :-2] = dx[1:]
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    # not-a-knot at both ends: the third derivative is continuous across the
-    # second and the second-to-last breakpoint
-    d = x[2] - x[0]
-    A[1, 0] = dx[1]
-    A[0, 1] = d
-    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    d = x[-1] - x[-3]
-    A[1, -1] = dx[-2]
-    A[-1, -2] = d
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    return solve_banded(
-        (1, 1), A, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True, check_finite=False
-    ).reshape(n)
+    def deriv2(self, t):
+        """Second derivative at t, 2 (3 a3) x + 2 a2."""
+        (_, _, _, _, b2, b1, _), x = self._local(np.asarray(t, dtype=float))
+        return b1 + 2.0 * b2 * x
 
 
 class TangentialPotential:
-    """V(s) as the not-a-knot cubic spline through samples on [0, 1]; C1
-    linear continuation outside [0, 1] (a slope discontinuity at the curve
-    ends would break energy conservation for particles oscillating around a
-    checkpoint there)."""
+    """V(s) as the cubic Hermite spline through samples v with slopes dv at
+    s; C1 linear continuation outside [0, 1] (a slope discontinuity at the
+    curve ends would break energy conservation for particles oscillating
+    around a checkpoint there)."""
 
-    def __init__(self, s_samples: np.ndarray, v_samples: np.ndarray):
+    def __init__(self, s_samples: np.ndarray, v_samples: np.ndarray, dv_samples: np.ndarray):
         self.s_samples = np.asarray(s_samples, dtype=float)
         self.v_samples = np.asarray(v_samples, dtype=float)
-        s, v = self.s_samples, self.v_samples
+        self.dv_samples = np.asarray(dv_samples, dtype=float)
+        s, v, dv = self.s_samples, self.v_samples, self.dv_samples
         if not (
-            s.ndim == 1 and s.shape == v.shape and s.size >= 2
-            and np.all(np.isfinite(s)) and np.all(np.isfinite(v)) and np.all(np.diff(s) > 0)
+            s.ndim == 1 and s.shape == v.shape == dv.shape and s.size >= 2
+            and all(np.all(np.isfinite(a)) for a in (s, v, dv)) and np.all(np.diff(s) > 0)
         ):
-            raise ScratchError("need two or more finite samples at strictly increasing s")
-        self._spline = PiecewiseCubic(s, hermite_coefficients(s, v, _not_a_knot_slopes(s, v)))
+            raise ScratchError("need two or more finite values and slopes at strictly increasing s")
+        self._spline = PiecewiseCubic(s, hermite_coefficients(s, v, dv))
         self._end_slopes = self._spline.deriv(np.array([0.0, 1.0]))
 
     def jet(self, s):
@@ -446,7 +404,9 @@ def construct_tangential_potential(
 
     where w(s) = |dq/ds|^2. A trajectory conserving this energy with the
     right initial data solves the constrained equation of motion
-    m [ w sdot' + (q' . q'') sdot^2 ] = -dV/ds exactly.
+    m [ w sddot + (q' . q'') sdot^2 ] = -dV/ds exactly, so that equation
+    gives V's slope at each sample from s, sdot and sddot there. V is the
+    cubic Hermite spline through the samples with these slopes.
     """
     timing = monotone_timing(conditions)
     t0, t1 = conditions.times[0], conditions.times[-1]
@@ -457,12 +417,16 @@ def construct_tangential_potential(
     # de-duplicate parameters (monotone, but guard the spline fit)
     s_dense, idx = np.unique(s_dense, return_index=True)
     sdot_dense = sdot_dense[idx]
-    dq = curve.deriv(s_dense)
+    sddot_dense = timing.deriv2(t_dense[idx])
+    # the last sample may round past s = 1, onto the curve's straight
+    # continuation, whose q'' is 0
+    _, dq, d2q = curve.jet(np.minimum(s_dense, 1.0))
     w = np.einsum("ij,ij->i", dq, dq)
     e0 = 0.5 * mass * w[0] * sdot_dense[0] ** 2
     v = e0 - 0.5 * mass * w * sdot_dense**2
     v = v - v[0]
-    return TangentialPotential(s_dense, v)
+    dv = -mass * (np.einsum("ij,ij->i", dq, d2q) * sdot_dense**2 + w * sddot_dense)
+    return TangentialPotential(s_dense, v, dv)
 
 
 def integrate_lagrange(

@@ -444,6 +444,29 @@ class TestTimestepSizing:
         assert all(message.index(a) < message.index(b) for a, b in zip(listed, listed[1:]))
         assert "4 attempts made" in message
 
+    def test_confinement_loss_stops_the_stage(self, monkeypatch):
+        # the first attempt drifts too far, the second loses a particle
+        cfg = ExperimentConfig.from_dict(small_theorem1_config())
+        dt0 = classical.stable_timestep(self.LAM, self.U_MAX, cfg.mass, cfg.stiffness_safety)
+        calls = []
+
+        def fake(ensemble, scratched, schedule, *, dt_max, **kw):
+            calls.append(dt_max)
+            if len(calls) == 1:
+                raise classical.StabilityError("drift", 1e-4)
+            raise classical.ConfinementError("a particle left the domain box")
+
+        monkeypatch.setattr(experiment.classical, "integrate", fake)
+        with pytest.raises(experiment.StageError) as info:
+            self.retry(cfg)
+        err = info.value
+        assert err.stage == "classical" and len(calls) == 2
+        assert isinstance(err.cause, classical.ConfinementError)
+        assert err.__cause__ is err.cause
+        message = str(err)
+        assert f"({dt0:.3e}, 1.000e-04)" in message
+        assert f"the attempt at dt={calls[1]:.3e} lost confinement" in message
+
     def test_next_lambda_is_seeded_from_the_last(self, monkeypatch):
         d = default_theorem2_config().to_dict()
         d.update(

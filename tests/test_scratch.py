@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 
 from scratchsim.geometry import SegmentCurve, SplineCurve, catmull_rom_tangents
 from scratchsim.grid import SpatialGrid
@@ -427,8 +427,8 @@ class TestTangentialPotential:
         for n, first, last in ((5, 0.0, 1.0), (50, 1e-17, 1.0 - 1e-16), (2001, 0.0, 1.0)):
             s = np.sort(rng.uniform(0.0, 1.0, n))
             s[0], s[-1] = first, last
-            v = TangentialPotential(s, rng.normal(size=n))
-            pp = CubicSpline(s, v.v_samples)
+            v = TangentialPotential(s, rng.normal(size=n), rng.normal(size=n))
+            pp = CubicHermiteSpline(s, v.v_samples, v.dv_samples)
             dpp = pp.derivative()
             slopes = dpp([0.0, 1.0])
             x = np.concatenate(
@@ -446,7 +446,7 @@ class TestTangentialPotential:
         rng = np.random.default_rng(n)
         s = np.sort(rng.uniform(0.0, 1.0, n))
         s[0], s[-1] = 0.0, 1.0
-        v = TangentialPotential(s, rng.normal(size=n))
+        v = TangentialPotential(s, rng.normal(size=n), rng.normal(size=n))
         assert_coefficients_are_scipys(v)
 
     def test_constructed_coefficients_are_scipys(self):
@@ -456,20 +456,50 @@ class TestTangentialPotential:
         assert_coefficients_are_scipys(v)
 
     def test_rejects_samples_scipy_rejects(self):
-        for s, v in (
-            ([0.0, 0.5, 0.5, 1.0], [0.0] * 4),
-            ([0.0, np.inf], [0.0, 1.0]),
-            ([0.0, 1.0], [0.0, np.nan]),
-            ([0.0], [0.0]),
+        for s, v, dv in (
+            ([0.0, 0.5, 0.5, 1.0], [0.0] * 4, [0.0] * 4),
+            ([0.0, np.inf], [0.0, 1.0], [0.0, 0.0]),
+            ([0.0, 1.0], [0.0, np.nan], [0.0, 0.0]),
+            ([0.0], [0.0], [0.0]),
+            ([0.0, 1.0], [0.0, 1.0], [np.nan, 0.0]),
+            ([0.0, 1.0], [0.0, 1.0], [0.0, -np.inf]),
+            ([0.0, 1.0], [0.0, 1.0], [0.0, 0.0, 0.0]),
+            ([0.0, 1.0], [0.0, 1.0], [[0.0, 0.0]]),
         ):
+            with pytest.raises(ValueError):
+                CubicHermiteSpline(s, v, dv)
             with pytest.raises(ScratchError):
-                TangentialPotential(s, v)
+                TangentialPotential(s, v, dv)
+
+    def test_slopes_on_a_segment_are_the_closed_form(self):
+        # q'' = 0 on a segment, so V'(s) = -m w sddot, w = |b - a|^2
+        c = SegmentCurve([0.0, 0.0], [1.5, -0.5])
+        cond = TimingConditions([0.0, 1.0, 3.0], [0.0, 0.4, 1.0], [0.3, 0.35, 0.25])
+        mass = 1.3
+        v = construct_tangential_potential(c, cond, mass, num_samples=2001)
+        timing = CubicHermiteSpline(cond.times, cond.params, cond.speeds)
+        t = np.linspace(0.0, 3.0, 2001)
+        want = -mass * 2.5 * timing.derivative(2)(t)
+        got = v.deriv(timing(t))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_end_slope_is_the_cubic_ends(self):
+        # the last timing sample rounds past s = 1, where the curve continues
+        # straight; V'(1) is still the equation of motion's at the cubic's end
+        cond = TimingConditions([0.0, 1.5, 4.0], [0.0, 0.45, 1.0], [0.3, 0.35, 0.3])
+        curve = spline3d()
+        v = construct_tangential_potential(curve, cond, mass=1.0)
+        assert v.s_samples[-1] > 1.0
+        _, (dq,), (d2q,) = curve.jet(np.array([1.0]))
+        sddot = CubicHermiteSpline(cond.times, cond.params, cond.speeds).derivative(2)(4.0)
+        want = -((dq @ d2q) * 0.3**2 + (dq @ dq) * sddot)
+        assert v.deriv(1.0) == pytest.approx(want, rel=1e-9)
 
 
 def assert_coefficients_are_scipys(v):
     """The cubic's coefficients and its derivative's, per piece, as scipy's
-    not-a-knot `CubicSpline` through the samples gives them."""
-    pp = CubicSpline(v.s_samples, v.v_samples)
+    `CubicHermiteSpline` through the samples and slopes gives them."""
+    pp = CubicHermiteSpline(v.s_samples, v.v_samples, v.dv_samples)
     coef = v._spline._coef
     assert np.array_equal(coef[:4], pp.c)
     assert np.array_equal(coef[4:], pp.derivative().c)
