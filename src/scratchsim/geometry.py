@@ -115,19 +115,35 @@ def _row_blocks(start: int, stop: int, rows: int) -> list[int]:
 
 def hermite_coefficients(x, y, dydx) -> np.ndarray:
     """Coefficients of the cubic Hermite interpolant through values y with
-    slopes dydx at increasing breakpoints x, shaped (4, len(x) - 1) + the
-    shape of one value: per piece, descending powers of the offset from its
-    left end. Bit for bit scipy's `CubicHermiteSpline(x, y, dydx, axis=0).c`,
-    which the tests hold it to; the package computes it itself so that it
-    need not import `scipy.interpolate`."""
+    slopes dydx at increasing breakpoints x, and of its derivative, shaped
+    (6, len(x) - 1) + the shape of one value: per piece, the cubic's a3, a2,
+    a1, a0 in descending powers of the offset from its left end, then the
+    derivative's 3 a3 and 2 a2 (its constant term is a1). Bit for bit scipy's
+    `CubicHermiteSpline(x, y, dydx, axis=0).c` and the leading rows of its
+    `.derivative().c`, which the tests hold it to; the package computes it
+    itself so that it need not import `scipy.interpolate`. The rows are
+    written in place, with two temporaries of one row each."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dydx = np.asarray(dydx, dtype=float)
     dx = np.diff(x)
-    dxr = dx.reshape(dx.shape + (1,) * (y.ndim - 1))
-    slope = np.diff(y, axis=0) / dxr
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dxr
-    return np.stack((t / dxr, (slope - dydx[:-1]) / dxr - t, dydx[:-1], y[:-1]))
+    dx = dx.reshape(dx.shape + (1,) * (y.ndim - 1))
+    c = np.empty((6,) + dx.shape[:1] + y.shape[1:])
+    a3, a2, a1, a0, b2, b1 = c
+    a1[...] = dydx[:-1]
+    a0[...] = y[:-1]
+    slope = np.subtract(y[1:], y[:-1], out=b2)
+    slope /= dx
+    t = np.add(dydx[:-1], dydx[1:], out=b1)
+    t -= 2 * slope
+    t /= dx
+    np.subtract(slope, a1, out=a2)
+    a2 /= dx
+    a2 -= t
+    np.divide(t, dx, out=a3)
+    np.multiply(a3, 3.0, out=b2)
+    np.multiply(a2, 2.0, out=b1)
+    return c
 
 
 def _piece_jet(table, x):
@@ -196,10 +212,10 @@ class SplineCurve:
         # derivatives
         cubic = hermite_coefficients(self.knots, self.waypoints, self.tangents)
         zero = np.zeros(self.ndim)
-        below = np.stack([zero, zero, self.tangents[0], self.waypoints[0]])
-        above = np.stack([zero, zero, self.tangents[-1], self.waypoints[-1]])
+        below = np.stack([zero, zero, self.tangents[0], self.waypoints[0], zero, zero])
+        above = np.stack([zero, zero, self.tangents[-1], self.waypoints[-1], zero, zero])
         coef = np.concatenate([below[:, None], cubic, above[:, None]], axis=1)
-        self._coef = np.concatenate([coef, [3.0 * coef[0], 2.0 * coef[1], 6.0 * coef[0]]])
+        self._coef = np.concatenate([coef, [6.0 * coef[0]]])
         self._left = np.concatenate([[0.0], self.knots[:-1], [1.0]])
         # s < 0 -> piece 0; knots[i] <= s < knots[i+1] -> cubic piece i + 1;
         # s > 1 -> the last piece, so that s = 1 stays on the cubic

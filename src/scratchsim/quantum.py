@@ -12,6 +12,7 @@ numpy's FFT with `out=`, so that a step allocates no array.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -118,9 +119,11 @@ def gaussian_packet(
 
 def _kinetic_factor(grid: SpatialGrid, mass: float, hbar: float, dt: float) -> np.ndarray:
     p2 = 0.0
+    # one momentum axis per dimension, broadcast against the others
     mesh = np.meshgrid(
         *[2.0 * np.pi * hbar * np.fft.fftfreq(n, d=grid.spacing[i]) for i, n in enumerate(grid.shape)],
         indexing="ij",
+        sparse=True,
     )
     for p in mesh:
         p2 = p2 + p**2
@@ -234,6 +237,16 @@ def _transverse_frames(tangents: np.ndarray) -> np.ndarray:
     return frames
 
 
+@functools.cache
+def _gauss_hermite(num_h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, computed once per order and
+    read-only, since every caller shares them."""
+    x, w = hermgauss(num_h)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def tube_l1_difference(base, curve, lam: float, num_s: int = 400, num_h: int = 24) -> float:
     """L1 norm of U * exp(-lam * dist^2) over one scratch tube.
 
@@ -242,7 +255,7 @@ def tube_l1_difference(base, curve, lam: float, num_s: int = 400, num_h: int = 2
     s, pts = curve.sample(num_s)
     dc = curve.deriv(s)
     speed = np.linalg.norm(dc, axis=1)
-    x, w = hermgauss(num_h)
+    x, w = _gauss_hermite(num_h)
     D = curve.ndim
     frames = _transverse_frames(dc)
     if D == 2:

@@ -26,6 +26,9 @@ from scratchsim.geometry import (
 )
 
 _SAMPLE_PAIRS = 1 << 13  # (scratch, point) pairs per block of `sample`
+# samples per block of `construct_tangential_potential`: a curve jet's
+# gathered piece table then takes 672 KiB
+_DRIVE_BLOCK = 1 << 12
 
 
 class ScratchError(ValueError):
@@ -76,19 +79,31 @@ class ScratchProfile:
 
 
 class PiecewiseCubic:
-    """Scalar piecewise cubic on increasing breakpoints x, with coefficients
-    c shaped (4, len(x) - 1) in scipy's `PPoly` layout (see
-    `hermite_coefficients`); the end pieces continue beyond [x[0], x[-1]].
+    """Scalar cubic Hermite spline through values y with slopes dydx at
+    increasing breakpoints x; the end pieces continue beyond [x[0], x[-1]].
 
-    Values and first derivatives are summed in ascending powers, as `PPoly`
-    sums them, from the coefficients of the cubic and of its derivative as
-    `PPoly.derivative` forms them, so that both are `PPoly`'s bit for bit.
+    Its table holds, per piece, the cubic's coefficients and its
+    derivative's, as `hermite_coefficients` writes them: bit for bit
+    scipy's `PPoly` coefficients and those `PPoly.derivative` forms. Values
+    and first derivatives are summed in ascending powers, as `PPoly` sums
+    them, so that both are `PPoly`'s bit for bit. The values and slopes at
+    the breakpoints are read back from the table, with the last breakpoint's,
+    which starts no piece.
     """
 
-    def __init__(self, x, c):
+    def __init__(self, x, y, dydx):
         self.x = np.asarray(x, dtype=float)
-        self._coef = np.concatenate([c, [3.0 * c[0], 2.0 * c[1], c[2]]])
+        self._coef = hermite_coefficients(self.x, y, dydx)
+        self._last = (float(y[-1]), float(dydx[-1]))
         self._inner = self.x[1:-1]
+
+    @property
+    def y(self) -> np.ndarray:
+        return np.append(self._coef[3], self._last[0])
+
+    @property
+    def dydx(self) -> np.ndarray:
+        return np.append(self._coef[2], self._last[1])
 
     def _local(self, t):
         """Coefficient rows and offset into its piece of t."""
@@ -97,20 +112,20 @@ class PiecewiseCubic:
 
     def jet(self, t):
         """Value and first derivative at t, from one search."""
-        (a3, a2, a1, a0, b2, b1, b0), x = self._local(np.asarray(t, dtype=float))
+        (a3, a2, a1, a0, b2, b1), x = self._local(np.asarray(t, dtype=float))
         xx = x * x
-        return 0.0 + a0 + a1 * x + a2 * xx + a3 * (xx * x), 0.0 + b0 + b1 * x + b2 * xx
+        return 0.0 + a0 + a1 * x + a2 * xx + a3 * (xx * x), 0.0 + a1 + b1 * x + b2 * xx
 
     def __call__(self, t):
         return self.jet(t)[0]
 
     def deriv(self, t):
-        (_, _, _, _, b2, b1, b0), x = self._local(np.asarray(t, dtype=float))
-        return 0.0 + b0 + b1 * x + b2 * (x * x)
+        (_, _, a1, _, b2, b1), x = self._local(np.asarray(t, dtype=float))
+        return 0.0 + a1 + b1 * x + b2 * (x * x)
 
     def deriv2(self, t):
         """Second derivative at t, 2 (3 a3) x + 2 a2."""
-        (_, _, _, _, b2, b1, _), x = self._local(np.asarray(t, dtype=float))
+        (_, _, _, _, b2, b1), x = self._local(np.asarray(t, dtype=float))
         return b1 + 2.0 * b2 * x
 
 
@@ -118,20 +133,31 @@ class TangentialPotential:
     """V(s) as the cubic Hermite spline through samples v with slopes dv at
     s; C1 linear continuation outside [0, 1] (a slope discontinuity at the
     curve ends would break energy conservation for particles oscillating
-    around a checkpoint there)."""
+    around a checkpoint there). The samples are kept once, in the spline."""
 
     def __init__(self, s_samples: np.ndarray, v_samples: np.ndarray, dv_samples: np.ndarray):
-        self.s_samples = np.asarray(s_samples, dtype=float)
-        self.v_samples = np.asarray(v_samples, dtype=float)
-        self.dv_samples = np.asarray(dv_samples, dtype=float)
-        s, v, dv = self.s_samples, self.v_samples, self.dv_samples
+        s = np.asarray(s_samples, dtype=float)
+        v = np.asarray(v_samples, dtype=float)
+        dv = np.asarray(dv_samples, dtype=float)
         if not (
             s.ndim == 1 and s.shape == v.shape == dv.shape and s.size >= 2
             and all(np.all(np.isfinite(a)) for a in (s, v, dv)) and np.all(np.diff(s) > 0)
         ):
             raise ScratchError("need two or more finite values and slopes at strictly increasing s")
-        self._spline = PiecewiseCubic(s, hermite_coefficients(s, v, dv))
+        self._spline = PiecewiseCubic(s, v, dv)
         self._end_slopes = self._spline.deriv(np.array([0.0, 1.0]))
+
+    @property
+    def s_samples(self) -> np.ndarray:
+        return self._spline.x
+
+    @property
+    def v_samples(self) -> np.ndarray:
+        return self._spline.y
+
+    @property
+    def dv_samples(self) -> np.ndarray:
+        return self._spline.dydx
 
     def jet(self, s):
         """V and V' at s, in one pass: V continued linearly outside [0, 1],
@@ -388,7 +414,7 @@ def monotone_timing(conditions: TimingConditions, tol: float = 1e-9) -> Piecewis
             raise InfeasibleTimingError(
                 f"slope {c[j]:.4g} at checkpoint {j} exceeds 3x adjacent secant {lo:.4g}"
             )
-    return PiecewiseCubic(t, hermite_coefficients(t, s, c))
+    return PiecewiseCubic(t, s, c)
 
 
 def construct_tangential_potential(
@@ -407,25 +433,41 @@ def construct_tangential_potential(
     m [ w sddot + (q' . q'') sdot^2 ] = -dV/ds exactly, so that equation
     gives V's slope at each sample from s, sdot and sddot there. V is the
     cubic Hermite spline through the samples with these slopes.
+
+    The jets are taken in blocks of _DRIVE_BLOCK samples, into the arrays
+    they fill, and the per-sample arrays V does not keep are freed before V
+    is built. Every step is elementwise or row-wise, so the blocks change
+    no bit.
     """
     timing = monotone_timing(conditions)
-    t0, t1 = conditions.times[0], conditions.times[-1]
-    t_dense = np.linspace(t0, t1, num_samples)
-    s_dense, sdot_dense = timing.jet(t_dense)
+    t_dense = np.linspace(conditions.times[0], conditions.times[-1], num_samples)
+    s_dense = np.empty(num_samples)
+    sdot_dense = np.empty(num_samples)
+    for lo in range(0, num_samples, _DRIVE_BLOCK):
+        b = slice(lo, lo + _DRIVE_BLOCK)
+        s_dense[b], sdot_dense[b] = timing.jet(t_dense[b])
     if np.any(sdot_dense <= 0):
         raise InfeasibleTimingError("timing interpolant is not strictly increasing")
     # de-duplicate parameters (monotone, but guard the spline fit)
     s_dense, idx = np.unique(s_dense, return_index=True)
     sdot_dense = sdot_dense[idx]
-    sddot_dense = timing.deriv2(t_dense[idx])
-    # the last sample may round past s = 1, onto the curve's straight
-    # continuation, whose q'' is 0
-    _, dq, d2q = curve.jet(np.minimum(s_dense, 1.0))
-    w = np.einsum("ij,ij->i", dq, dq)
-    e0 = 0.5 * mass * w[0] * sdot_dense[0] ** 2
-    v = e0 - 0.5 * mass * w * sdot_dense**2
-    v = v - v[0]
-    dv = -mass * (np.einsum("ij,ij->i", dq, d2q) * sdot_dense**2 + w * sddot_dense)
+    t_dense = t_dense[idx]
+    del idx
+    v = np.empty(s_dense.size)
+    dv = np.empty(s_dense.size)
+    for lo in range(0, s_dense.size, _DRIVE_BLOCK):
+        b = slice(lo, lo + _DRIVE_BLOCK)
+        sdot2 = sdot_dense[b] ** 2
+        # the last sample may round past s = 1, onto the curve's straight
+        # continuation, whose q'' is 0
+        _, dq, d2q = curve.jet(np.minimum(s_dense[b], 1.0))
+        w = np.einsum("ij,ij->i", dq, dq)
+        if lo == 0:
+            e0 = 0.5 * mass * w[0] * sdot_dense[0] ** 2
+        v[b] = e0 - 0.5 * mass * w * sdot2
+        dv[b] = -mass * (np.einsum("ij,ij->i", dq, d2q) * sdot2 + w * timing.deriv2(t_dense[b]))
+    del t_dense, sdot_dense
+    v -= v[0]
     return TangentialPotential(s_dense, v, dv)
 
 

@@ -145,9 +145,11 @@ class TestSplineJet:
         rng = np.random.default_rng(K)
         x = np.sort(rng.uniform(-1.0, 2.0, K))
         y, dydx = rng.normal(size=(2, K) + shape)
-        want = CubicHermiteSpline(x, y, dydx, axis=0).c
+        pp = CubicHermiteSpline(x, y, dydx, axis=0)
         got = hermite_coefficients(x, y, dydx)
-        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.shape == (6,) + pp.c.shape[1:]
+        assert np.array_equal(got[:4], pp.c)
+        assert np.array_equal(got[[4, 5, 2]], pp.derivative().c)
 
     def test_call_and_derivatives_are_parts_of_jet(self):
         c = random_spline(np.random.default_rng(1), 4)
