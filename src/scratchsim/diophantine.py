@@ -50,7 +50,7 @@ class ApproximationProblem:
             if b == 0:
                 raise DiophantineError("constraint denominator B must be nonzero")
         for g, (a, b) in zip(self.groups, self.constraints):
-            if abs(sum(g) - a / b) >= 1e-12:
+            if not abs(sum(g) - a / b) < 1e-12:  # a nan sum fails too
                 raise DiophantineError(
                     f"group sum {sum(g)} deviates from {a}/{b} by more than 1e-12"
                 )

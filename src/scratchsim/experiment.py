@@ -139,10 +139,23 @@ class ExperimentConfig:
         n = len(partition_from_spec(self.position_partition, grid=g).regions)
         K = self.num_checkpoints
         try:
-            quantum.CheckpointSchedule(self.schedule)
+            # the steppers' own rule rejects a dt_quantum not finite and > 0
+            quantum.CheckpointSchedule(self.schedule).steps(self.dt_quantum)
             quantum.check_lambdas(self.lambdas)
         except quantum.QuantumError as e:
             raise ValidationError(str(e)) from e
+        positive = {
+            "mass": self.mass,
+            "hbar": self.hbar,
+            "energy_tol": self.energy_tol,
+            "stiffness_safety": self.stiffness_safety,
+            "packet.sigma": self.packet.get("sigma"),
+        }
+        if self.instrument_resolution is not None:
+            positive["instrument_resolution"] = self.instrument_resolution
+        for name, value in positive.items():
+            if not (isinstance(value, (int, float)) and 0.0 < value < math.inf):
+                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
         if self.max_retries < 1:
             raise ValidationError("max_retries must be at least 1")
         if self.mode == "theorem1":
@@ -284,7 +297,7 @@ def certified_bound(num_particles: int, problem: diophantine.ApproximationProble
     `problem.bound(N)`: the bound its certificate proves, in double and
     extended precision."""
     ext = problem.bound(num_particles)
-    return float(ext), repr(float(ext)) if np.longdouble is np.float64 else str(ext)
+    return float(ext), str(ext)
 
 
 def deviation_floor(scratched) -> float:
@@ -385,9 +398,12 @@ def _quantum_stage(config: ExperimentConfig):
         g, pk["center"], pk["sigma"], pk.get("momentum"), config.hbar
     )
     schedule = quantum.CheckpointSchedule(config.schedule)
-    snaps = quantum.propagate(
-        system, psi0, schedule, dt_max=config.dt_quantum, edge_eps=config.edge_eps
-    )
+    try:
+        snaps = quantum.propagate(
+            system, psi0, schedule, dt_max=config.dt_quantum, edge_eps=config.edge_eps
+        )
+    except quantum.NumericalStabilityError as e:
+        raise StageError("quantum", e) from e
     return g, base, system, psi0, schedule, snaps
 
 
@@ -406,8 +422,11 @@ def _probability_tables(snaps, pos_part, mom_part, hbar):
 
 
 def _approximation_stage(prob_groups, budget):
-    problem = diophantine.problem_from_probabilities(prob_groups, budget)
-    approx = diophantine.solve(problem)
+    try:
+        problem = diophantine.problem_from_probabilities(prob_groups, budget)
+        approx = diophantine.solve(problem)
+    except diophantine.DiophantineError as e:
+        raise StageError("diophantine", e) from e
     report = diophantine.verify(problem, approx)
     if not report.ok:
         raise StageError("diophantine", ExperimentError("certificate failed"))
@@ -566,9 +585,12 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
     bound, bound_ext = certified_bound(N, problem)
     rows = _checkpoint_rows(schedule.times, renorm[:K], renorm[K:], occ, bound)
     planned_pos = geometry.recount_positions(curves, pos_part)
-    decay = quantum.scratch_insensitivity(
-        system, potentials, psi0, schedule, snaps[-1], config.dt_quantum, config.edge_eps
-    )
+    try:
+        decay = quantum.scratch_insensitivity(
+            system, potentials, psi0, schedule, snaps[-1], config.dt_quantum, config.edge_eps
+        )
+    except quantum.NumericalStabilityError as e:
+        raise StageError("decay", e) from e
     min_dist = classical.min_pairwise_distance(result.snapshots)
     deviations = [row["max_curve_deviation"] for row in per_lambda]
     floor = deviation_floor(scratched)

@@ -114,22 +114,30 @@ def _row_blocks(start: int, stop: int, rows: int) -> list[int]:
 
 
 def hermite_coefficients(x, y, dydx) -> np.ndarray:
-    """Coefficients of the cubic Hermite interpolant through values y with
-    slopes dydx at increasing breakpoints x, and of its derivative, shaped
-    (6, len(x) - 1) + the shape of one value: per piece, the cubic's a3, a2,
-    a1, a0 in descending powers of the offset from its left end, then the
-    derivative's 3 a3 and 2 a2 (its constant term is a1). Bit for bit scipy's
-    `CubicHermiteSpline(x, y, dydx, axis=0).c` and the leading rows of its
-    `.derivative().c`, which the tests hold it to; the package computes it
-    itself so that it need not import `scipy.interpolate`. The rows are
-    written in place, with two temporaries of one row each."""
+    """Piece table of the cubic Hermite interpolant through values y with
+    slopes dydx at increasing breakpoints x, continued linearly beyond them,
+    shaped (6, len(x) + 1) + the shape of one value.
+
+    Column 0 continues below x[0] along y[0] and dydx[0], columns 1 to
+    len(x) - 1 are the cubics between consecutive breakpoints, and the last
+    column continues above x[-1] along y[-1] and dydx[-1]. Per piece the rows
+    are a3, a2, a1, a0 in descending powers of the offset from its left end,
+    then the derivative's 3 a3 and 2 a2 (its constant term is a1); the
+    continuations' a3, a2 and derivative rows are 0. The cubic columns are
+    bit for bit scipy's `CubicHermiteSpline(x, y, dydx, axis=0).c` and the
+    leading rows of its `.derivative().c`, which the tests hold them to; the
+    package computes them itself so that it need not import
+    `scipy.interpolate`. The rows are written in place, with two temporaries
+    of one row each."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dydx = np.asarray(dydx, dtype=float)
     dx = np.diff(x)
     dx = dx.reshape(dx.shape + (1,) * (y.ndim - 1))
-    c = np.empty((6,) + dx.shape[:1] + y.shape[1:])
-    a3, a2, a1, a0, b2, b1 = c
+    c = np.zeros((6, x.size + 1) + y.shape[1:])
+    c[2, 0], c[3, 0] = dydx[0], y[0]
+    c[2, -1], c[3, -1] = dydx[-1], y[-1]
+    a3, a2, a1, a0, b2, b1 = c[:, 1:-1]
     a1[...] = dydx[:-1]
     a0[...] = y[:-1]
     slope = np.subtract(y[1:], y[:-1], out=b2)
@@ -147,14 +155,51 @@ def hermite_coefficients(x, y, dydx) -> np.ndarray:
 
 
 def _piece_jet(table, x):
-    """Position, first and second derivative from gathered piece-table rows
-    (a3, a2, a1, a0, 3 a3, 2 a2, 6 a3) at offsets x from the pieces' left
-    ends, by Horner's scheme."""
-    a3, a2, a1, a0, b2, b1, c1 = table
-    pos = ((a3 * x + a2) * x + a1) * x + a0
-    d1 = (b2 * x + b1) * x + a1
-    d2 = c1 * x + b1
-    return pos, d1, d2
+    """Value, first and second derivative from gathered piece-table rows
+    (a3, a2, a1, a0, 3 a3, 2 a2) at offsets x from the pieces' left ends,
+    each summed in ascending powers as scipy's `PPoly` sums it, so that on a
+    cubic piece each is bit for bit that of the `PPoly`, its `.derivative()`
+    and its `.derivative(2)`."""
+    a3, a2, a1, a0, b2, b1 = table
+    xx = x * x
+    value = 0.0 + a0 + a1 * x + a2 * xx + a3 * (xx * x)
+    d1 = 0.0 + a1 + b1 * x + b2 * xx
+    d2 = 0.0 + b1 + 2.0 * b2 * x
+    return value, d1, d2
+
+
+class HermiteSpline:
+    """Cubic Hermite spline through values y, scalars or vectors, with
+    slopes dydx at increasing breakpoints x, continued linearly beyond x[0]
+    and x[-1] along the end values and slopes; at x[-1] itself it is the
+    last cubic. Its table is `hermite_coefficients(x, y, dydx)`; on
+    [x[0], x[-1]] every value and derivative is scipy's
+    `CubicHermiteSpline(x, y, dydx, axis=0)`'s bit for bit.
+
+    t lies in table column i, the number of breakpoints at or below t less
+    one at x[-1] itself; the column's offsets start at x[max(i - 1, 0)].
+    """
+
+    def __init__(self, x, y, dydx):
+        self.x = np.asarray(x, dtype=float)
+        self.coef = hermite_coefficients(self.x, y, dydx)
+
+    def jet(self, t):
+        """Value, first and second derivative at t, each shaped t.shape + the
+        shape of one value."""
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self.x, t, side="right") - (t == self.x[-1])
+        x = t - self.x[np.maximum(i - 1, 0)]
+        return _piece_jet(self.coef[:, i], x.reshape(x.shape + (1,) * (self.coef.ndim - 2)))
+
+    def __call__(self, t):
+        return self.jet(t)[0]
+
+    def deriv(self, t):
+        return self.jet(t)[1]
+
+    def deriv2(self, t):
+        return self.jet(t)[2]
 
 
 class SegmentFamily:
@@ -192,7 +237,7 @@ class SegmentFamily:
         return s, r, np.einsum("ldm,ldm->lm", r, r)
 
 
-class SplineCurve:
+class SplineCurve(HermiteSpline):
     """Cubic Hermite spline through waypoints with prescribed knot tangents;
     linear continuation beyond [0, 1] along the end tangents."""
 
@@ -206,20 +251,7 @@ class SplineCurve:
             raise GeometryError("knots must be strictly increasing from 0 to 1")
         if np.any(np.linalg.norm(self.tangents, axis=1) < 1e-12):
             raise GeometryError("zero tangent at a knot (irregular curve)")
-        # piece table: the linear continuation below 0, the cubic pieces, the
-        # linear continuation above 1; per piece the coefficients a3..a0 of
-        # the offset from its left end, then 3*a3, 2*a2 and 6*a3 for the
-        # derivatives
-        cubic = hermite_coefficients(self.knots, self.waypoints, self.tangents)
-        zero = np.zeros(self.ndim)
-        below = np.stack([zero, zero, self.tangents[0], self.waypoints[0], zero, zero])
-        above = np.stack([zero, zero, self.tangents[-1], self.waypoints[-1], zero, zero])
-        coef = np.concatenate([below[:, None], cubic, above[:, None]], axis=1)
-        self._coef = np.concatenate([coef, [6.0 * coef[0]]])
-        self._left = np.concatenate([[0.0], self.knots[:-1], [1.0]])
-        # s < 0 -> piece 0; knots[i] <= s < knots[i+1] -> cubic piece i + 1;
-        # s > 1 -> the last piece, so that s = 1 stays on the cubic
-        self._edges = np.concatenate([self.knots[:-1], [np.nextafter(1.0, 2.0)]])
+        super().__init__(self.knots, self.waypoints, self.tangents)
 
     @property
     def ndim(self) -> int:
@@ -228,22 +260,6 @@ class SplineCurve:
     @property
     def checkpoint_params(self) -> np.ndarray:
         return self.knots
-
-    def jet(self, s):
-        """Position, first and second derivative at s, each shaped s.shape + (D,)."""
-        s = np.asarray(s, dtype=float)
-        i = np.searchsorted(self._edges, s, side="right")
-        x = (s - self._left[i])[..., None]
-        return _piece_jet(self._coef.take(i, axis=1), x)
-
-    def __call__(self, s):
-        return self.jet(s)[0]
-
-    def deriv(self, s):
-        return self.jet(s)[1]
-
-    def deriv2(self, s):
-        return self.jet(s)[2]
 
     @property
     def length(self) -> float:
@@ -287,10 +303,10 @@ class SplineFamily:
     """Spline curves stacked for projection in one pass.
 
     Curve l's nearest parameter is searched over [s_lo_l, s_hi_l]; s_lo and
-    s_hi are scalars or one entry per curve. The piece tables are padded to
-    the longest curve, so that one gather and one Horner evaluation give the
-    jets of any set of (curve, parameter) pairs, each bit for bit as
-    `SplineCurve.jet` gives it. Each curve has a box, grown by `reach`, that
+    s_hi are scalars or one entry per curve. The piece tables and knots are
+    padded to the longest curve, so that one gather and one `_piece_jet`
+    give the jets of any set of (curve, parameter) pairs, each bit for bit
+    as `SplineCurve.jet` gives it. Each curve has a box, grown by `reach`, that
     `near` tests points against.
     """
 
@@ -301,17 +317,14 @@ class SplineFamily:
         self._tol = 4.0 * np.finfo(float).eps * np.maximum(
             np.maximum(np.abs(self.s_lo), np.abs(self.s_hi)), 1.0
         )
-        pieces = max(c._left.size for c in curves)
-        D = curves[0].ndim
-        # padding pieces are never reached: their edges are +inf
-        self._coef = np.zeros((7, L, pieces, D))
-        self._left = np.zeros((L, pieces))
-        self._edges = np.full((L, pieces - 1), np.inf)
+        K = max(c.knots.size for c in curves)
+        # padding pieces are never reached: their knots are +inf
+        self._coef = np.zeros((6, L, K + 1, curves[0].ndim))
+        self._knots = np.full((L, K), np.inf)
         for l, c in enumerate(curves):
-            n = c._left.size
-            self._coef[:, l, :n] = c._coef
-            self._left[l, :n] = c._left
-            self._edges[l, : n - 1] = c._edges
+            self._coef[:, l, : c.knots.size + 1] = c.coef
+            self._knots[l, : c.knots.size] = c.knots
+        self._end = np.array([c.knots[-1] for c in curves])
         samples = [
             c.sample(_SCAN_SAMPLES, lo, hi) for c, lo, hi in zip(curves, self.s_lo, self.s_hi)
         ]
@@ -337,12 +350,13 @@ class SplineFamily:
         inside &= points <= self.box_hi
         return inside.all(axis=2)
 
-    def _jet(self, cl, s, edges=None):
-        """Jets of curves cl at parameters s, each (P, D); `edges` is
-        self._edges[cl] if the caller has it."""
-        edges = self._edges[cl] if edges is None else edges
-        i = np.count_nonzero(edges <= s[:, None], axis=1)
-        x = (s - self._left[cl, i])[:, None]
+    def _jet(self, cl, s, knots=None):
+        """Jets of curves cl at parameters s, each (P, D), from the piece that
+        `HermiteSpline` takes; `knots` is self._knots[cl] if the caller has
+        it."""
+        knots = self._knots[cl] if knots is None else knots
+        i = np.count_nonzero(knots <= s[:, None], axis=1) - (s == self._end[cl])
+        x = (s - self._knots[cl, np.maximum(i - 1, 0)])[:, None]
         return _piece_jet(self._coef[:, cl, i], x)
 
     def _scan(self, cl, q):
@@ -377,9 +391,9 @@ class SplineFamily:
         stays stopped, and each pair's result does not depend on the others.
         `lo` and `hi` are the pairs' ranges.
         """
-        tol, edges = self._tol[cl], self._edges[cl]
+        tol, knots = self._tol[cl], self._knots[cl]
         for _ in range(iters):
-            c, dc, d2c = self._jet(cl, s, edges)
+            c, dc, d2c = self._jet(cl, s, knots)
             r = q - c
             g = np.einsum("ij,ij->i", r, dc)
             gp = np.einsum("ij,ij->i", r, d2c) - np.einsum("ij,ij->i", dc, dc)
@@ -390,7 +404,7 @@ class SplineFamily:
             if not moving.any():
                 return s, (c, dc, d2c)
             s = np.where(moving, s_new, s)
-        return s, self._jet(cl, s, edges)
+        return s, self._jet(cl, s, knots)
 
     def project(self, points, pairs=None, s_start=None, newton_iters=8):
         """Nearest parameter, squared distance and jet (position, first and

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from scratchsim.geometry import (
+    HermiteSpline,
     SegmentFamily,
     SplineFamily,
     adjacent_secant_min,
-    hermite_coefficients,
 )
 
 _SAMPLE_PAIRS = 1 << 13  # (scratch, point) pairs per block of `sample`
@@ -78,62 +78,12 @@ class ScratchProfile:
         self.snap_f = (1e-9 * max(curve.length, 1.0)) ** 2
 
 
-class PiecewiseCubic:
-    """Scalar cubic Hermite spline through values y with slopes dydx at
-    increasing breakpoints x; the end pieces continue beyond [x[0], x[-1]].
-
-    Its table holds, per piece, the cubic's coefficients and its
-    derivative's, as `hermite_coefficients` writes them: bit for bit
-    scipy's `PPoly` coefficients and those `PPoly.derivative` forms. Values
-    and first derivatives are summed in ascending powers, as `PPoly` sums
-    them, so that both are `PPoly`'s bit for bit. The values and slopes at
-    the breakpoints are read back from the table, with the last breakpoint's,
-    which starts no piece.
-    """
-
-    def __init__(self, x, y, dydx):
-        self.x = np.asarray(x, dtype=float)
-        self._coef = hermite_coefficients(self.x, y, dydx)
-        self._last = (float(y[-1]), float(dydx[-1]))
-        self._inner = self.x[1:-1]
-
-    @property
-    def y(self) -> np.ndarray:
-        return np.append(self._coef[3], self._last[0])
-
-    @property
-    def dydx(self) -> np.ndarray:
-        return np.append(self._coef[2], self._last[1])
-
-    def _local(self, t):
-        """Coefficient rows and offset into its piece of t."""
-        i = np.searchsorted(self._inner, t, side="right")
-        return self._coef[:, i], t - self.x[i]
-
-    def jet(self, t):
-        """Value and first derivative at t, from one search."""
-        (a3, a2, a1, a0, b2, b1), x = self._local(np.asarray(t, dtype=float))
-        xx = x * x
-        return 0.0 + a0 + a1 * x + a2 * xx + a3 * (xx * x), 0.0 + a1 + b1 * x + b2 * xx
-
-    def __call__(self, t):
-        return self.jet(t)[0]
-
-    def deriv(self, t):
-        (_, _, a1, _, b2, b1), x = self._local(np.asarray(t, dtype=float))
-        return 0.0 + a1 + b1 * x + b2 * (x * x)
-
-    def deriv2(self, t):
-        """Second derivative at t, 2 (3 a3) x + 2 a2."""
-        (_, _, _, _, b2, b1), x = self._local(np.asarray(t, dtype=float))
-        return b1 + 2.0 * b2 * x
-
-
-class TangentialPotential:
+class TangentialPotential(HermiteSpline):
     """V(s) as the cubic Hermite spline through samples v with slopes dv at
-    s; C1 linear continuation outside [0, 1] (a slope discontinuity at the
-    curve ends would break energy conservation for particles oscillating
-    around a checkpoint there). The samples are kept once, in the spline."""
+    s, continued linearly beyond the first and last sample (a slope
+    discontinuity at the curve ends would break energy conservation for
+    particles oscillating around a checkpoint there). The samples are kept
+    once, in the spline's table."""
 
     def __init__(self, s_samples: np.ndarray, v_samples: np.ndarray, dv_samples: np.ndarray):
         s = np.asarray(s_samples, dtype=float)
@@ -144,35 +94,21 @@ class TangentialPotential:
             and all(np.all(np.isfinite(a)) for a in (s, v, dv)) and np.all(np.diff(s) > 0)
         ):
             raise ScratchError("need two or more finite values and slopes at strictly increasing s")
-        self._spline = PiecewiseCubic(s, v, dv)
-        self._end_slopes = self._spline.deriv(np.array([0.0, 1.0]))
+        super().__init__(s, v, dv)
 
     @property
     def s_samples(self) -> np.ndarray:
-        return self._spline.x
+        return self.x
 
     @property
     def v_samples(self) -> np.ndarray:
-        return self._spline.y
+        """The a0 row past the column below the first sample: each cubic's
+        left value, then the continuation's, the last value."""
+        return self.coef[3, 1:]
 
     @property
     def dv_samples(self) -> np.ndarray:
-        return self._spline.dydx
-
-    def jet(self, s):
-        """V and V' at s, in one pass: V continued linearly outside [0, 1],
-        V' held at its end values there."""
-        s = np.asarray(s, dtype=float)
-        v, dv = self._spline.jet(np.minimum(np.maximum(s, 0.0), 1.0))
-        below = np.minimum(s, 0.0)
-        above = np.maximum(s - 1.0, 0.0)
-        return v + below * self._end_slopes[0] + above * self._end_slopes[1], dv
-
-    def __call__(self, s):
-        return self.jet(s)[0]
-
-    def deriv(self, s):
-        return self._spline.deriv(np.minimum(np.maximum(np.asarray(s, dtype=float), 0.0), 1.0))
+        return self.coef[2, 1:]
 
 
 class ScratchedPotential:
@@ -292,7 +228,7 @@ class ScratchedPotential:
             if idx.size == 0:
                 continue
             sl = s[l, idx]
-            v, dv = self.tangential[l].jet(sl)
+            v, dv, _ = self.tangential[l].jet(sl)
             e = exps[l, idx]
             value[idx] += v * e
             drives[l] = (idx, sl, v, dv, e)
@@ -400,7 +336,7 @@ class ScratchedPotential:
         return np.sort(evals), cosine
 
 
-def monotone_timing(conditions: TimingConditions, tol: float = 1e-9) -> PiecewiseCubic:
+def monotone_timing(conditions: TimingConditions, tol: float = 1e-9) -> HermiteSpline:
     """Monotone C1 interpolant s(t) with prescribed knot values and slopes:
     the cubic Hermite spline through them.
 
@@ -414,7 +350,7 @@ def monotone_timing(conditions: TimingConditions, tol: float = 1e-9) -> Piecewis
             raise InfeasibleTimingError(
                 f"slope {c[j]:.4g} at checkpoint {j} exceeds 3x adjacent secant {lo:.4g}"
             )
-    return PiecewiseCubic(t, s, c)
+    return HermiteSpline(t, s, c)
 
 
 def construct_tangential_potential(
@@ -443,15 +379,17 @@ def construct_tangential_potential(
     t_dense = np.linspace(conditions.times[0], conditions.times[-1], num_samples)
     s_dense = np.empty(num_samples)
     sdot_dense = np.empty(num_samples)
+    sddot_dense = np.empty(num_samples)
     for lo in range(0, num_samples, _DRIVE_BLOCK):
         b = slice(lo, lo + _DRIVE_BLOCK)
-        s_dense[b], sdot_dense[b] = timing.jet(t_dense[b])
+        s_dense[b], sdot_dense[b], sddot_dense[b] = timing.jet(t_dense[b])
+    del t_dense
     if np.any(sdot_dense <= 0):
         raise InfeasibleTimingError("timing interpolant is not strictly increasing")
     # de-duplicate parameters (monotone, but guard the spline fit)
     s_dense, idx = np.unique(s_dense, return_index=True)
     sdot_dense = sdot_dense[idx]
-    t_dense = t_dense[idx]
+    sddot_dense = sddot_dense[idx]
     del idx
     v = np.empty(s_dense.size)
     dv = np.empty(s_dense.size)
@@ -465,8 +403,8 @@ def construct_tangential_potential(
         if lo == 0:
             e0 = 0.5 * mass * w[0] * sdot_dense[0] ** 2
         v[b] = e0 - 0.5 * mass * w * sdot2
-        dv[b] = -mass * (np.einsum("ij,ij->i", dq, d2q) * sdot2 + w * timing.deriv2(t_dense[b]))
-    del t_dense, sdot_dense
+        dv[b] = -mass * (np.einsum("ij,ij->i", dq, d2q) * sdot2 + w * sddot_dense[b])
+    del sdot_dense, sddot_dense
     v -= v[0]
     return TangentialPotential(s_dense, v, dv)
 

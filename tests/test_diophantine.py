@@ -73,6 +73,10 @@ class TestValidation:
         with pytest.raises(DiophantineError):
             ApproximationProblem(((0.3, 0.3),), ((1, 1),), 100)
 
+    def test_nan_group_sum_is_rejected(self):
+        with pytest.raises(DiophantineError):
+            ApproximationProblem(((np.nan, 0.5),), ((1, 1),), 17)
+
     def test_budget_floor(self):
         # n = 2, one group, B = 1: budget must exceed 2^2 = 4
         with pytest.raises(DiophantineError):

@@ -115,6 +115,33 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dt_quantum", -1.0),
+            ("dt_quantum", 0.0),
+            ("dt_quantum", math.inf),
+            ("mass", 0.0),
+            ("mass", -1.0),
+            ("hbar", 0.0),
+            ("energy_tol", 0.0),
+            ("energy_tol", math.nan),
+            ("stiffness_safety", -20.0),
+            ("sigma", 0.0),
+            ("sigma", None),
+            ("instrument_resolution", 0.0),
+            ("instrument_resolution", -1e-3),
+        ],
+    )
+    def test_rejects_values_that_are_not_finite_and_positive(self, key, value):
+        d = default_theorem1_config().to_dict()
+        if key == "sigma":
+            d["packet"] = {**d["packet"], "sigma": value}
+        else:
+            d[key] = value
+        with pytest.raises(ValidationError):
+            ExperimentConfig.from_dict(d)
+
     def test_extra_keys_round_trip(self):
         d = default_theorem1_config().to_dict()
         d["note"] = "desk run"
@@ -317,6 +344,49 @@ class TestTheorem1Pipeline:
         report = run_pipeline(cfg)
         assert seeds == [cfg.seed, cfg.seed + 1000]
         assert report.num_particles >= 1
+
+    def test_quantum_drift_is_tagged(self, monkeypatch):
+        def drift(*a, **k):
+            raise experiment.quantum.NumericalStabilityError("norm drift nan")
+
+        monkeypatch.setattr(experiment.quantum, "propagate", drift)
+        with pytest.raises(experiment.StageError) as info:
+            run_pipeline(ExperimentConfig.from_dict(small_theorem1_config()))
+        err = info.value
+        assert err.stage == "quantum"
+        assert isinstance(err.cause, experiment.quantum.NumericalStabilityError)
+        assert err.__cause__ is err.cause
+
+    def test_decay_drift_is_tagged(self, monkeypatch):
+        # the plain run passes; the decay table's scratched runs drift
+        calls = []
+        propagate = experiment.quantum.propagate
+
+        def drift_after_first(*a, **k):
+            calls.append(1)
+            if len(calls) > 1:
+                raise experiment.quantum.NumericalStabilityError("norm drift 1e-3")
+            return propagate(*a, **k)
+
+        monkeypatch.setattr(experiment.quantum, "propagate", drift_after_first)
+        with pytest.raises(experiment.StageError) as info:
+            run_pipeline(ExperimentConfig.from_dict(small_theorem1_config()))
+        err = info.value
+        assert err.stage == "decay" and len(calls) == 2
+        assert isinstance(err.cause, experiment.quantum.NumericalStabilityError)
+        assert err.__cause__ is err.cause
+
+    def test_diophantine_failure_is_tagged(self, monkeypatch):
+        def fail(problem):
+            raise diophantine.DiophantineError("no q up to the budget")
+
+        monkeypatch.setattr(experiment.diophantine, "solve", fail)
+        with pytest.raises(experiment.StageError) as info:
+            run_pipeline(ExperimentConfig.from_dict(small_theorem1_config()))
+        err = info.value
+        assert err.stage == "diophantine"
+        assert isinstance(err.cause, diophantine.DiophantineError)
+        assert err.__cause__ is err.cause
 
     def test_one_driver(self):
         assert run_theorem1 is run_theorem2 is experiment.run_pipeline

@@ -108,15 +108,16 @@ def random_spline(rng, K, bend=0.5, tangent_scale=1.0):
 
 def reference_jet(c, s):
     """Value, first and second derivative from a scipy CubicHermiteSpline,
-    continued linearly along the end tangents outside [0, 1]."""
+    its `.derivative()` and its `.derivative(2)`, continued linearly along
+    the end tangents outside [0, 1]."""
     pp = CubicHermiteSpline(c.knots, c.waypoints, c.tangents, axis=0)
     inner = np.clip(s, 0.0, 1.0)
     below = (s < 0.0)[:, None]
     above = (s > 1.0)[:, None]
     pos = pp(inner) + np.minimum(s, 0.0)[:, None] * c.tangents[0]
     pos += np.maximum(s - 1.0, 0.0)[:, None] * c.tangents[-1]
-    d1 = np.where(below, c.tangents[0], np.where(above, c.tangents[-1], pp(inner, 1)))
-    d2 = np.where(below | above, 0.0, pp(inner, 2))
+    d1 = np.where(below, c.tangents[0], np.where(above, c.tangents[-1], pp.derivative()(inner)))
+    d2 = np.where(below | above, 0.0, pp.derivative(2)(inner))
     return pos, d1, d2
 
 
@@ -135,8 +136,11 @@ class TestSplineJet:
                 np.nextafter(edges, np.inf),
             ]
         )
+        # scipy's bit for bit on [0, 1]; the continuations to round-off
+        inside = (s >= 0.0) & (s <= 1.0)
         for got, ref in zip(c.jet(s), reference_jet(c, s)):
             assert got.shape == (s.size, 3)
+            assert np.array_equal(got[inside], ref[inside])
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("shape", [(), (3,)])
@@ -147,9 +151,13 @@ class TestSplineJet:
         y, dydx = rng.normal(size=(2, K) + shape)
         pp = CubicHermiteSpline(x, y, dydx, axis=0)
         got = hermite_coefficients(x, y, dydx)
-        assert got.shape == (6,) + pp.c.shape[1:]
-        assert np.array_equal(got[:4], pp.c)
-        assert np.array_equal(got[[4, 5, 2]], pp.derivative().c)
+        assert got.shape == (6, K + 1) + shape
+        assert np.array_equal(got[:4, 1:-1], pp.c)
+        assert np.array_equal(got[[4, 5, 2], 1:-1], pp.derivative().c)
+        # the linear continuations below x[0] and above x[-1]
+        for col, end in ((0, 0), (-1, -1)):
+            assert np.array_equal(got[[2, 3], col], [dydx[end], y[end]])
+            assert not np.any(got[[0, 1, 4, 5], col])
 
     def test_call_and_derivatives_are_parts_of_jet(self):
         c = random_spline(np.random.default_rng(1), 4)

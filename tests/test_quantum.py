@@ -55,6 +55,11 @@ class TestSchedule:
         assert schedule.steps(10.0) == [1, 1]
         assert CheckpointSchedule([0.0, 1.0]).steps(0.25) == [4]
 
+    @pytest.mark.parametrize("dt_max", [0.0, -1.0, np.nan, np.inf])
+    def test_steps_need_a_finite_positive_bound(self, dt_max):
+        with pytest.raises(QuantumError):
+            CheckpointSchedule([0.0, 1.0]).steps(dt_max)
+
 
 class TestPropagation:
     def test_norm_preserved(self):
@@ -64,6 +69,13 @@ class TestPropagation:
         snaps = propagate(system, psi0, CheckpointSchedule([0.0, 0.5, 1.0]))
         for s in snaps:
             assert abs(s.norm_sq() - 1.0) < 1e-12
+
+    def test_nan_norm_is_a_drift(self):
+        g = grid2d(32)
+        system = QuantumSystem(1.0, g, HarmonicPotential(1.0))
+        psi0 = Wavefunction(ComplexField(g, np.full(g.shape, np.nan, dtype=complex)), 0.0)
+        with pytest.raises(NumericalStabilityError):
+            propagate(system, psi0, CheckpointSchedule([0.0, 0.1]))
 
     def test_free_packet_spreading(self):
         # amplitude width sigma: density std grows as

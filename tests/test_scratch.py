@@ -433,15 +433,17 @@ class TestTangentialPotential:
             v = TangentialPotential(s, rng.normal(size=n), rng.normal(size=n))
             pp = CubicHermiteSpline(s, v.v_samples, v.dv_samples)
             dpp = pp.derivative()
-            slopes = dpp([0.0, 1.0])
             x = np.concatenate(
                 [rng.uniform(-0.5, 1.5, 100_000), s, np.nextafter(s, -1.0), np.nextafter(s, 2.0)]
             )
-            inner = np.clip(x, 0.0, 1.0)
-            want = pp(inner) + np.minimum(x, 0.0) * slopes[0] + np.maximum(x - 1.0, 0.0) * slopes[1]
-            got, dgot = v.jet(x)
+            # linear beyond the first and last sample, along their values and slopes
+            below, above = x < s[0], x > s[-1]
+            want = np.where(below, v.v_samples[0] + (x - s[0]) * v.dv_samples[0], pp(x))
+            want = np.where(above, v.v_samples[-1] + (x - s[-1]) * v.dv_samples[-1], want)
+            dwant = np.where(below, v.dv_samples[0], np.where(above, v.dv_samples[-1], dpp(x)))
+            got, dgot, _ = v.jet(x)
             assert np.array_equal(got, want) and np.array_equal(v(x), want)
-            assert np.array_equal(dgot, dpp(inner)) and np.array_equal(v.deriv(x), dgot)
+            assert np.array_equal(dgot, dwant) and np.array_equal(v.deriv(x), dgot)
             assert v.deriv(0.37) == dpp(0.37)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 2001])
@@ -528,7 +530,7 @@ def one_pass_drive(curve, cond, mass, n):
     all n samples."""
     timing = monotone_timing(cond)
     t = np.linspace(cond.times[0], cond.times[-1], n)
-    s, sdot = timing.jet(t)
+    s, sdot, _ = timing.jet(t)
     s, idx = np.unique(s, return_index=True)
     sdot = sdot[idx]
     sddot = timing.deriv2(t[idx])
@@ -545,9 +547,8 @@ def assert_coefficients_are_scipys(v):
     """The cubic's coefficients and its derivative's, per piece, as scipy's
     `CubicHermiteSpline` through the samples and slopes gives them."""
     pp = CubicHermiteSpline(v.s_samples, v.v_samples, v.dv_samples)
-    coef = v._spline._coef
-    assert np.array_equal(coef[:4], pp.c)
-    assert np.array_equal(coef[[4, 5, 2]], pp.derivative().c)
+    assert np.array_equal(v.coef[:4, 1:-1], pp.c)
+    assert np.array_equal(v.coef[[4, 5, 2], 1:-1], pp.derivative().c)
 
 
 class TestTiming:
@@ -573,10 +574,11 @@ class TestTiming:
         speeds = [rng.uniform(0.3, 2.5) * secants[max(j - 1, 0) : j + 1].min() for j in range(K)]
         timing = monotone_timing(TimingConditions(times, params, speeds))
         pp = CubicHermiteSpline(times, params, speeds)
-        t = np.concatenate([np.linspace(times[0], times[-1], 10_001), times, [times[0] - 1.0]])
-        value, deriv = timing.jet(t)
+        t = np.concatenate([np.linspace(times[0], times[-1], 10_001), times])
+        value, deriv, deriv2 = timing.jet(t)
         assert np.array_equal(value, pp(t)) and np.array_equal(timing(t), value)
         assert np.array_equal(deriv, pp.derivative()(t)) and np.array_equal(timing.deriv(t), deriv)
+        assert np.array_equal(deriv2, pp.derivative(2)(t)) and np.array_equal(timing.deriv2(t), deriv2)
 
     def test_validation(self):
         with pytest.raises(ScratchError):
