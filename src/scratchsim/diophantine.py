@@ -180,7 +180,8 @@ def solve(problem: ApproximationProblem) -> RationalApproximation:
     prefilters, widened so that it passes every q that certifies exactly
     (`_prefilter`, `_errors_below`): a q is accepted only once its
     numerators pass the bound in exact arithmetic (`_bound_holds`, which
-    `verify` checks too) and the group sums hold as integer identities.
+    `verify` checks too). The repair makes each group sum an integer
+    identity, which `verify` checks as well.
     """
     thr = _prefilter(problem)
     alphas = np.concatenate([np.asarray(g) for g in problem.groups])
@@ -200,7 +201,6 @@ def solve(problem: ApproximationProblem) -> RationalApproximation:
             numerators, penalty = got
             if not _bound_holds(problem, int(q), numerators):
                 continue
-            _check_exact_constraints(problem, int(q), numerators)
             zeros = tuple(
                 (r + 1, j + 1)
                 for r, grp in enumerate(numerators)
@@ -218,12 +218,6 @@ def solve(problem: ApproximationProblem) -> RationalApproximation:
         "no denominator q <= Q certifies; the lemma guarantees existence, "
         "so a precondition must be violated"
     )
-
-
-def _check_exact_constraints(problem, q: int, numerators) -> None:
-    for grp, (A, B) in zip(numerators, problem.constraints):
-        if B * sum(grp) != A * q:
-            raise DiophantineError("internal error: repaired constraint not exact")
 
 
 def verify(problem: ApproximationProblem, cand: RationalApproximation) -> CertificateReport:

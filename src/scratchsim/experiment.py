@@ -15,21 +15,17 @@ momenta, K without).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
 from scratchsim import classical, diophantine, geometry, quantum, scratch
-from scratchsim.grid import (
-    Box,
-    RegionPartition,
-    SpatialGrid,
-    half_planes,
-    momentum_half_spaces,
-)
+from scratchsim.grid import Box, RegionPartition, SpatialGrid, half_planes, momentum_half_spaces
 from scratchsim.potentials import potential_from_spec
 
 
@@ -48,6 +44,19 @@ class StageError(ExperimentError):
         super().__init__(f"stage {stage!r}: {cause}" + (f"; {detail}" if detail else ""))
         self.stage = stage
         self.cause = cause
+
+
+@contextmanager
+def _stage(name: str):
+    """Run a block as the pipeline stage `name`: a ValueError raised in it
+    leaves as StageError(name) with that error as its cause; a StageError
+    passes through unchanged."""
+    try:
+        yield
+    except StageError:
+        raise
+    except ValueError as e:
+        raise StageError(name, e) from e
 
 
 def partition_from_spec(spec: dict, grid: SpatialGrid | None = None, ndim: int | None = None) -> RegionPartition:
@@ -86,41 +95,45 @@ class ExperimentConfig:
     mass: float = 1.0
     hbar: float = 1.0
     dt_quantum: float = 5e-3
-    stiffness_safety: float = 20.0
     energy_tol: float = 1e-6
     edge_eps: float = 1e-6
-    waypoint_margin: float | None = None
     delta_path: float | None = None
-    eps_coll: float | None = None
-    p_scale: float = 1.0
-    p_margin: float = 0.3
     position_only: bool = False
     instrument_resolution: float | None = None
-    max_retries: int = 8
-    extra: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        known = {f for f in cls.__dataclass_fields__ if f != "extra"}
-        extra = {k: d.pop(k) for k in list(d) if k not in known}
-        cfg = cls(**d, extra=extra)
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValidationError(f"unknown config keys {unknown}")
+        cfg = cls(**d)
         cfg.validate()
         return cfg
 
     def to_dict(self) -> dict:
-        out = {
-            k: getattr(self, k)
-            for k in self.__dataclass_fields__
-            if k != "extra" and getattr(self, k) is not None
-        }
-        out.update(self.extra)
-        return out
+        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
 
     def build_grid(self) -> SpatialGrid:
         return SpatialGrid(
             tuple(tuple(b) for b in self.grid["bounds"]), tuple(self.grid["shape"])
         )
+
+    def build_partitions(self, g: SpatialGrid) -> tuple[RegionPartition, RegionPartition | None]:
+        """The position partition and, in full mode, the momentum partition:
+        the half-spaces split at p_1 = 0 unless the config gives one. A
+        `boxes` spec is checked to cover its grid: the position grid, or
+        for momenta its Fourier dual (`RegionPartition.validate_on`)."""
+        pos = partition_from_spec(self.position_partition, grid=g)
+        checks = [(self.position_partition, pos, g)]
+        mom = None
+        if self.mode == "theorem2":
+            spec = self.momentum_partition or {"kind": "half_spaces"}
+            mom = partition_from_spec(spec, ndim=g.ndim)
+            checks.append((spec, mom, g.momentum_grid(self.hbar)))
+        for spec, part, grid in checks:
+            if spec.get("kind") == "boxes":
+                part.validate_on(grid)
+        return pos, mom
 
     @property
     def num_checkpoints(self) -> int:
@@ -135,8 +148,14 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.mode not in ("theorem1", "theorem2"):
             raise ValidationError(f"unknown mode {self.mode!r}")
+        for name in ("seed", "budget"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and not isinstance(value, bool) and value >= 0):
+                raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+        if not isinstance(self.position_only, bool):
+            raise ValidationError(f"position_only must be a bool, got {self.position_only!r}")
         g = self.build_grid()
-        n = len(partition_from_spec(self.position_partition, grid=g).regions)
+        n = self.build_partitions(g)[0].n
         K = self.num_checkpoints
         try:
             # the steppers' own rule rejects a dt_quantum not finite and > 0
@@ -148,27 +167,30 @@ class ExperimentConfig:
             "mass": self.mass,
             "hbar": self.hbar,
             "energy_tol": self.energy_tol,
-            "stiffness_safety": self.stiffness_safety,
+            "edge_eps": self.edge_eps,
             "packet.sigma": self.packet.get("sigma"),
         }
-        if self.instrument_resolution is not None:
-            positive["instrument_resolution"] = self.instrument_resolution
+        for name in ("delta_path", "instrument_resolution"):
+            if getattr(self, name) is not None:
+                positive[name] = getattr(self, name)
         for name, value in positive.items():
             if not (isinstance(value, (int, float)) and 0.0 < value < math.inf):
                 raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-        if self.max_retries < 1:
-            raise ValidationError("max_retries must be at least 1")
+        D = g.ndim
+        pk = self.packet
+        if np.shape(pk.get("center")) != (D,) or np.shape(pk.get("momentum", [0.0] * D)) != (D,):
+            raise ValidationError(f"packet center and momentum need D = {D} entries each")
+        pot = potential_from_spec(self.potential, D)
         if self.mode == "theorem1":
-            if g.ndim < 2:
+            if D < 2:
                 raise ValidationError("two-checkpoint mode needs D >= 2")
             if K != 2:
                 raise ValidationError("two-checkpoint mode needs exactly K = 2")
         else:
-            if g.ndim != 3:
+            if D != 3:
                 raise ValidationError("full mode needs D = 3")
             if self.momentum_partition is None and not self.position_only:
                 raise ValidationError("full mode needs a momentum partition")
-            pot = potential_from_spec(self.potential, g.ndim)
             if np.min(pot.sample(g).values) <= 0.0:
                 raise ValidationError("full mode needs U > 0 everywhere on the grid")
         # G groups of n probabilities are approximated; Q must exceed n^(nG)
@@ -217,20 +239,7 @@ class DiscriminationReport:
         return all(self.criteria.values())
 
     def to_dict(self) -> dict:
-        return _jsonable(
-            {
-                "mode": self.mode,
-                "config": self.config,
-                "num_particles": self.num_particles,
-                "bound": self.bound,
-                "bound_extended": self.bound_extended,
-                "checkpoints": self.checkpoints,
-                "decay": self.decay,
-                "diagnostics": self.diagnostics,
-                "criteria": self.criteria,
-                "passed": self.passed,
-            }
-        )
+        return _jsonable({**dataclasses.asdict(self), "passed": self.passed})
 
     def save(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
@@ -321,6 +330,9 @@ def deviation_decreasing(deviations, floor: float) -> bool:
 # first attempt's: 1 + 4 + 16 + 64, the worst case of quartering dt three times
 _MAX_ATTEMPTS = 4
 _STEP_BUDGET = 85
+# the first guess's stiffness safety, and the geometry stage's attempts
+_STIFFNESS_SAFETY = 20.0
+_GEOMETRY_ATTEMPTS = 8
 
 
 def _integrate_with_retries(
@@ -347,11 +359,10 @@ def _integrate_with_retries(
     once, as its cause: no smaller dt is known to keep the particles inside.
 
     Returns the accepted result, its dt, the effective stiffness safety
-    config.stiffness_safety * dt0 / dt (dt0 the `stable_timestep` at the
-    config's safety, so the config's value exactly when dt = dt0) and every
-    attempt's [dt, drift] in order.
+    20 * dt0 / dt (dt0 the `stable_timestep` at safety 20, so 20 exactly when
+    dt = dt0) and every attempt's [dt, drift] in order.
     """
-    dt0 = classical.stable_timestep(scratched.lam, u_max, config.mass, config.stiffness_safety)
+    dt0 = classical.stable_timestep(scratched.lam, u_max, config.mass, _STIFFNESS_SAFETY)
     dt = min(dt0, seed_dt)
     budget = _STEP_BUDGET * sum(schedule.steps(dt))
     spent = 0
@@ -384,27 +395,12 @@ def _integrate_with_retries(
             stop = f"the attempt at dt={dt:.3e} lost confinement and is not retried"
             break
         attempts.append([dt, result.energy_drift])
-        return result, dt, config.stiffness_safety * (dt0 / dt), attempts
+        # a failed attempt's traceback holds this frame and the pipeline's:
+        # free them on return, not at the next garbage collection
+        del last
+        return result, dt, _STIFFNESS_SAFETY * (dt0 / dt), attempts
     tried = ", ".join(f"({a:.3e}, {d:.3e})" for a, d in attempts) or "none"
     raise StageError("classical", last, f"attempts (dt, drift): {tried}; {stop}") from last
-
-
-def _quantum_stage(config: ExperimentConfig):
-    g = config.build_grid()
-    base = potential_from_spec(config.potential, g.ndim)
-    system = quantum.QuantumSystem(config.mass, g, base, config.hbar)
-    pk = config.packet
-    psi0 = quantum.gaussian_packet(
-        g, pk["center"], pk["sigma"], pk.get("momentum"), config.hbar
-    )
-    schedule = quantum.CheckpointSchedule(config.schedule)
-    try:
-        snaps = quantum.propagate(
-            system, psi0, schedule, dt_max=config.dt_quantum, edge_eps=config.edge_eps
-        )
-    except quantum.NumericalStabilityError as e:
-        raise StageError("quantum", e) from e
-    return g, base, system, psi0, schedule, snaps
 
 
 def _probability_tables(snaps, pos_part, mom_part, hbar):
@@ -419,19 +415,6 @@ def _probability_tables(snaps, pos_part, mom_part, hbar):
             gaps.append(abs(float(pt.sum()) - 1.0))
             mom.append(pt)
     return pos, mom, max(gaps)
-
-
-def _approximation_stage(prob_groups, budget):
-    try:
-        problem = diophantine.problem_from_probabilities(prob_groups, budget)
-        approx = diophantine.solve(problem)
-    except diophantine.DiophantineError as e:
-        raise StageError("diophantine", e) from e
-    report = diophantine.verify(problem, approx)
-    if not report.ok:
-        raise StageError("diophantine", ExperimentError("certificate failed"))
-    renorm = [np.asarray(g) for g in problem.groups]
-    return problem, approx, report, renorm
 
 
 def _checkpoint_rows(times, probs_pos, probs_mom, occ, bound):
@@ -461,13 +444,13 @@ def _checkpoint_rows(times, probs_pos, probs_mom, occ, bound):
 
 def _geometry_stage(config, g, schedule, pos_part, mom_part, counts_pos, counts_mom, N):
     """Waypoints and scratches, re-sampled with seed + 1000 * attempt while
-    the waypoints or the timing are infeasible. Without a momentum partition
+    the waypoints or the timing are infeasible; the eighth attempt's error
+    is raised. Without a momentum partition
     the scratches are straight lines in general position, undriven; with one
     they are splines, conditioned to the momentum counts and driven by
     tangential potentials."""
     times = schedule.times
-    last_err: Exception | None = None
-    for attempt in range(config.max_retries):
+    for attempt in range(_GEOMETRY_ATTEMPTS):
         seed = config.seed + 1000 * attempt
         try:
             assignment = geometry.assign_itineraries(counts_pos, N)
@@ -476,9 +459,7 @@ def _geometry_stage(config, g, schedule, pos_part, mom_part, counts_pos, counts_
                 assignment,
                 g,
                 seed,
-                margin=config.waypoint_margin,
                 delta_path=config.delta_path,
-                eps_coll=config.eps_coll,
                 general_position=mom_part is None,
             )
             curves = geometry.build_paths(plan, grid=g, seed=seed)
@@ -491,8 +472,6 @@ def _geometry_stage(config, g, schedule, pos_part, mom_part, counts_pos, counts_
                 config.mass,
                 times,
                 seed=seed,
-                p_scale=config.p_scale,
-                p_margin=config.p_margin,
                 delta_path=plan.delta_path,
             )
             tangential = []
@@ -504,9 +483,9 @@ def _geometry_stage(config, g, schedule, pos_part, mom_part, counts_pos, counts_
                     scratch.construct_tangential_potential(c, conditions, config.mass)
                 )
             return plan, curves, cond, tangential
-        except (geometry.GeometryError, scratch.InfeasibleTimingError) as e:
-            last_err = e
-    raise StageError("geometry", last_err)
+        except (geometry.GeometryError, scratch.InfeasibleTimingError):
+            if attempt == _GEOMETRY_ATTEMPTS - 1:
+                raise
 
 
 # ---------------------------------------------------------------------------
@@ -523,74 +502,89 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
     case on straight undriven lines, run at the largest lambda.
     """
     config.validate()
-    g, base, system, psi0, schedule, snaps = _quantum_stage(config)
-    pos_part = partition_from_spec(config.position_partition, grid=g)
     full = config.mode == "theorem2"
-    mom_part = None
-    if full:
-        if config.momentum_partition is not None:
-            mom_part = partition_from_spec(config.momentum_partition, ndim=g.ndim)
-        else:
-            mom_part = momentum_half_spaces(g.ndim)
     constrained = config.constrains_momentum
-    probs_pos, probs_mom, norm_gap = _probability_tables(
-        snaps, pos_part, mom_part if constrained else None, config.hbar
-    )
-
-    problem, approx, cert, renorm = _approximation_stage(probs_pos + probs_mom, config.budget)
-    N = approx.q
     K = config.num_checkpoints
-    counts_pos = np.array(approx.numerators[:K], dtype=np.int64)
-    if constrained:
-        counts_mom = np.array(approx.numerators[K:], dtype=np.int64)
-    elif mom_part is not None:
-        # momentum regions unconstrained; aim every checkpoint at region 1
-        counts_mom = np.zeros((K, mom_part.n), dtype=np.int64)
-        counts_mom[:, 0] = N
-    else:
-        counts_mom = None
-
-    plan, curves, cond, tangential = _geometry_stage(
-        config, g, schedule, pos_part, mom_part, counts_pos, counts_mom, N
-    )
-
-    # one scratched potential per lambda, for the ensemble and the decay table
-    potentials = [
-        scratch.ScratchedPotential(base, curves, lam, tangential=tangential)
-        for lam in config.lambdas
-    ]
-    u_max = max(base.max_on(g), 1e-6)
-    per_lambda = []
-    seed_dt = math.inf
-    # `integrate` copies the ensemble, so every attempt starts from this one
-    ensemble = classical.initialize_on_scratches(curves, config.mass, schedule, conditioning=cond)
-    for scratched in potentials if full else potentials[-1:]:
-        result, dt, safety, attempts = _integrate_with_retries(
-            config, ensemble, scratched, schedule, u_max, g, curves, seed_dt
+    with _stage("quantum"):
+        g = config.build_grid()
+        base = potential_from_spec(config.potential, g.ndim)
+        system = quantum.QuantumSystem(config.mass, g, base, config.hbar)
+        pk = config.packet
+        psi0 = quantum.gaussian_packet(
+            g, pk["center"], pk["sigma"], pk.get("momentum"), config.hbar
         )
-        # the drift constant changes little from one lambda to the next
-        seed_dt = classical.drift_law_timestep(dt, result.energy_drift, config.energy_tol)
-        per_lambda.append(
-            {
-                "lambda": scratched.lam,
-                "energy_drift": result.energy_drift,
-                "max_curve_deviation": float(np.max(result.max_curve_deviation)),
-                "timestep": dt,
-                "stiffness_safety": safety,
-                "attempts": attempts,
-            }
+        schedule = quantum.CheckpointSchedule(config.schedule)
+        snaps = quantum.propagate(
+            system, psi0, schedule, dt_max=config.dt_quantum, edge_eps=config.edge_eps
         )
-    # bound verification at the largest lambda
-    occ = classical.occupancy(result, pos_part, mom_part)
-    bound, bound_ext = certified_bound(N, problem)
-    rows = _checkpoint_rows(schedule.times, renorm[:K], renorm[K:], occ, bound)
-    planned_pos = geometry.recount_positions(curves, pos_part)
-    try:
+        pos_part, mom_part = config.build_partitions(g)
+        probs_pos, probs_mom, norm_gap = _probability_tables(
+            snaps, pos_part, mom_part if constrained else None, config.hbar
+        )
+
+    with _stage("diophantine"):
+        problem = diophantine.problem_from_probabilities(probs_pos + probs_mom, config.budget)
+        approx = diophantine.solve(problem)
+        cert = diophantine.verify(problem, approx)
+        if not cert.ok:
+            raise ExperimentError("certificate failed")
+        renorm = [np.asarray(p) for p in problem.groups]
+        N = approx.q
+        bound, bound_ext = certified_bound(N, problem)
+        counts_pos = np.array(approx.numerators[:K], dtype=np.int64)
+        if constrained:
+            counts_mom = np.array(approx.numerators[K:], dtype=np.int64)
+        elif mom_part is not None:
+            # momentum regions unconstrained; aim every checkpoint at region 1
+            counts_mom = np.zeros((K, mom_part.n), dtype=np.int64)
+            counts_mom[:, 0] = N
+        else:
+            counts_mom = None
+
+    with _stage("geometry"):
+        plan, curves, cond, tangential = _geometry_stage(
+            config, g, schedule, pos_part, mom_part, counts_pos, counts_mom, N
+        )
+        # one scratched potential per lambda, for the ensemble and the decay table
+        potentials = [
+            scratch.ScratchedPotential(base, curves, lam, tangential=tangential)
+            for lam in config.lambdas
+        ]
+
+    with _stage("classical"):
+        u_max = max(base.max_on(g), 1e-6)
+        per_lambda = []
+        seed_dt = math.inf
+        # `integrate` copies the ensemble, so every attempt starts from this one
+        ensemble = classical.initialize_on_scratches(
+            curves, config.mass, schedule, conditioning=cond
+        )
+        for scratched in potentials if full else potentials[-1:]:
+            result, dt, safety, attempts = _integrate_with_retries(
+                config, ensemble, scratched, schedule, u_max, g, curves, seed_dt
+            )
+            # the drift constant changes little from one lambda to the next
+            seed_dt = classical.drift_law_timestep(dt, result.energy_drift, config.energy_tol)
+            per_lambda.append(
+                {
+                    "lambda": scratched.lam,
+                    "energy_drift": result.energy_drift,
+                    "max_curve_deviation": float(np.max(result.max_curve_deviation)),
+                    "timestep": dt,
+                    "stiffness_safety": safety,
+                    "attempts": attempts,
+                }
+            )
+        # bound verification at the largest lambda
+        occ = classical.occupancy(result, pos_part, mom_part)
+
+    with _stage("decay"):
         decay = quantum.scratch_insensitivity(
             system, potentials, psi0, schedule, snaps[-1], config.dt_quantum, config.edge_eps
         )
-    except quantum.NumericalStabilityError as e:
-        raise StageError("decay", e) from e
+
+    rows = _checkpoint_rows(schedule.times, renorm[:K], renorm[K:], occ, bound)
+    planned_pos = geometry.recount_positions(curves, pos_part)
     min_dist = classical.min_pairwise_distance(result.snapshots)
     deviations = [row["max_curve_deviation"] for row in per_lambda]
     floor = deviation_floor(scratched)
@@ -683,14 +677,9 @@ def run_blackbox(config: ExperimentConfig, out_dir: str | None = None) -> Discri
                     "identical": same,
                 }
             )
-    report = DiscriminationReport(
+    report = dataclasses.replace(
+        base_report,
         mode="blackbox",
-        config=config.to_dict(),
-        num_particles=base_report.num_particles,
-        bound=base_report.bound,
-        bound_extended=base_report.bound_extended,
-        checkpoints=base_report.checkpoints,
-        decay=base_report.decay,
         diagnostics={
             **base_report.diagnostics,
             "instrument_resolution": float(res),

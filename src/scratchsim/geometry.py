@@ -809,8 +809,8 @@ def condition_momenta(
     times: np.ndarray,
     *,
     seed: int,
-    p_scale: float,
-    p_margin: float,
+    p_scale: float = 1.0,
+    p_margin: float = 0.3,
     delta_path: float,
 ) -> tuple[MomentumConditioning, list[SplineCurve]]:
     """Adjust knot tangents and choose speed multipliers so that the momenta

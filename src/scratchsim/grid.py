@@ -188,6 +188,8 @@ class RegionPartition:
 
     def validate_on(self, grid: SpatialGrid) -> None:
         """Check the cover and the nonempty-interior surrogate on a grid."""
+        if any(len(box.lo) != grid.ndim for boxes in self.regions for box in boxes):
+            raise GridError(f"every box needs D = {grid.ndim} bounds")
         labels = self.label_grid(grid)
         for k in range(1, self.n + 1):
             pts = grid.points()[labels.ravel() == k]
@@ -197,8 +199,14 @@ class RegionPartition:
                 raise GridError(f"region {k} has no interior grid point")
 
 
+def _check_axis(axis: int, ndim: int) -> None:
+    if axis not in range(ndim):
+        raise GridError(f"axis must be one of 0..{ndim - 1}, got {axis!r}")
+
+
 def half_planes(grid: SpatialGrid, axis: int = 0, split: float = 0.0) -> RegionPartition:
     """Two-region partition of the grid box by a coordinate hyperplane."""
+    _check_axis(axis, grid.ndim)
     lo = list(grid.lo)
     hi = list(grid.hi)
     lo1, hi1 = lo.copy(), hi.copy()
@@ -210,6 +218,7 @@ def half_planes(grid: SpatialGrid, axis: int = 0, split: float = 0.0) -> RegionP
 
 def momentum_half_spaces(ndim: int, axis: int = 0, split: float = 0.0) -> RegionPartition:
     """Two half-spaces covering all of momentum space."""
+    _check_axis(axis, ndim)
     inf = float("inf")
     lo1 = tuple(-inf for _ in range(ndim))
     hi1 = tuple(split if i == axis else inf for i in range(ndim))

@@ -101,18 +101,21 @@ class ZeroPotential(AnalyticPotential):
 
 def potential_from_spec(spec: dict, ndim: int) -> AnalyticPotential:
     name = spec.get("name")
-    if name == "harmonic":
-        return HarmonicPotential(
-            spec["k"], spec.get("center"), spec.get("offset", 0.0), ndim=ndim
-        )
-    if name == "gauss_well":
-        return GaussianWellPotential(
-            spec["depth"], spec["width"], spec.get("center"), spec.get("offset", 0.0), ndim=ndim
-        )
-    if name == "double_well":
-        return DoubleWellPotential(
-            spec["a"], spec["b"], spec.get("k_perp", 0.0), spec.get("offset", 0.0)
-        )
+    try:
+        if name == "harmonic":
+            return HarmonicPotential(
+                spec["k"], spec.get("center"), spec.get("offset", 0.0), ndim=ndim
+            )
+        if name == "gauss_well":
+            return GaussianWellPotential(
+                spec["depth"], spec["width"], spec.get("center"), spec.get("offset", 0.0), ndim=ndim
+            )
+        if name == "double_well":
+            return DoubleWellPotential(
+                spec["a"], spec["b"], spec.get("k_perp", 0.0), spec.get("offset", 0.0)
+            )
+    except KeyError as e:
+        raise PotentialError(f"potential {name!r} needs parameter {e.args[0]!r}") from e
     if name == "zero":
         return ZeroPotential(ndim)
     raise PotentialError(f"unknown potential spec {name!r}")

@@ -27,7 +27,8 @@ from scratchsim.experiment import (
     write_decay_csv,
     write_occupancy_csv,
 )
-from scratchsim.grid import SpatialGrid
+from scratchsim.grid import GridError, SpatialGrid
+from scratchsim.potentials import PotentialError
 from scratchsim.quantum import CheckpointSchedule
 
 
@@ -39,6 +40,29 @@ def small_theorem1_config() -> dict:
     d = default_theorem1_config().to_dict()
     d["grid"] = {"bounds": [[-8.0, 8.0], [-8.0, 8.0]], "shape": [64, 64]}
     return d
+
+
+def small_theorem2_config() -> dict:
+    d = default_theorem2_config().to_dict()
+    d.update(
+        grid={"bounds": [[-8.0, 8.0]] * 3, "shape": [16, 16, 16]},
+        schedule=[0.0, 1.0],
+        energy_tol=1e-3,
+        edge_eps=1e-2,
+    )
+    return d
+
+
+def split_boxes(D: int, gap: float = 0.0) -> dict:
+    """Two regions split along axis 0, `gap` apart."""
+    inf = [math.inf] * (D - 1)
+    return {
+        "kind": "boxes",
+        "regions": [
+            [{"lo": [-math.inf, *(-x for x in inf)], "hi": [0.0, *inf]}],
+            [{"lo": [gap, *(-x for x in inf)], "hi": [math.inf, *inf]}],
+        ],
+    }
 
 
 class TestConfigValidation:
@@ -87,12 +111,6 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="lambda"):
             ExperimentConfig.from_dict(d)
 
-    def test_needs_a_geometry_attempt(self):
-        d = default_theorem1_config().to_dict()
-        d["max_retries"] = 0
-        with pytest.raises(ValidationError, match="max_retries"):
-            ExperimentConfig.from_dict(d)
-
     def test_budget_floor_position_only(self):
         # n = 2, K = 2, positions only: Q must exceed n^(Kn) = 16
         d = default_theorem2_config().to_dict()
@@ -126,7 +144,6 @@ class TestConfigValidation:
             ("hbar", 0.0),
             ("energy_tol", 0.0),
             ("energy_tol", math.nan),
-            ("stiffness_safety", -20.0),
             ("sigma", 0.0),
             ("sigma", None),
             ("instrument_resolution", 0.0),
@@ -142,12 +159,58 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict(d)
 
-    def test_extra_keys_round_trip(self):
-        d = default_theorem1_config().to_dict()
-        d["note"] = "desk run"
-        cfg = ExperimentConfig.from_dict(d)
-        assert cfg.extra["note"] == "desk run"
-        assert cfg.to_dict()["note"] == "desk run"
+    def test_unknown_keys_refused(self):
+        # the seven keys that left the config, and a misspelling that would
+        # otherwise run at the default it meant to set
+        removed = (
+            "waypoint_margin", "eps_coll", "p_scale", "p_margin",
+            "max_retries", "stiffness_safety", "extra", "energy_toll",
+        )
+        for key in removed:
+            d = {**default_theorem1_config().to_dict(), key: 1e-9}
+            with pytest.raises(ValidationError, match=rf"unknown config keys \['{key}'\]"):
+                ExperimentConfig.from_dict(d)
+        assert len(ExperimentConfig.__dataclass_fields__) == 18
+
+    @pytest.mark.parametrize(
+        "mode, change, error, match",
+        [
+            # objects the run builds
+            ("theorem1", {"potential": {"name": "nope"}}, PotentialError, "nope"),
+            ("theorem1", {"potential": {"name": "gauss_well", "depth": 0.4}}, PotentialError, "'width'"),
+            ("theorem1", {"position_partition": split_boxes(2, gap=0.5)}, GridError, "not covered"),
+            ("theorem2", {"momentum_partition": split_boxes(3, gap=0.5)}, GridError, "not covered"),
+            ("theorem1", {"position_partition": split_boxes(3)}, GridError, "D = 2"),
+            ("theorem1", {"position_partition": {"kind": "half_planes", "axis": 5}}, GridError, "axis"),
+            ("theorem1", {"position_partition": {"kind": "half_planes", "axis": -1}}, GridError, "axis"),
+            ("theorem2", {"momentum_partition": {"kind": "half_spaces", "axis": 3}}, GridError, "axis"),
+            ("theorem2", {"momentum_partition": {"kind": "half_spaces", "axis": -1}}, GridError, "axis"),
+            ("theorem2", {"momentum_partition": {"kind": "voronoi"}}, ValidationError, "voronoi"),
+            ("theorem1", {"packet": {"center": [-1.0, 0.0, 0.0], "sigma": 1.2}}, ValidationError, "packet"),
+            ("theorem1", {"packet": {"center": [-1.0, 0.0], "sigma": 1.2, "momentum": [1.0]}}, ValidationError, "packet"),
+            # scalar fields
+            ("theorem1", {"seed": -1}, ValidationError, "seed"),
+            ("theorem1", {"seed": True}, ValidationError, "seed"),
+            ("theorem1", {"budget": 17.5}, ValidationError, "budget"),
+            ("theorem1", {"delta_path": 0.0}, ValidationError, "delta_path"),
+            ("theorem1", {"delta_path": -1.0}, ValidationError, "delta_path"),
+            ("theorem1", {"delta_path": math.inf}, ValidationError, "delta_path"),
+            ("theorem1", {"edge_eps": 0.0}, ValidationError, "edge_eps"),
+            ("theorem1", {"edge_eps": -1e-6}, ValidationError, "edge_eps"),
+            ("theorem1", {"edge_eps": math.nan}, ValidationError, "edge_eps"),
+            ("theorem1", {"position_only": "false"}, ValidationError, "position_only"),
+        ],
+    )
+    def test_door_refuses(self, mode, change, error, match):
+        d = small_theorem1_config() if mode == "theorem1" else small_theorem2_config()
+        d.update(change)
+        with pytest.raises(error, match=match):
+            ExperimentConfig.from_dict(d)
+
+    def test_door_passes_covering_boxes(self):
+        d = small_theorem2_config()
+        d.update(position_partition=split_boxes(3), momentum_partition=split_boxes(3))
+        ExperimentConfig.from_dict(d)
 
 
 class TestPartitionFromSpec:
@@ -221,16 +284,8 @@ class TestBound:
     def test_position_only_report_states_certified_bound(self):
         # the certificate covers only the K position groups, so the report
         # states 1/(N * Q^(1/(Kn))), not the full-mode 1/(N * Q^(1/(2Kn)))
-        d = default_theorem2_config().to_dict()
-        d.update(
-            grid={"bounds": [[-8.0, 8.0]] * 3, "shape": [16, 16, 16]},
-            schedule=[0.0, 1.0],
-            lambdas=[10.0],
-            stiffness_safety=320.0,
-            energy_tol=1e-3,
-            edge_eps=1e-2,
-            position_only=True,
-        )
+        d = small_theorem2_config()
+        d.update(lambdas=[10.0], position_only=True)
         report = run_pipeline(ExperimentConfig.from_dict(d))
         N = report.num_particles
         assert np.isclose(report.bound, 1.0 / (N * 257.0**0.25), rtol=1e-14)
@@ -388,6 +443,39 @@ class TestTheorem1Pipeline:
         assert isinstance(err.cause, diophantine.DiophantineError)
         assert err.__cause__ is err.cause
 
+    def test_every_stage_failure_is_tagged(self, monkeypatch):
+        # a plain ValueError from a call inside each stage
+        calls = {
+            "quantum": (experiment.quantum, "occupation_probabilities"),
+            "diophantine": (experiment.diophantine, "problem_from_probabilities"),
+            "geometry": (experiment.scratch, "ScratchedPotential"),
+            "classical": (experiment.classical, "occupancy"),
+            "decay": (experiment.quantum, "scratch_insensitivity"),
+        }
+        cfg = ExperimentConfig.from_dict(small_theorem1_config())
+        for stage, (owner, name) in calls.items():
+            cause = ValueError(f"inside {name}")
+
+            def fail(*a, **k):
+                raise cause
+
+            with monkeypatch.context() as m:
+                m.setattr(owner, name, fail)
+                with pytest.raises(experiment.StageError) as info:
+                    run_pipeline(cfg)
+            err = info.value
+            assert (err.stage, err.cause, err.__cause__) == (stage, cause, cause)
+        # the retry ladder's own StageError passes through with its attempts
+        def drift(*a, **k):
+            raise classical.StabilityError("drift", 2e-6)
+
+        monkeypatch.setattr(experiment.classical, "integrate", drift)
+        with pytest.raises(experiment.StageError) as info:
+            run_pipeline(cfg)
+        err = info.value
+        assert err.stage == "classical" and isinstance(err.cause, classical.StabilityError)
+        assert str(err).count(", 2.000e-06)") == 4 and "4 attempts made" in str(err)
+
     def test_one_driver(self):
         assert run_theorem1 is run_theorem2 is experiment.run_pipeline
 
@@ -403,15 +491,8 @@ class TestTheorem1Pipeline:
 class TestTheorem2Pipeline:
     def test_counts_occupancy_once(self, monkeypatch):
         # the checkpoints report the largest lambda's run only
-        d = default_theorem2_config().to_dict()
-        d.update(
-            grid={"bounds": [[-8.0, 8.0]] * 3, "shape": [16, 16, 16]},
-            schedule=[0.0, 1.0],
-            lambdas=[10.0, 100.0],
-            stiffness_safety=320.0,
-            energy_tol=1e-3,
-            edge_eps=1e-2,
-        )
+        d = small_theorem2_config()
+        d["lambdas"] = [10.0, 100.0]
         calls = []
         occupancy = experiment.classical.occupancy
         monkeypatch.setattr(
@@ -461,7 +542,7 @@ class TestTimestepSizing:
 
     def patched(self, monkeypatch, drift_of):
         cfg = ExperimentConfig.from_dict(small_theorem1_config())
-        dt0 = classical.stable_timestep(self.LAM, self.U_MAX, cfg.mass, cfg.stiffness_safety)
+        dt0 = classical.stable_timestep(self.LAM, self.U_MAX, cfg.mass, experiment._STIFFNESS_SAFETY)
         calls = []
         drift_law_integrate(monkeypatch, lambda lam, dt: drift_of(dt0, dt), calls)
         return cfg, dt0, calls
@@ -474,12 +555,12 @@ class TestTimestepSizing:
         assert result.energy_drift < 0.8 * cfg.energy_tol
         assert attempts == [[dt0, pytest.approx(1e-4, rel=1e-12)], [dt, result.energy_drift]]
         assert [dt_max for _, dt_max in calls] == [dt0, dt]
-        assert safety == pytest.approx(cfg.stiffness_safety / 0.08, rel=1e-12)
+        assert safety == pytest.approx(experiment._STIFFNESS_SAFETY / 0.08, rel=1e-12)
 
     def test_first_pass_keeps_the_config_safety(self, monkeypatch):
         cfg, dt0, calls = self.patched(monkeypatch, lambda dt0, dt: 0.9e-6)
         result, dt, safety, attempts = self.retry(cfg)
-        assert dt == dt0 and safety == cfg.stiffness_safety
+        assert dt == dt0 and safety == experiment._STIFFNESS_SAFETY
         assert attempts == [[dt0, 0.9e-6]]
 
     def test_seed_below_the_first_guess_is_taken(self, monkeypatch):
@@ -517,7 +598,7 @@ class TestTimestepSizing:
     def test_confinement_loss_stops_the_stage(self, monkeypatch):
         # the first attempt drifts too far, the second loses a particle
         cfg = ExperimentConfig.from_dict(small_theorem1_config())
-        dt0 = classical.stable_timestep(self.LAM, self.U_MAX, cfg.mass, cfg.stiffness_safety)
+        dt0 = classical.stable_timestep(self.LAM, self.U_MAX, cfg.mass, experiment._STIFFNESS_SAFETY)
         calls = []
 
         def fake(ensemble, scratched, schedule, *, dt_max, **kw):
@@ -538,14 +619,8 @@ class TestTimestepSizing:
         assert f"the attempt at dt={calls[1]:.3e} lost confinement" in message
 
     def test_next_lambda_is_seeded_from_the_last(self, monkeypatch):
-        d = default_theorem2_config().to_dict()
-        d.update(
-            grid={"bounds": [[-8.0, 8.0]] * 3, "shape": [16, 16, 16]},
-            schedule=[0.0, 1.0],
-            lambdas=[10.0, 100.0],
-            energy_tol=1e-3,
-            edge_eps=1e-2,
-        )
+        d = small_theorem2_config()
+        d["lambdas"] = [10.0, 100.0]
         cfg = ExperimentConfig.from_dict(d)
         first = {}
 
