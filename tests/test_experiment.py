@@ -144,6 +144,8 @@ class TestConfigValidation:
             ("hbar", 0.0),
             ("energy_tol", 0.0),
             ("energy_tol", math.nan),
+            # no longer a field: the key is refused, so no run takes a bad value
+            ("stiffness_safety", -20.0),
             ("sigma", 0.0),
             ("sigma", None),
             ("instrument_resolution", 0.0),
@@ -157,6 +159,21 @@ class TestConfigValidation:
         else:
             d[key] = value
         with pytest.raises(ValidationError):
+            ExperimentConfig.from_dict(d)
+
+    def test_extra_keys_round_trip(self):
+        # a config round-trips through its dict; a key outside the fields does not
+        cfg = default_theorem1_config()
+        d = cfg.to_dict()
+        assert ExperimentConfig.from_dict(d) == cfg
+        with pytest.raises(ValidationError, match="note"):
+            ExperimentConfig.from_dict({**d, "note": "desk run"})
+
+    def test_needs_a_geometry_attempt(self):
+        # the attempt count is fixed in the geometry stage, not set per run
+        assert experiment._GEOMETRY_ATTEMPTS >= 1
+        d = {**default_theorem1_config().to_dict(), "max_retries": 0}
+        with pytest.raises(ValidationError, match="max_retries"):
             ExperimentConfig.from_dict(d)
 
     def test_unknown_keys_refused(self):
