@@ -73,13 +73,13 @@ class TrajectoryResult:
 
 
 def initialize_on_scratches(
-    curves, mass: float, schedule: CheckpointSchedule, conditioning=None
+    curves, mass: float, schedule: CheckpointSchedule, speeds=None
 ) -> ClassicalEnsemble:
     """Place particle l at q^(l)(s_1) with tangential momentum.
 
-    Spline mode: p = m * c_{l,1} * dq/ds(s_1). Line mode: the straight-line
-    momentum m * (q(t_f) - q(t_i)) / (t_f - t_i), which is the same choice
-    with c = 1/(t_f - t_i).
+    Spline mode: p = m * c_{l,1} * dq/ds(s_1), with c = speeds. Line mode
+    (no speeds): the straight-line momentum m * (q(t_f) - q(t_i)) / (t_f -
+    t_i), which is the same choice with c = 1/(t_f - t_i).
     """
     N = len(curves)
     D = curves[0].ndim
@@ -89,10 +89,7 @@ def initialize_on_scratches(
         s0 = c.checkpoint_params[0]
         q[l] = c(np.array([s0]))[0]
         dq = c.deriv(np.array([s0]))[0]
-        if conditioning is not None:
-            speed = conditioning.speeds[l, 0]
-        else:
-            speed = 1.0 / (schedule.t_final - schedule.t_initial)
+        speed = 1.0 / (schedule.t_final - schedule.t_initial) if speeds is None else speeds[l, 0]
         p[l] = mass * speed * dq
     return ClassicalEnsemble(q, p, mass)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scratchsim import classical, diophantine, geometry, quantum, scratch
-from scratchsim.grid import Box, RegionPartition, SpatialGrid, half_planes, momentum_half_spaces
+from scratchsim.grid import Box, RegionPartition, SpatialGrid, half_planes, is_number, momentum_half_spaces
 from scratchsim.potentials import potential_from_spec
 
 
@@ -59,23 +59,38 @@ def _stage(name: str):
         raise StageError(name, e) from e
 
 
-def partition_from_spec(spec: dict, grid: SpatialGrid | None = None, ndim: int | None = None) -> RegionPartition:
+def _check_keys(what: str, spec, required, optional=()) -> None:
+    """Refuse a spec that is not an object, lacks a required key or has a key
+    that is neither required nor optional, naming the keys."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{what} must be an object, got {spec!r}")
+    missing = [k for k in required if k not in spec]
+    if missing:
+        raise ValidationError(f"missing {what} keys {missing}")
+    unknown = sorted(set(spec) - set(required) - set(optional))
+    if unknown:
+        raise ValidationError(f"unknown {what} keys {unknown}")
+
+
+def partition_from_spec(spec: dict, grid: SpatialGrid) -> RegionPartition:
+    """The partition a spec describes, in the grid's dimension: `half_planes`
+    of the grid's box, `half_spaces` of all of momentum space, or `boxes`."""
     kind = spec.get("kind")
-    if kind == "half_planes":
-        if grid is None:
-            raise ValidationError("half_planes partition needs the grid")
-        return half_planes(grid, spec.get("axis", 0), spec.get("split", 0.0))
-    if kind == "half_spaces":
-        if ndim is None:
-            raise ValidationError("half_spaces partition needs the dimension")
-        return momentum_half_spaces(ndim, spec.get("axis", 0), spec.get("split", 0.0))
     if kind == "boxes":
-        regions = [
-            [Box(tuple(b["lo"]), tuple(b["hi"])) for b in region]
-            for region in spec["regions"]
-        ]
-        return RegionPartition(regions)
-    raise ValidationError(f"unknown partition kind {kind!r}")
+        _check_keys("boxes partition", spec, ("kind", "regions"))
+        for region in spec["regions"]:
+            for b in region:
+                _check_keys("box", b, ("lo", "hi"))
+        return RegionPartition(
+            [[Box(tuple(b["lo"]), tuple(b["hi"])) for b in region] for region in spec["regions"]]
+        )
+    if kind not in ("half_planes", "half_spaces"):
+        raise ValidationError(f"unknown partition kind {kind!r}")
+    _check_keys(f"{kind} partition", spec, ("kind",), ("axis", "split"))
+    axis, split = spec.get("axis", 0), spec.get("split", 0.0)
+    if kind == "half_planes":
+        return half_planes(grid, axis, split)
+    return momentum_half_spaces(grid.ndim, axis, split)
 
 
 @dataclass
@@ -103,9 +118,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValidationError(f"unknown config keys {unknown}")
+        fields = dataclasses.fields(cls)
+        required = [f.name for f in fields if f.default is dataclasses.MISSING]
+        _check_keys("config", d, required, [f.name for f in fields])
         cfg = cls(**d)
         cfg.validate()
         return cfg
@@ -114,21 +129,19 @@ class ExperimentConfig:
         return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
 
     def build_grid(self) -> SpatialGrid:
-        return SpatialGrid(
-            tuple(tuple(b) for b in self.grid["bounds"]), tuple(self.grid["shape"])
-        )
+        return SpatialGrid(self.grid["bounds"], self.grid["shape"])
 
     def build_partitions(self, g: SpatialGrid) -> tuple[RegionPartition, RegionPartition | None]:
         """The position partition and, in full mode, the momentum partition:
         the half-spaces split at p_1 = 0 unless the config gives one. A
         `boxes` spec is checked to cover its grid: the position grid, or
         for momenta its Fourier dual (`RegionPartition.validate_on`)."""
-        pos = partition_from_spec(self.position_partition, grid=g)
+        pos = partition_from_spec(self.position_partition, g)
         checks = [(self.position_partition, pos, g)]
         mom = None
         if self.mode == "theorem2":
             spec = self.momentum_partition or {"kind": "half_spaces"}
-            mom = partition_from_spec(spec, ndim=g.ndim)
+            mom = partition_from_spec(spec, g)
             checks.append((spec, mom, g.momentum_grid(self.hbar)))
         for spec, part, grid in checks:
             if spec.get("kind") == "boxes":
@@ -154,6 +167,8 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
         if not isinstance(self.position_only, bool):
             raise ValidationError(f"position_only must be a bool, got {self.position_only!r}")
+        _check_keys("grid", self.grid, ("bounds", "shape"))
+        _check_keys("packet", self.packet, ("center", "sigma"), ("momentum",))
         g = self.build_grid()
         n = self.build_partitions(g)[0].n
         K = self.num_checkpoints
@@ -174,12 +189,13 @@ class ExperimentConfig:
             if getattr(self, name) is not None:
                 positive[name] = getattr(self, name)
         for name, value in positive.items():
-            if not (isinstance(value, (int, float)) and 0.0 < value < math.inf):
+            if not (is_number(value) and value > 0.0):
                 raise ValidationError(f"{name} must be finite and positive, got {value!r}")
         D = g.ndim
-        pk = self.packet
-        if np.shape(pk.get("center")) != (D,) or np.shape(pk.get("momentum", [0.0] * D)) != (D,):
-            raise ValidationError(f"packet center and momentum need D = {D} entries each")
+        for name in ("center", "momentum"):
+            v = self.packet.get(name, [0.0] * D)
+            if not (isinstance(v, (list, tuple)) and len(v) == D and all(map(is_number, v))):
+                raise ValidationError(f"packet {name} needs D = {D} finite numbers, got {v!r}")
         pot = potential_from_spec(self.potential, D)
         if self.mode == "theorem1":
             if D < 2:
@@ -299,14 +315,6 @@ def write_trajectory_csv(path: str, result: classical.TrajectoryResult, scratche
                     + list(snap.momenta[l])
                     + [e[l]]
                 )
-
-
-def certified_bound(num_particles: int, problem: diophantine.ApproximationProblem) -> tuple[float, str]:
-    """1 / (N * Q^(1/(nG))) for the problem's G groups of n,
-    `problem.bound(N)`: the bound its certificate proves, in double and
-    extended precision."""
-    ext = problem.bound(num_particles)
-    return float(ext), str(ext)
 
 
 def deviation_floor(scratched) -> float:
@@ -465,7 +473,7 @@ def _geometry_stage(config, g, schedule, pos_part, mom_part, counts_pos, counts_
             curves = geometry.build_paths(plan, grid=g, seed=seed)
             if mom_part is None:
                 return plan, curves, None, None
-            cond, curves = geometry.condition_momenta(
+            speeds, curves = geometry.condition_momenta(
                 curves,
                 mom_part,
                 counts_mom,
@@ -476,13 +484,11 @@ def _geometry_stage(config, g, schedule, pos_part, mom_part, counts_pos, counts_
             )
             tangential = []
             for l, c in enumerate(curves):
-                conditions = scratch.TimingConditions(
-                    times, c.checkpoint_params, cond.speeds[l]
-                )
+                conditions = scratch.TimingConditions(times, c.checkpoint_params, speeds[l])
                 tangential.append(
                     scratch.construct_tangential_potential(c, conditions, config.mass)
                 )
-            return plan, curves, cond, tangential
+            return plan, curves, speeds, tangential
         except (geometry.GeometryError, scratch.InfeasibleTimingError):
             if attempt == _GEOMETRY_ATTEMPTS - 1:
                 raise
@@ -530,7 +536,8 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
             raise ExperimentError("certificate failed")
         renorm = [np.asarray(p) for p in problem.groups]
         N = approx.q
-        bound, bound_ext = certified_bound(N, problem)
+        bound_ext = problem.bound(N)  # 1 / (N * Q^(1/(nG))), extended precision
+        bound = float(bound_ext)
         counts_pos = np.array(approx.numerators[:K], dtype=np.int64)
         if constrained:
             counts_mom = np.array(approx.numerators[K:], dtype=np.int64)
@@ -542,7 +549,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
             counts_mom = None
 
     with _stage("geometry"):
-        plan, curves, cond, tangential = _geometry_stage(
+        plan, curves, speeds, tangential = _geometry_stage(
             config, g, schedule, pos_part, mom_part, counts_pos, counts_mom, N
         )
         # one scratched potential per lambda, for the ensemble and the decay table
@@ -556,9 +563,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
         per_lambda = []
         seed_dt = math.inf
         # `integrate` copies the ensemble, so every attempt starts from this one
-        ensemble = classical.initialize_on_scratches(
-            curves, config.mass, schedule, conditioning=cond
-        )
+        ensemble = classical.initialize_on_scratches(curves, config.mass, schedule, speeds)
         for scratched in potentials if full else potentials[-1:]:
             result, dt, safety, attempts = _integrate_with_retries(
                 config, ensemble, scratched, schedule, u_max, g, curves, seed_dt
@@ -587,7 +592,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
     planned_pos = geometry.recount_positions(curves, pos_part)
     min_dist = classical.min_pairwise_distance(result.snapshots)
     deviations = [row["max_curve_deviation"] for row in per_lambda]
-    floor = deviation_floor(scratched)
+    floor = deviation_floor(potentials[-1])
     diagnostics = {
         "norm_gap": norm_gap,
         "repair_penalty": approx.repair_penalty,
@@ -603,7 +608,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
     }
     plan_realized = bool(np.array_equal(planned_pos, occ.counts))
     if full:
-        planned_mom = geometry.recount_momenta(curves, cond, mom_part, config.mass)
+        planned_mom = geometry.recount_momenta(curves, speeds, mom_part, config.mass)
         diagnostics["planned_counts_momentum"] = planned_mom
         if constrained:
             plan_realized = plan_realized and bool(
@@ -629,7 +634,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
         config=config.to_dict(),
         num_particles=N,
         bound=bound,
-        bound_extended=bound_ext,
+        bound_extended=str(bound_ext),
         checkpoints=rows,
         decay=decay,
         diagnostics=diagnostics,
@@ -637,7 +642,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
     )
     if out_dir is not None:
         report.save(out_dir)
-        write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), result, scratched)
+        write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), result, potentials[-1])
     return report
 
 

@@ -23,6 +23,14 @@ _SCAN_SAMPLES = 512
 # that, so the products run on the calling thread alone.
 _SCAN_BLOCK = 1 << 16
 _DISTANCE_ROWS = 64
+# Newton steps of a projection, at most
+_NEWTON_ITERS = 8
+# samples per curve of the separation checks, and the ratio of chord to arc
+# length below which two samples of one curve count as an approach
+_CURVE_SAMPLES = 1000
+_ARC_RATIO = 0.3
+# general position's collinearity tolerance, a fraction of the grid's diagonal
+_COLLINEAR_TOL = 1e-6
 
 
 class GeometryError(ValueError):
@@ -270,17 +278,17 @@ class SplineCurve(HermiteSpline):
         s = np.linspace(s_lo, s_hi, num)
         return s, self(s)
 
-    def project(self, points, s_lo=0.0, s_hi=1.0, newton_iters=8):
+    def project(self, points, s_lo=0.0, s_hi=1.0):
         """Nearest parameter in [s_lo, s_hi] and squared distance per point
         (see `project_jet`)."""
-        s, f, _ = self.project_jet(points, s_lo, s_hi, newton_iters)
+        s, f, _ = self.project_jet(points, s_lo, s_hi)
         return s, f
 
-    def project_jet(self, points, s_lo=0.0, s_hi=1.0, newton_iters=8):
+    def project_jet(self, points, s_lo=0.0, s_hi=1.0):
         """Nearest parameter in [s_lo, s_hi], squared distance and the jet
         (position, first and second derivative) at that parameter, per point:
         the one-curve case of `SplineFamily.project`."""
-        return SplineFamily([self], s_lo, s_hi).project(points, newton_iters=newton_iters)
+        return SplineFamily([self], s_lo, s_hi).project(points)
 
 
 def _hull_corners(curve, s_lo: float, s_hi: float) -> np.ndarray:
@@ -406,18 +414,18 @@ class SplineFamily:
             s = np.where(moving, s_new, s)
         return s, self._jet(cl, s, knots)
 
-    def project(self, points, pairs=None, s_start=None, newton_iters=8):
+    def project(self, points, pairs=None, s_start=None):
         """Nearest parameter, squared distance and jet (position, first and
         second derivative) of (curve, point) pairs.
 
         `pairs` holds curve and point indices, sorted by curve; every pair by
         default, curve-major. A scan over 512 samples of the curve's range
-        gives each pair's start, and `_newton` refines it. With `s_start`,
-        one start per pair (nan for none, the default for every pair),
-        Newton starts there instead, and a pair that ends farther from its
-        point than the scan's nearest sample starts again from that sample,
-        so that no result is worse than the scan. Returns s (P,), f (P,) and
-        the jet as three (P, D) arrays.
+        gives each pair's start, and `_newton` refines it in _NEWTON_ITERS
+        steps at most. With `s_start`, one start per pair (nan for none, the
+        default for every pair), Newton starts there instead, and a pair that
+        ends farther from its point than the scan's nearest sample starts
+        again from that sample, so that no result is worse than the scan.
+        Returns s (P,), f (P,) and the jet as three (P, D) arrays.
         """
         points = np.atleast_2d(points)
         if pairs is None:
@@ -432,14 +440,14 @@ class SplineFamily:
             s_start = np.full(cl.size, np.nan)
         warm = ~np.isnan(s_start)
         s0 = np.minimum(np.maximum(np.where(warm, s_start, s_scan), lo), hi)
-        s, jet = self._newton(cl, q, s0, newton_iters, lo, hi)
+        s, jet = self._newton(cl, q, s0, _NEWTON_ITERS, lo, hi)
         diff = q - jet[0]
         f = np.einsum("ij,ij->i", diff, diff)
         to_sample = q - self._scan_pts[cl, j]
         back = np.flatnonzero(warm & (f > np.einsum("ij,ij->i", to_sample, to_sample)))
         if back.size:
             s_b, jet_b = self._newton(
-                cl[back], q[back], s_scan[back], newton_iters, lo[back], hi[back]
+                cl[back], q[back], s_scan[back], _NEWTON_ITERS, lo[back], hi[back]
             )
             s[back] = s_b
             for part, part_b in zip(jet, jet_b):
@@ -456,9 +464,7 @@ class SplineFamily:
 @dataclass
 class WaypointPlan:
     positions: np.ndarray  # (N, K, D)
-    assignment: np.ndarray  # (N, K) 1-based region labels
     delta_path: float
-    eps_coll: float
     mode: str  # "line" | "spline"
 
     @property
@@ -468,14 +474,6 @@ class WaypointPlan:
     @property
     def num_checkpoints(self) -> int:
         return self.positions.shape[1]
-
-
-@dataclass
-class MomentumConditioning:
-    directions: np.ndarray  # (N, K, D) unit tangent directions at checkpoints
-    speeds: np.ndarray  # (N, K) multipliers c with p = m * c * dq/ds
-    radii: np.ndarray  # (N, K) chosen |p|
-    assignment: np.ndarray  # (N, K) 1-based momentum region labels
 
 
 def assign_itineraries(counts: np.ndarray, num_particles: int) -> np.ndarray:
@@ -538,26 +536,24 @@ def sample_waypoints(
     grid: SpatialGrid,
     seed: int,
     *,
-    margin: float | None = None,
     delta_path: float | None = None,
-    eps_coll: float | None = None,
     general_position: bool = False,
-    max_attempts: int = 4000,
 ) -> WaypointPlan:
-    """Rejection-sample per-particle per-checkpoint positions.
+    """Rejection-sample per-particle per-checkpoint positions, with at most
+    4000 candidates per waypoint.
 
-    Every waypoint is strictly interior to its assigned region (margin at
-    least one grid spacing from the region and domain boundaries); same-
-    checkpoint waypoints keep pairwise clearance; in general-position mode no
-    three of the sampled points are collinear within eps_coll.
+    Every waypoint is strictly interior to its assigned region (a margin of
+    one grid spacing h from the region and domain boundaries); same-
+    checkpoint waypoints keep pairwise clearance delta_path, 4 h unless
+    given; in general-position mode no three of the sampled points are
+    collinear within _COLLINEAR_TOL times the grid's diagonal.
     """
     rng = np.random.default_rng(seed)
     N, K = assignment.shape
     D = grid.ndim
-    h = float(np.max(grid.spacing))
-    margin = h if margin is None else margin
+    h = margin = float(np.max(grid.spacing))
     delta_path = 4.0 * h if delta_path is None else delta_path
-    eps_coll = 1e-6 * grid.diagonal if eps_coll is None else eps_coll
+    eps_coll = _COLLINEAR_TOL * grid.diagonal
 
     region_boxes = {}
     for k in range(1, partition.n + 1):
@@ -582,7 +578,7 @@ def sample_waypoints(
                 d = placed[i2] - x
                 nd = _norms(d)
             ok = False
-            for _ in range(max_attempts):
+            for _ in range(4000):
                 bi = rng.choice(len(boxes), p=weights)
                 lo, hi = boxes[bi]
                 z = rng.uniform(lo + margin, hi - margin)
@@ -608,9 +604,7 @@ def sample_waypoints(
                 )
     return WaypointPlan(
         positions=positions,
-        assignment=np.asarray(assignment, dtype=np.int64),
         delta_path=delta_path,
-        eps_coll=eps_coll,
         mode="line" if general_position else "spline",
     )
 
@@ -663,36 +657,37 @@ def catmull_rom_tangents(knots: np.ndarray, waypoints: np.ndarray) -> np.ndarray
     return t
 
 
-def curve_pair_min_distance(c1, c2, num: int = 1000) -> float:
-    _, p1 = c1.sample(num)
-    _, p2 = c2.sample(num)
+def curve_pair_min_distance(c1, c2) -> float:
+    """Smallest distance between _CURVE_SAMPLES samples of each curve."""
+    _, p1 = c1.sample(_CURVE_SAMPLES)
+    _, p2 = c2.sample(_CURVE_SAMPLES)
     n1 = np.sum(p1**2, axis=1)[:, None]
     n2 = np.sum(p2**2, axis=1)[None, :]
     best = np.inf
-    cuts = _row_blocks(0, num, _DISTANCE_ROWS)
+    cuts = _row_blocks(0, _CURVE_SAMPLES, _DISTANCE_ROWS)
     for a, b in zip(cuts[:-1], cuts[1:]):
         d2 = n1[a:b] - 2.0 * p1[a:b] @ p2.T + n2
         best = min(best, d2.min())
     return float(np.sqrt(max(best, 0.0)))
 
 
-def curve_self_min_distance(curve, num: int = 1000, arc_ratio: float = 0.3) -> float:
-    """Minimum distance over self-approaching sample pairs.
+def curve_self_min_distance(curve) -> float:
+    """Minimum distance over self-approaching pairs of _CURVE_SAMPLES samples.
 
     Points close along the curve are close in space for any regular curve, so
-    only pairs whose chordal distance falls below arc_ratio times their
+    only pairs whose chordal distance falls below _ARC_RATIO times their
     arc-length separation count as approaches; inf if there are none.
     """
-    s, p = curve.sample(num)
+    s, p = curve.sample(_CURVE_SAMPLES)
     seg = np.linalg.norm(np.diff(p, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(seg)])
     n2 = np.sum(p**2, axis=1)
     best = np.inf
-    cuts = _row_blocks(0, num, _DISTANCE_ROWS)
+    cuts = _row_blocks(0, _CURVE_SAMPLES, _DISTANCE_ROWS)
     for a, b in zip(cuts[:-1], cuts[1:]):
         d2 = n2[a:b, None] - 2.0 * p[a:b] @ p.T + n2[None, :]
         d = np.sqrt(np.maximum(d2, 0.0))
-        approach = d < arc_ratio * np.abs(arc[a:b, None] - arc[None, :])
+        approach = d < _ARC_RATIO * np.abs(arc[a:b, None] - arc[None, :])
         if np.any(approach):
             best = min(best, d[approach].min())
     return float(best)
@@ -703,16 +698,14 @@ def build_paths(
     *,
     grid: SpatialGrid,
     seed: int,
-    collision_tol: float = 1e-9,
-    max_perturbations: int = 50,
 ) -> list[SegmentCurve] | list[SplineCurve]:
     """Scratch curves through the plan's waypoints, of the kind `plan.mode`
     names.
 
     line mode (two checkpoints, D >= 2): straight segments plus the temporal
-    no-collision certificate -- any pair achieving simultaneous equal
-    positions triggers a waypoint perturbation of at most h/10, h the
-    grid's largest spacing, and a recheck.
+    no-collision certificate -- any pair coming within 1e-9 at one time
+    triggers a waypoint perturbation of at most h/10, h the grid's largest
+    spacing, and a recheck, at most 50 times.
     spline mode (D >= 3): clamped cubic Hermite curves with Catmull-Rom
     tangents, which `condition_momenta` replaces and then verifies.
     """
@@ -731,24 +724,24 @@ def build_paths(
     pos = plan.positions.copy()
     h = float(np.max(grid.spacing))
     i1, i2 = np.triu_indices(plan.num_particles, 1)
-    for _ in range(max_perturbations):
-        colliding = np.flatnonzero(_collision_distances(pos[i1], pos[i2]) < collision_tol)
+    for _ in range(50):
+        colliding = np.flatnonzero(_collision_distances(pos[i1], pos[i2]) < 1e-9)
         if colliding.size == 0:
             return [SegmentCurve(pos[l, 0], pos[l, 1]) for l in range(plan.num_particles)]
         pos[i1[colliding[0]], 0] += rng.uniform(-h / 10, h / 10, size=D)
     raise ConstructionError("collision unresolved after bounded perturbations")
 
 
-def verify_curve_family(curves, delta_path: float, num: int = 1000) -> None:
+def verify_curve_family(curves, delta_path: float) -> None:
     for i, c in enumerate(curves):
-        if curve_self_min_distance(c, num) < delta_path / 2:
+        if curve_self_min_distance(c) < delta_path / 2:
             raise ConstructionError(f"curve {i} self-approach below delta_path/2")
         s, _ = c.sample(64)
         if np.any(np.linalg.norm(c.deriv(s), axis=-1) < 1e-9):
             raise ConstructionError(f"curve {i} has a vanishing tangent")
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
-            if curve_pair_min_distance(curves[i], curves[j], num) < delta_path:
+            if curve_pair_min_distance(curves[i], curves[j]) < delta_path:
                 raise ConstructionError(f"curves {i},{j} closer than delta_path")
 
 
@@ -809,18 +802,18 @@ def condition_momenta(
     times: np.ndarray,
     *,
     seed: int,
-    p_scale: float = 1.0,
-    p_margin: float = 0.3,
     delta_path: float,
-) -> tuple[MomentumConditioning, list[SplineCurve]]:
+) -> tuple[np.ndarray, list[SplineCurve]]:
     """Adjust knot tangents and choose speed multipliers so that the momenta
-    m * c_{l,j} * dq/ds(s_j) realize the required per-region counts.
+    m * c_{l,j} * dq/ds(s_j) realize the required per-region counts; returns
+    the multipliers c, (N, K), and the conditioned curves.
 
     Tangent directions are replaced only when the existing tangent ray misses
     its assigned momentum region; magnitudes are rescaled so every c_{l,j} is
-    positive and compatible with a monotone timing interpolant. The
-    conditioned curves are verified simple and pairwise separated by
-    `delta_path` (`verify_curve_family`).
+    positive and compatible with a monotone timing interpolant. Momenta are
+    sought within |p| <= 8 and 0.3 inside their region. The conditioned
+    curves are verified simple and pairwise separated by `delta_path`
+    (`verify_curve_family`).
     """
     rng = np.random.default_rng(seed)
     N = len(curves)
@@ -828,13 +821,11 @@ def condition_momenta(
     K = counts.shape[0]
     times = np.asarray(times, dtype=float)
     assignment = assign_itineraries(counts, N)
-    p_clip = 8.0 * p_scale
+    p_clip, p_margin = 8.0, 0.3
     D = curves[0].ndim
 
     new_curves: list[SplineCurve] = []
-    directions = np.zeros((N, K, D))
     speeds = np.zeros((N, K))
-    radii = np.zeros((N, K))
     for l, curve in enumerate(curves):
         knots = curve.checkpoint_params
         if len(knots) != K:
@@ -857,7 +848,7 @@ def condition_momenta(
                 if interval is None:
                     raise ConditioningError(f"no reachable direction for particle {l}, checkpoint {j}")
             r_lo, r_hi = interval
-            r_pick = (r_lo + r_hi) / 2.0 if r_hi < 0.98 * p_clip else max(2.0 * r_lo, p_scale)
+            r_pick = (r_lo + r_hi) / 2.0 if r_hi < 0.98 * p_clip else max(2.0 * r_lo, 1.0)
             dmin = dmins[j]
             c_target = float(dmin)
             g = r_pick / (mass * c_target)
@@ -877,16 +868,11 @@ def condition_momenta(
                     )
                 r_pick = (lo_eff + hi_eff) / 2.0
                 c = r_pick / (mass * g)
-            directions[l, j] = u
             speeds[l, j] = c
-            radii[l, j] = r_pick
             tangents[j] = u * g
         new_curves.append(SplineCurve(knots, curve.waypoints, tangents))
     verify_curve_family(new_curves, delta_path)
-    cond = MomentumConditioning(
-        directions=directions, speeds=speeds, radii=radii, assignment=assignment
-    )
-    return cond, new_curves
+    return speeds, new_curves
 
 
 def recount_positions(curves, partition: RegionPartition) -> np.ndarray:
@@ -895,8 +881,9 @@ def recount_positions(curves, partition: RegionPartition) -> np.ndarray:
     return np.stack([partition.counts(pts[:, j]) for j in range(pts.shape[1])])
 
 
-def recount_momenta(curves, cond: MomentumConditioning, partition: RegionPartition, mass: float) -> np.ndarray:
-    """Counts (K, n) of checkpoint momenta m * c_(l,j) * q_l'(s_j) per region."""
+def recount_momenta(curves, speeds: np.ndarray, partition: RegionPartition, mass: float) -> np.ndarray:
+    """Counts (K, n) of checkpoint momenta m * c_(l,j) * q_l'(s_j) per region,
+    speeds[l, j] = c_(l,j)."""
     dq = np.stack([c.deriv(c.checkpoint_params) for c in curves])  # (N, K, D)
-    p = mass * cond.speeds[:, :, None] * dq
+    p = mass * speeds[:, :, None] * dq
     return np.stack([partition.counts(p[:, j]) for j in range(p.shape[1])])

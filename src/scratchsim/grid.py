@@ -8,6 +8,9 @@ the lowest region label wins.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -19,6 +22,12 @@ FIELD_VERSION = 1
 
 class GridError(ValueError):
     pass
+
+
+def is_number(x, finite: bool = True) -> bool:
+    """Whether x is a real number, and finite unless `finite` is false: not
+    a bool, a string or an array."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and (math.isfinite(x) or not finite)
 
 
 class FieldFormatError(ValueError):
@@ -37,8 +46,19 @@ class SpatialGrid:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bounds", tuple((float(a), float(b)) for a, b in self.bounds))
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        try:
+            shape = tuple(operator.index(n) for n in self.shape)
+        except TypeError:
+            raise GridError(f"shape needs one integer per axis, got {self.shape!r}") from None
+        try:
+            bounds = tuple((lo, hi) for lo, hi in self.bounds)
+            ok = all(is_number(x) for pair in bounds for x in pair)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise GridError(f"bounds need a finite (lo, hi) pair per axis, got {self.bounds!r}")
+        object.__setattr__(self, "bounds", tuple((float(a), float(b)) for a, b in bounds))
+        object.__setattr__(self, "shape", shape)
         if self.ndim not in (2, 3):
             raise GridError(f"dimension must be 2 or 3, got {self.ndim}")
         if len(self.shape) != self.ndim:
@@ -116,6 +136,8 @@ class Box:
     hi: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(is_number(x, finite=False) for x in (*self.lo, *self.hi)):
+            raise GridError(f"box bounds must be numbers, got lo={self.lo!r}, hi={self.hi!r}")
         object.__setattr__(self, "lo", tuple(float(x) for x in self.lo))
         object.__setattr__(self, "hi", tuple(float(x) for x in self.hi))
         if len(self.lo) != len(self.hi):
@@ -199,14 +221,16 @@ class RegionPartition:
                 raise GridError(f"region {k} has no interior grid point")
 
 
-def _check_axis(axis: int, ndim: int) -> None:
-    if axis not in range(ndim):
+def _check_split(axis: int, split: float, ndim: int) -> None:
+    if not (isinstance(axis, numbers.Integral) and not isinstance(axis, bool) and axis in range(ndim)):
         raise GridError(f"axis must be one of 0..{ndim - 1}, got {axis!r}")
+    if not is_number(split):
+        raise GridError(f"split must be a finite number, got {split!r}")
 
 
 def half_planes(grid: SpatialGrid, axis: int = 0, split: float = 0.0) -> RegionPartition:
     """Two-region partition of the grid box by a coordinate hyperplane."""
-    _check_axis(axis, grid.ndim)
+    _check_split(axis, split, grid.ndim)
     lo = list(grid.lo)
     hi = list(grid.hi)
     lo1, hi1 = lo.copy(), hi.copy()
@@ -218,7 +242,7 @@ def half_planes(grid: SpatialGrid, axis: int = 0, split: float = 0.0) -> RegionP
 
 def momentum_half_spaces(ndim: int, axis: int = 0, split: float = 0.0) -> RegionPartition:
     """Two half-spaces covering all of momentum space."""
-    _check_axis(axis, ndim)
+    _check_split(axis, split, ndim)
     inf = float("inf")
     lo1 = tuple(-inf for _ in range(ndim))
     hi1 = tuple(split if i == axis else inf for i in range(ndim))

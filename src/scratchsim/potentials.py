@@ -2,17 +2,41 @@
 
 The classical integrator needs exact forces and the quantum propagator needs
 grid samples, so every potential exposes value_and_grad on point arrays.
+Every potential checks its parameters when it is built: each is a finite
+number, widths are positive and a center has one entry per dimension.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from scratchsim.grid import ScalarField, SpatialGrid
+from scratchsim.grid import ScalarField, SpatialGrid, is_number
 
 
 class PotentialError(ValueError):
     pass
+
+
+def _number(name: str, value, positive: bool = False) -> float:
+    """The parameter `name` as a float: a finite number, and > 0 if
+    `positive`."""
+    if not (is_number(value) and (value > 0 or not positive)):
+        kind = "a finite positive" if positive else "a finite"
+        raise PotentialError(f"potential parameter {name!r} must be {kind} number, got {value!r}")
+    return float(value)
+
+
+def _center(center, ndim: int) -> np.ndarray:
+    """The parameter `center`: the origin if None, else ndim finite numbers."""
+    if center is None:
+        return np.zeros(ndim)
+    try:
+        ok = len(center) == ndim and all(map(is_number, center))
+    except TypeError:
+        ok = False
+    if not ok:
+        raise PotentialError(f"potential parameter 'center' needs {ndim} finite numbers, got {center!r}")
+    return np.asarray(center, dtype=float)
 
 
 class AnalyticPotential:
@@ -25,8 +49,9 @@ class AnalyticPotential:
     def sample(self, grid: SpatialGrid) -> ScalarField:
         return ScalarField(grid, self.value(grid.points()).reshape(grid.shape))
 
-    def max_on(self, grid: SpatialGrid, stride: int = 4) -> float:
-        pts = grid.points()[::stride]
+    def max_on(self, grid: SpatialGrid) -> float:
+        """The largest value on every fourth grid point, row-major."""
+        pts = grid.points()[::4]
         return float(np.max(self.value(pts)))
 
 
@@ -34,9 +59,9 @@ class HarmonicPotential(AnalyticPotential):
     """U = offset + (k/2) |q - center|^2."""
 
     def __init__(self, k: float, center=None, offset: float = 0.0, ndim: int = 2):
-        self.k = float(k)
-        self.center = np.zeros(ndim) if center is None else np.asarray(center, dtype=float)
-        self.offset = float(offset)
+        self.k = _number("k", k)
+        self.center = _center(center, ndim)
+        self.offset = _number("offset", offset)
 
     def value_and_grad(self, points):
         points = np.atleast_2d(points)
@@ -52,10 +77,10 @@ class GaussianWellPotential(AnalyticPotential):
     """
 
     def __init__(self, depth: float, width: float, center=None, offset: float = 0.0, ndim: int = 2):
-        self.depth = float(depth)
-        self.width = float(width)
-        self.center = np.zeros(ndim) if center is None else np.asarray(center, dtype=float)
-        self.offset = float(offset)
+        self.depth = _number("depth", depth)
+        self.width = _number("width", width, positive=True)
+        self.center = _center(center, ndim)
+        self.offset = _number("offset", offset)
 
     def value_and_grad(self, points):
         points = np.atleast_2d(points)
@@ -71,10 +96,10 @@ class DoubleWellPotential(AnalyticPotential):
     """U = offset + a * (x^2 - b^2)^2 / b^4 + (k/2) * |q_perp|^2 along axis 0."""
 
     def __init__(self, a: float, b: float, k_perp: float = 0.0, offset: float = 0.0):
-        self.a = float(a)
-        self.b = float(b)
-        self.k_perp = float(k_perp)
-        self.offset = float(offset)
+        self.a = _number("a", a)
+        self.b = _number("b", b, positive=True)
+        self.k_perp = _number("k_perp", k_perp)
+        self.offset = _number("offset", offset)
 
     def value_and_grad(self, points):
         points = np.atleast_2d(points)
@@ -99,23 +124,29 @@ class ZeroPotential(AnalyticPotential):
         return np.zeros(points.shape[0]), np.zeros_like(points)
 
 
+# per potential name: its class, its required and its optional parameters
+_SPECS = {
+    "harmonic": (HarmonicPotential, ("k",), ("center", "offset")),
+    "gauss_well": (GaussianWellPotential, ("depth", "width"), ("center", "offset")),
+    "double_well": (DoubleWellPotential, ("a", "b"), ("k_perp", "offset")),
+    "zero": (ZeroPotential, (), ()),
+}
+
+
 def potential_from_spec(spec: dict, ndim: int) -> AnalyticPotential:
+    """The potential that spec["name"] names, built from the spec's other
+    keys; a key the potential does not take is refused by name."""
     name = spec.get("name")
-    try:
-        if name == "harmonic":
-            return HarmonicPotential(
-                spec["k"], spec.get("center"), spec.get("offset", 0.0), ndim=ndim
-            )
-        if name == "gauss_well":
-            return GaussianWellPotential(
-                spec["depth"], spec["width"], spec.get("center"), spec.get("offset", 0.0), ndim=ndim
-            )
-        if name == "double_well":
-            return DoubleWellPotential(
-                spec["a"], spec["b"], spec.get("k_perp", 0.0), spec.get("offset", 0.0)
-            )
-    except KeyError as e:
-        raise PotentialError(f"potential {name!r} needs parameter {e.args[0]!r}") from e
-    if name == "zero":
-        return ZeroPotential(ndim)
-    raise PotentialError(f"unknown potential spec {name!r}")
+    if name not in _SPECS:
+        raise PotentialError(f"unknown potential spec {name!r}")
+    cls, required, optional = _SPECS[name]
+    params = {k: v for k, v in spec.items() if k != "name"}
+    unknown = sorted(set(params) - set(required) - set(optional))
+    if unknown:
+        raise PotentialError(f"potential {name!r} takes no parameters {unknown}")
+    for key in required:
+        if key not in params:
+            raise PotentialError(f"potential {name!r} needs parameter {key!r}")
+    if cls is DoubleWellPotential:
+        return cls(**params)
+    return cls(**params, ndim=ndim)

@@ -26,6 +26,7 @@ from scratchsim.grid import (
     SpatialGrid,
     fourier_forward,
     integrate_regions,
+    is_number,
 )
 from scratchsim.potentials import AnalyticPotential
 
@@ -42,12 +43,19 @@ class ConfinementWarning(UserWarning):
     """Probability density at the box edge above the configured threshold."""
 
 
+def _numbers(what: str, values) -> np.ndarray:
+    """values as a float array: a list or 1-D array of finite numbers."""
+    if not (isinstance(values, (list, tuple, np.ndarray)) and all(map(is_number, values))):
+        raise QuantumError(f"{what} must be a list of finite numbers, got {values!r}")
+    return np.asarray(values, dtype=float)
+
+
 @dataclass
 class CheckpointSchedule:
     times: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = _numbers("checkpoint times", self.times)
         if self.times.size < 2:
             raise QuantumError("a schedule needs K >= 2 checkpoints")
         if np.any(np.diff(self.times) <= 0):
@@ -72,13 +80,13 @@ class CheckpointSchedule:
 def check_lambdas(lambdas) -> np.ndarray:
     """The scratch strengths as floats: nonempty, positive and strictly
     increasing."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.ndim != 1 or lambdas.size == 0:
-        raise QuantumError("lambda list must be a nonempty list")
+    lambdas = _numbers("lambdas", lambdas)
+    if lambdas.size == 0:
+        raise QuantumError("lambdas must be a nonempty list")
     if not np.all(lambdas > 0):
-        raise QuantumError("lambda values must be positive")
+        raise QuantumError("lambdas must be positive")
     if not np.all(np.diff(lambdas) > 0):
-        raise QuantumError("lambda list must be strictly increasing")
+        raise QuantumError("lambdas must be strictly increasing")
     return lambdas
 
 
@@ -215,7 +223,9 @@ def occupation_probabilities(
 # insensitivity of the quantum dynamics to scratching
 
 
-_TUBE_BLOCK = 32  # samples per base.value call in 3D (18432 nodes at num_h=24)
+_TUBE_SAMPLES = 400  # tube quadrature samples along the curve
+_HERMITE_NODES = 24  # Gauss-Hermite nodes per transverse axis
+_TUBE_BLOCK = 32  # samples per base.value call in 3D (18432 nodes)
 
 
 def _transverse_frames(tangents: np.ndarray) -> np.ndarray:
@@ -249,11 +259,12 @@ def _gauss_hermite(num_h: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def tube_l1_difference(base, curve, lam: float, num_s: int = 400, num_h: int = 24) -> float:
+def tube_l1_difference(base, curve, lam: float) -> float:
     """L1 norm of U * exp(-lam * dist^2) over one scratch tube.
 
     Gauss-Hermite in the scaled transverse coordinates (exact in the thin-tube
     limit), trapezoid along the curve: scales as lam^-((D-1)/2)."""
+    num_s, num_h = _TUBE_SAMPLES, _HERMITE_NODES
     s, pts = curve.sample(num_s)
     dc = curve.deriv(s)
     speed = np.linalg.norm(dc, axis=1)

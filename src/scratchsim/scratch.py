@@ -62,18 +62,16 @@ class ScratchProfile:
     of its nearest-parameter map and the snap threshold of its squared
     distance."""
 
-    def __init__(self, curve, tube_radius: float, extension: float | None = None):
+    def __init__(self, curve, tube_radius: float):
         self.curve = curve
         self.tube_radius = float(tube_radius)
         # parameter-space extension past [0, 1] so tube ends carry no
         # spurious tangential force near the checkpoints
-        if extension is None:
-            end_speed = min(
-                np.linalg.norm(curve.deriv(np.array([0.0]))[0]),
-                np.linalg.norm(curve.deriv(np.array([1.0]))[0]),
-            )
-            extension = 3.0 * self.tube_radius / max(end_speed, 1e-9)
-        self.extension = float(extension)
+        end_speed = min(
+            np.linalg.norm(curve.deriv(np.array([0.0]))[0]),
+            np.linalg.norm(curve.deriv(np.array([1.0]))[0]),
+        )
+        self.extension = float(3.0 * self.tube_radius / max(end_speed, 1e-9))
         # snap threshold: points this close are treated as exactly on-curve
         self.snap_f = (1e-9 * max(curve.length, 1.0)) ** 2
 
@@ -303,11 +301,12 @@ class ScratchedPotential:
         blocks = np.array_split(pts, -(-pts.shape[0] // rows))
         return np.concatenate([self.value(b) for b in blocks]).reshape(grid.shape)
 
-    def hessian_on_scratch(self, l: int, s: float, fd_step: float | None = None):
+    def hessian_on_scratch(self, l: int, s: float):
         """Hessian spectrum of the scratched potential at a point of scratch l.
 
-        Finite differences of the analytic gradient, with a step well inside
-        the tube; returns (eigenvalues ascending, tangent-alignment cosine).
+        Finite differences of the analytic gradient, with a step 0.01 /
+        sqrt(lam) well inside the tube; returns (eigenvalues ascending,
+        tangent-alignment cosine).
         """
         prof = self.profiles[l]
         q = prof.curve(np.array([s]))[0]
@@ -318,8 +317,7 @@ class ScratchedPotential:
                 raise ScratchError(
                     f"scratch {lp} interferes inside the tube of scratch {l}"
                 )
-        if fd_step is None:
-            fd_step = 0.01 / np.sqrt(self.lam)
+        fd_step = 0.01 / np.sqrt(self.lam)
         H = np.zeros((D, D))
         for i in range(D):
             dq = np.zeros(D)
@@ -336,17 +334,17 @@ class ScratchedPotential:
         return np.sort(evals), cosine
 
 
-def monotone_timing(conditions: TimingConditions, tol: float = 1e-9) -> HermiteSpline:
+def monotone_timing(conditions: TimingConditions) -> HermiteSpline:
     """Monotone C1 interpolant s(t) with prescribed knot values and slopes:
     the cubic Hermite spline through them.
 
-    Uses the sufficient monotonicity box 0 < c <= 3 * min(adjacent secants);
-    slopes outside the box cannot be honored without breaking the requested
-    checkpoint speeds, so the construction fails rather than silently clamps.
+    Uses the sufficient monotonicity box 0 < c <= 3 * min(adjacent secants)
+    + 1e-9; slopes outside the box cannot be honored without breaking the
+    requested speeds, so the construction fails rather than silently clamps.
     """
     t, s, c = conditions.times, conditions.params, conditions.speeds
     for j, lo in enumerate(adjacent_secant_min(s, t)):
-        if c[j] > 3.0 * lo + tol:
+        if c[j] > 3.0 * lo + 1e-9:
             raise InfeasibleTimingError(
                 f"slope {c[j]:.4g} at checkpoint {j} exceeds 3x adjacent secant {lo:.4g}"
             )

@@ -15,7 +15,6 @@ from scratchsim.experiment import (
     DiscriminationReport,
     ExperimentConfig,
     ValidationError,
-    certified_bound,
     default_theorem1_config,
     default_theorem2_config,
     deviation_decreasing,
@@ -51,6 +50,10 @@ def small_theorem2_config() -> dict:
         edge_eps=1e-2,
     )
     return d
+
+
+# a key that `test_door_refuses` removes from the config
+DROP = object()
 
 
 def split_boxes(D: int, gap: float = 0.0) -> dict:
@@ -216,11 +219,37 @@ class TestConfigValidation:
             ("theorem1", {"edge_eps": -1e-6}, ValidationError, "edge_eps"),
             ("theorem1", {"edge_eps": math.nan}, ValidationError, "edge_eps"),
             ("theorem1", {"position_only": "false"}, ValidationError, "position_only"),
+            # a missing required key
+            ("theorem1", {"seed": DROP}, ValidationError, "missing.*seed"),
+            # unknown keys of the nested specs
+            ("theorem1", {"grid": {"bounds": [[-8.0, 8.0]] * 2, "shape": [64, 64], "spacing": 0.25}}, ValidationError, "spacing"),
+            ("theorem1", {"packet": {"center": [-1.0, 0.0], "sigma": 1.2, "phase": 0.5}}, ValidationError, "phase"),
+            ("theorem1", {"position_partition": {"kind": "half_planes", "axes": 1}}, ValidationError, "axes"),
+            ("theorem2", {"momentum_partition": {"kind": "half_spaces", "offset": 1.0}}, ValidationError, "offset"),
+            ("theorem1", {"position_partition": {**split_boxes(2), "label": "x"}}, ValidationError, "label"),
+            ("theorem1", {"position_partition": {"kind": "boxes", "regions": [[{"lo": [-1.0, -1.0], "hi": [0.0, 1.0], "open": True}]]}}, ValidationError, "open"),
+            ("theorem1", {"potential": {"name": "gauss_well", "depth": 0.4, "width": 3.0, "widht": 3.0}}, PotentialError, "widht"),
+            # numbers that are not numbers, or not whole
+            ("theorem1", {"grid": {"bounds": [[-8.0, 8.0]] * 2, "shape": [64.5, 64]}}, GridError, "shape"),
+            ("theorem1", {"grid": {"bounds": [[-8.0, "8"], [-8.0, 8.0]], "shape": [64, 64]}}, GridError, "bounds"),
+            ("theorem1", {"position_partition": {"kind": "half_planes", "split": "zero"}}, GridError, "split"),
+            ("theorem1", {"position_partition": {"kind": "half_planes", "axis": 1.0}}, GridError, "axis"),
+            ("theorem1", {"lambdas": [100.0, "1e3"]}, ValidationError, "lambdas"),
+            ("theorem1", {"mass": True}, ValidationError, "mass"),
+            ("theorem1", {"packet": {"center": ["-1", 0.0], "sigma": 1.2}}, ValidationError, "center"),
+            # potentials check their own parameters
+            ("theorem1", {"potential": {"name": "gauss_well", "depth": "deep", "width": 3.0}}, PotentialError, "depth"),
+            ("theorem1", {"potential": {"name": "gauss_well", "depth": math.nan, "width": 3.0}}, PotentialError, "depth"),
+            ("theorem1", {"potential": {"name": "gauss_well", "depth": 0.4, "width": 0.0}}, PotentialError, "width"),
+            ("theorem1", {"potential": {"name": "gauss_well", "depth": 0.4, "width": -3.0}}, PotentialError, "width"),
+            ("theorem1", {"potential": {"name": "gauss_well", "depth": 0.4, "width": 3.0, "center": [0.0, 0.0, 0.0]}}, PotentialError, "center"),
+            ("theorem1", {"potential": {"name": "double_well", "a": 1.0, "b": 0.0}}, PotentialError, "'b'"),
         ],
     )
     def test_door_refuses(self, mode, change, error, match):
         d = small_theorem1_config() if mode == "theorem1" else small_theorem2_config()
         d.update(change)
+        d = {k: v for k, v in d.items() if v is not DROP}
         with pytest.raises(error, match=match):
             ExperimentConfig.from_dict(d)
 
@@ -232,21 +261,17 @@ class TestConfigValidation:
 
 class TestPartitionFromSpec:
     def test_half_planes(self):
-        part = partition_from_spec(
-            {"kind": "half_planes", "axis": 1, "split": 0.5}, grid=grid2d()
-        )
+        part = partition_from_spec({"kind": "half_planes", "axis": 1, "split": 0.5}, grid2d())
         assert part.n == 2
         assert np.array_equal(
             part.labels_for(np.array([[0.0, -1.0], [0.0, 2.0]])), [1, 2]
         )
 
-    def test_half_planes_needs_grid(self):
-        with pytest.raises(ValidationError):
-            partition_from_spec({"kind": "half_planes"})
-
     def test_half_spaces(self):
-        part = partition_from_spec({"kind": "half_spaces", "axis": 0}, ndim=3)
+        # all of momentum space, in the grid's dimension
+        part = partition_from_spec({"kind": "half_spaces", "axis": 0}, grid2d())
         assert part.n == 2
+        assert part.regions[0][0].lo == (-math.inf, -math.inf)
 
     def test_boxes(self):
         spec = {
@@ -256,7 +281,7 @@ class TestPartitionFromSpec:
                 [{"lo": [0.0, -1.0], "hi": [1.0, 1.0]}],
             ],
         }
-        part = partition_from_spec(spec)
+        part = partition_from_spec(spec, grid2d())
         assert np.array_equal(
             part.labels_for(np.array([[-0.5, 0.0], [0.5, 0.0]])), [1, 2]
         )
@@ -267,7 +292,7 @@ class TestPartitionFromSpec:
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
-            partition_from_spec({"kind": "voronoi"})
+            partition_from_spec({"kind": "voronoi"}, grid2d())
 
 
 def halves_problem(num_groups: int, budget: int) -> diophantine.ApproximationProblem:
@@ -276,25 +301,25 @@ def halves_problem(num_groups: int, budget: int) -> diophantine.ApproximationPro
 
 class TestBound:
     def test_two_checkpoint_value(self):
-        b, _ = certified_bound(2, halves_problem(2, 17))
+        b = float(halves_problem(2, 17).bound(2))
         assert np.isclose(b, 1.0 / (2.0 * 17.0 ** 0.25), rtol=1e-14)
 
     def test_full_value(self):
-        b, _ = certified_bound(1, halves_problem(4, 257))
+        b = float(halves_problem(4, 257).bound(1))
         assert np.isclose(b, 257.0 ** -0.125, rtol=1e-14)
 
     def test_shrinks_with_particles(self):
         full = halves_problem(4, 257)
-        assert certified_bound(5, full)[0] < certified_bound(1, full)[0]
+        assert full.bound(5) < full.bound(1)
 
     def test_certified_bound_counts_groups(self):
         # K = 2 checkpoints, n = 2 regions: 2K groups with momenta, K without
         alphas = [(0.5, 0.5)] * 4
         full = diophantine.problem_from_probabilities(alphas, 257)
-        b, _ = certified_bound(5, full)
+        b = float(full.bound(5))
         assert np.isclose(b, 1.0 / (5.0 * 257.0**0.125), rtol=1e-14)
         positions = diophantine.problem_from_probabilities(alphas[:2], 257)
-        b, _ = certified_bound(5, positions)
+        b = float(positions.bound(5))
         assert np.isclose(b, 1.0 / (5.0 * 257.0**0.25), rtol=1e-14)
         assert round(b, 5) == 0.04995
 

@@ -13,7 +13,6 @@ from scratchsim.geometry import (
     SegmentFamily,
     GeometryError,
     SplineFamily,
-    MomentumConditioning,
     SegmentCurve,
     SplineCurve,
     adjacent_secant_min,
@@ -210,14 +209,14 @@ class TestSplineProjection:
             SplineFamily, "_jet", lambda self, *a: calls.append(1) or jet(self, *a)
         )
         pts = c(np.array([0.1, 0.45, 0.8])) + 0.05
-        c.project(pts, newton_iters=8)
+        c.project(pts)
         # Newton reaches machine precision in about 3 steps from the scan;
         # one more confirms it, then one evaluation for the distance
         assert len(calls) < 8
 
-    def test_scan_in_blocks_matches_halves(self):
+    def test_scan_in_blocks_matches_halves(self, monkeypatch):
         # more rows than one scan block holds: rows are independent, so the
-        # scan's start parameters (newton_iters=0) for the whole set are
+        # scan's start parameters (no Newton step) for the whole set are
         # those of each half, and of pieces that fit in one block; Newton's
         # common stop may add a round-off step
         rng = np.random.default_rng(5)
@@ -228,9 +227,10 @@ class TestSplineProjection:
         halves = np.split(pts, [m // 2])
         pieces = np.split(pts, np.arange(rows // 2, m, rows // 2))
         for iters, tol in ((0, 0.0), (8, 1e-12)):
-            s, f = c.project(pts, -0.2, 1.2, newton_iters=iters)
+            monkeypatch.setattr(_geometry, "_NEWTON_ITERS", iters)
+            s, f = c.project(pts, -0.2, 1.2)
             for parts in (halves, pieces):
-                sp, fp = zip(*(c.project(p, -0.2, 1.2, newton_iters=iters) for p in parts))
+                sp, fp = zip(*(c.project(p, -0.2, 1.2) for p in parts))
                 assert np.allclose(s, np.concatenate(sp), rtol=0.0, atol=tol)
                 assert np.allclose(f, np.concatenate(fp), rtol=0.0, atol=tol)
 
@@ -272,13 +272,15 @@ class TestBlockedProducts:
             blocked = np.concatenate([pts[a:b] @ table for a, b in zip(cuts[:-1], cuts[1:])])
             assert np.array_equal(blocked, whole)
 
-    def test_curve_distances_as_one_product(self):
+    def test_curve_distances_as_one_product(self, monkeypatch):
         rng = np.random.default_rng(32)
         for _ in range(4):
             c1 = random_spline(rng, 4, bend=0.8)
             c2 = random_spline(rng, 3, bend=0.8)
             assert curve_pair_min_distance(c1, c2) == one_product_pair_distance(c1, c2)
-            assert curve_self_min_distance(c1, arc_ratio=0.9) == one_product_self_distance(c1, arc_ratio=0.9)
+            with monkeypatch.context() as m:
+                m.setattr(_geometry, "_ARC_RATIO", 0.9)
+                assert curve_self_min_distance(c1) == one_product_self_distance(c1, arc_ratio=0.9)
         # a loop that comes back close to itself, so that approaches exist
         wp = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 2.0, 0.0], [0.0, 2.0, 0.2], [0.3, 0.1, 0.4]])
         knots = _chord_knots(wp)
@@ -454,12 +456,12 @@ class TestWaypoints:
 
 
 def reference_sample_waypoints(
-    partition, assignment, grid, seed, *, margin=None, delta_path=None,
-    eps_coll=None, general_position=False, max_attempts=4000,
+    partition, assignment, grid, seed, *, delta_path=None, eps_coll=None, general_position=False
 ):
     """Waypoint sampling with a Python loop over the placed points and over
     every pair of them, per candidate: the positions `sample_waypoints`
-    must reproduce."""
+    must reproduce. The collinearity tolerance eps_coll is 1e-6 of the grid's
+    diagonal unless given."""
 
     def point_line_distance(z, x, y):
         d = y - x
@@ -472,7 +474,7 @@ def reference_sample_waypoints(
     rng = np.random.default_rng(seed)
     N, K = assignment.shape
     h = float(np.max(grid.spacing))
-    margin = h if margin is None else margin
+    margin = h
     delta_path = 4.0 * h if delta_path is None else delta_path
     eps_coll = 1e-6 * grid.diagonal if eps_coll is None else eps_coll
     region_boxes = {}
@@ -492,7 +494,7 @@ def reference_sample_waypoints(
         for j in range(K):
             k = int(assignment[l, j])
             boxes, weights = region_boxes[k]
-            for _ in range(max_attempts):
+            for _ in range(4000):
                 lo, hi = boxes[rng.choice(len(boxes), p=weights)]
                 z = rng.uniform(lo + margin, hi - margin)
                 if not partition.interior_membership(z[None, :], k, margin=0.0)[0]:
@@ -544,14 +546,20 @@ class TestWaypointsAgainstLoops:
             for general_position in (True, False):
                 self.same_plan(part, assignment, g, seed, general_position=general_position)
 
-    def test_tight_collinearity_tolerance(self):
-        # an eps_coll large enough that candidates are rejected as
-        # collinear with placed pairs, so the pair check decides the plan
+    def test_tight_collinearity_tolerance(self, monkeypatch):
+        # a tolerance of 0.3 rejects candidates as collinear with placed
+        # pairs, so the pair check decides the plan
         g = SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (32, 32))
         part = half_planes(g, 0, 0.0)
         assignment = assign_itineraries(np.array([[4, 4], [4, 4]]), 8)
+        monkeypatch.setattr(_geometry, "_COLLINEAR_TOL", 0.3 / g.diagonal)
+        eps_coll = _geometry._COLLINEAR_TOL * g.diagonal
         for seed in (3, 4):
-            self.same_plan(part, assignment, g, seed, general_position=True, eps_coll=0.3)
+            plan = sample_waypoints(part, assignment, g, seed, general_position=True)
+            ref = reference_sample_waypoints(
+                part, assignment, g, seed, general_position=True, eps_coll=eps_coll
+            )
+            assert np.array_equal(plan.positions, ref)
 
     def test_capacity_error_unchanged(self):
         g = grid3d()
@@ -610,7 +618,7 @@ class TestPaths:
         )
         from scratchsim.geometry import WaypointPlan
 
-        plan = WaypointPlan(pos, np.array([[1, 2], [2, 1]]), 0.5, 1e-6, "line")
+        plan = WaypointPlan(pos, 0.5, "line")
         g = SpatialGrid(((-6.0, 6.0), (-6.0, 6.0)), (32, 32))
         curves = build_paths(plan, grid=g, seed=0)
         t, d = linear_collision_parameter(
@@ -623,7 +631,7 @@ class TestPaths:
 
         pos = np.zeros((1, 2, 2))
         pos[0, 1] = [1.0, 1.0]
-        plan = WaypointPlan(pos, np.ones((1, 2), dtype=int), 0.1, 1e-6, "spline")
+        plan = WaypointPlan(pos, 0.1, "spline")
         g = SpatialGrid(((-6.0, 6.0), (-6.0, 6.0)), (32, 32))
         with pytest.raises(GeometryError):
             build_paths(plan, grid=g, seed=0)
@@ -642,9 +650,8 @@ class TestPaths:
 
         g = grid3d()
         pos = np.array([[[-2.0, 0.0, 0.0], [2.0, 1.0, 0.0]], [[-2.0, 3.0, 0.0], [2.0, 4.0, 1.0]]])
-        assignment = np.array([[1, 2], [1, 2]])
         for mode, kind in (("line", SegmentCurve), ("spline", SplineCurve)):
-            plan = WaypointPlan(pos, assignment, 0.5, 1e-6, mode)
+            plan = WaypointPlan(pos, 0.5, mode)
             curves = build_paths(plan, grid=g, seed=0)
             assert all(type(c) is kind for c in curves)
             for c, wp in zip(curves, pos):
@@ -658,7 +665,7 @@ class TestPaths:
         g = grid3d()
         wp = np.array([[-2.0, 0.0, 0.0], [0.0, 1.0, 0.5], [2.0, 0.0, 1.0]])
         pos = np.stack([wp, wp + [0.0, 0.1, 0.0]])
-        plan = WaypointPlan(pos, np.ones((2, 3), dtype=int), 1.0, 1e-6, "spline")
+        plan = WaypointPlan(pos, 1.0, "spline")
         curves = build_paths(plan, grid=g, seed=0)
         assert curve_pair_min_distance(*curves) < plan.delta_path
         # every momentum along +x, the direction the curves run in
@@ -666,8 +673,7 @@ class TestPaths:
         with pytest.raises(ConstructionError, match="closer than delta_path"):
             condition_momenta(
                 curves, momentum_half_spaces(3, 0, 0.0), counts_mom, 1.0,
-                np.array([0.0, 1.0, 2.0]), seed=0, p_scale=1.0, p_margin=0.3,
-                delta_path=plan.delta_path,
+                np.array([0.0, 1.0, 2.0]), seed=0, delta_path=plan.delta_path,
             )
 
 
@@ -720,7 +726,7 @@ class TestLinePathsAgainstLoop:
             ends = rng.uniform(-5.0, 5.0, (4, 2, D))
             pos = np.concatenate([ends, ends[:, ::-1], rng.uniform(-5.0, 5.0, (3, 2, D))])
             pos = pos[rng.permutation(len(pos))]
-            plan = WaypointPlan(pos, np.ones((len(pos), 2), dtype=int), 0.5, 1e-6, "line")
+            plan = WaypointPlan(pos, 0.5, "line")
             assert any(
                 linear_collision_parameter(pos[i, 0], pos[i, 1], pos[j, 0], pos[j, 1])[1] < 1e-9
                 for i in range(len(pos))
@@ -730,7 +736,7 @@ class TestLinePathsAgainstLoop:
                 self.same_curves(plan, g, seed)
             # translated copies: zero relative velocity
             same = np.concatenate([ends[:1], ends[:1] + 0.3, ends[1:]])
-            plan = WaypointPlan(same, np.ones((len(same), 2), dtype=int), 0.5, 1e-6, "line")
+            plan = WaypointPlan(same, 0.5, "line")
             self.same_curves(plan, g, 3)
 
 
@@ -758,33 +764,24 @@ class TestConditioning:
         plan = sample_waypoints(part, assignment, g, seed=seed)
         curves = build_paths(plan, grid=g, seed=seed)
         times = np.array([0.0, 4.0])
-        # the pipeline's momentum scale and margin (`ExperimentConfig`)
-        cond, curves = condition_momenta(
-            curves, mom, counts_mom, 1.0, times,
-            seed=seed, p_scale=1.0, p_margin=0.3, delta_path=plan.delta_path,
+        speeds, curves = condition_momenta(
+            curves, mom, counts_mom, 1.0, times, seed=seed, delta_path=plan.delta_path
         )
-        return curves, cond, mom, part, counts_pos, counts_mom
+        return curves, speeds, mom, part, counts_pos, counts_mom
 
     def test_momentum_counts_realized(self):
-        curves, cond, mom, part, counts_pos, counts_mom = self.build()
-        assert np.array_equal(recount_momenta(curves, cond, mom, 1.0), counts_mom)
+        curves, speeds, mom, part, counts_pos, counts_mom = self.build()
+        assert speeds.shape == (3, 2)
+        assert np.array_equal(recount_momenta(curves, speeds, mom, 1.0), counts_mom)
 
     def test_position_counts_preserved(self):
-        curves, cond, mom, part, counts_pos, counts_mom = self.build()
+        curves, speeds, mom, part, counts_pos, counts_mom = self.build()
         assert np.array_equal(recount_positions(curves, part), counts_pos)
 
     def test_speeds_positive_and_monotone_compatible(self):
-        curves, cond, mom, part, _, _ = self.build()
+        curves, speeds, mom, part, _, _ = self.build()
         times = np.array([0.0, 4.0])
         for l, c in enumerate(curves):
             box = 3.0 * adjacent_secant_min(c.checkpoint_params, times)
-            assert np.all(cond.speeds[l] > 0)
-            assert np.all(cond.speeds[l] <= box + 1e-12)
-
-    def test_momentum_magnitude_matches_radius(self):
-        curves, cond, mom, part, _, _ = self.build()
-        for l, c in enumerate(curves):
-            dq = c.deriv(c.checkpoint_params)
-            for j in range(2):
-                p = 1.0 * cond.speeds[l, j] * dq[j]
-                assert np.isclose(np.linalg.norm(p), cond.radii[l, j], rtol=1e-9)
+            assert np.all(speeds[l] > 0)
+            assert np.all(speeds[l] <= box + 1e-12)
