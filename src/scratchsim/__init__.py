@@ -10,42 +10,4 @@ probabilities within an explicit bound.
 import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
-from scratchsim.grid import (
-    Box,
-    ComplexField,
-    RegionPartition,
-    ScalarField,
-    SpatialGrid,
-    fourier_forward,
-    fourier_inverse,
-    integrate,
-    integrate_region,
-    read_field,
-    write_field,
-)
-from scratchsim.diophantine import (
-    ApproximationProblem,
-    RationalApproximation,
-    solve,
-    verify,
-)
-
-__all__ = [
-    "Box",
-    "ComplexField",
-    "RegionPartition",
-    "ScalarField",
-    "SpatialGrid",
-    "fourier_forward",
-    "fourier_inverse",
-    "integrate",
-    "integrate_region",
-    "read_field",
-    "write_field",
-    "ApproximationProblem",
-    "RationalApproximation",
-    "solve",
-    "verify",
-]
-
 __version__ = "0.1.0"

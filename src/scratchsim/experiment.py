@@ -72,21 +72,31 @@ def _check_keys(what: str, spec, required, optional=()) -> None:
         raise ValidationError(f"unknown {what} keys {unknown}")
 
 
-def partition_from_spec(spec: dict, grid: SpatialGrid) -> RegionPartition:
+def partition_from_spec(spec: dict, grid: SpatialGrid, what: str) -> RegionPartition:
     """The partition a spec describes, in the grid's dimension: `half_planes`
-    of the grid's box, `half_spaces` of all of momentum space, or `boxes`."""
+    of the grid's box, `half_spaces` of all of momentum space, or `boxes`.
+    Errors name the spec as `what`."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{what} must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "boxes":
-        _check_keys("boxes partition", spec, ("kind", "regions"))
-        for region in spec["regions"]:
+        _check_keys(what, spec, ("kind", "regions"))
+        regions = spec["regions"]
+        if not isinstance(regions, (list, tuple)):
+            raise ValidationError(f"{what} regions must be a list, got {regions!r}")
+        for region in regions:
+            if not isinstance(region, (list, tuple)):
+                raise ValidationError(f"{what}: a region must be a list of boxes, got {region!r}")
             for b in region:
-                _check_keys("box", b, ("lo", "hi"))
+                _check_keys(f"{what} box", b, ("lo", "hi"))
+                if not all(isinstance(b[k], (list, tuple)) for k in ("lo", "hi")):
+                    raise ValidationError(f"{what} box bounds must be lists, got {b!r}")
         return RegionPartition(
-            [[Box(tuple(b["lo"]), tuple(b["hi"])) for b in region] for region in spec["regions"]]
+            [[Box(tuple(b["lo"]), tuple(b["hi"])) for b in region] for region in regions]
         )
     if kind not in ("half_planes", "half_spaces"):
-        raise ValidationError(f"unknown partition kind {kind!r}")
-    _check_keys(f"{kind} partition", spec, ("kind",), ("axis", "split"))
+        raise ValidationError(f"unknown {what} kind {kind!r}")
+    _check_keys(what, spec, ("kind",), ("axis", "split"))
     axis, split = spec.get("axis", 0), spec.get("split", 0.0)
     if kind == "half_planes":
         return half_planes(grid, axis, split)
@@ -136,12 +146,12 @@ class ExperimentConfig:
         the half-spaces split at p_1 = 0 unless the config gives one. A
         `boxes` spec is checked to cover its grid: the position grid, or
         for momenta its Fourier dual (`RegionPartition.validate_on`)."""
-        pos = partition_from_spec(self.position_partition, g)
+        pos = partition_from_spec(self.position_partition, g, "position_partition")
         checks = [(self.position_partition, pos, g)]
         mom = None
         if self.mode == "theorem2":
-            spec = self.momentum_partition or {"kind": "half_spaces"}
-            mom = partition_from_spec(spec, g)
+            spec = {"kind": "half_spaces"} if self.momentum_partition is None else self.momentum_partition
+            mom = partition_from_spec(spec, g, "momentum_partition")
             checks.append((spec, mom, g.momentum_grid(self.hbar)))
         for spec, part, grid in checks:
             if spec.get("kind") == "boxes":
@@ -169,18 +179,10 @@ class ExperimentConfig:
             raise ValidationError(f"position_only must be a bool, got {self.position_only!r}")
         _check_keys("grid", self.grid, ("bounds", "shape"))
         _check_keys("packet", self.packet, ("center", "sigma"), ("momentum",))
-        g = self.build_grid()
-        n = self.build_partitions(g)[0].n
-        K = self.num_checkpoints
-        try:
-            # the steppers' own rule rejects a dt_quantum not finite and > 0
-            quantum.CheckpointSchedule(self.schedule).steps(self.dt_quantum)
-            quantum.check_lambdas(self.lambdas)
-        except quantum.QuantumError as e:
-            raise ValidationError(str(e)) from e
         positive = {
             "mass": self.mass,
             "hbar": self.hbar,
+            "dt_quantum": self.dt_quantum,
             "energy_tol": self.energy_tol,
             "edge_eps": self.edge_eps,
             "packet.sigma": self.packet.get("sigma"),
@@ -191,13 +193,25 @@ class ExperimentConfig:
         for name, value in positive.items():
             if not (is_number(value) and value > 0.0):
                 raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+        g = self.build_grid()
+        n = self.build_partitions(g)[0].n
+        try:
+            quantum.CheckpointSchedule(self.schedule)
+            quantum.check_lambdas(self.lambdas)
+        except quantum.QuantumError as e:
+            raise ValidationError(str(e)) from e
+        K = self.num_checkpoints
         D = g.ndim
         for name in ("center", "momentum"):
             v = self.packet.get(name, [0.0] * D)
             if not (isinstance(v, (list, tuple)) and len(v) == D and all(map(is_number, v))):
                 raise ValidationError(f"packet {name} needs D = {D} finite numbers, got {v!r}")
+        if not (isinstance(self.potential, dict) and isinstance(self.potential.get("name"), str)):
+            raise ValidationError(f"potential must be an object with a string name, got {self.potential!r}")
         pot = potential_from_spec(self.potential, D)
         if self.mode == "theorem1":
+            if self.momentum_partition is not None:
+                raise ValidationError("two-checkpoint mode takes no momentum_partition")
             if D < 2:
                 raise ValidationError("two-checkpoint mode needs D >= 2")
             if K != 2:

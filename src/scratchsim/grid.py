@@ -1,4 +1,4 @@
-"""Grids, region partitions, fields, Fourier duals, and field I/O.
+"""Grids, region partitions, fields, and the Fourier dual.
 
 Positions live on a D-dimensional (D in {2, 3}) cell-centered rectangular
 grid; the momentum dual has spacing 2*pi*hbar / (axis length) per axis.
@@ -11,13 +11,9 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-FIELD_MAGIC = b"SCRF"
-FIELD_VERSION = 1
 
 
 class GridError(ValueError):
@@ -28,14 +24,6 @@ def is_number(x, finite: bool = True) -> bool:
     """Whether x is a real number, and finite unless `finite` is false: not
     a bool, a string or an array."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and (math.isfinite(x) or not finite)
-
-
-class FieldFormatError(ValueError):
-    """Malformed binary field file; carries the offending byte offset."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
 
 
 @dataclass(frozen=True)
@@ -280,24 +268,10 @@ class ComplexField:
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume)
 
 
-def integrate(field: ScalarField) -> float:
-    """Midpoint-rule integral over the whole grid."""
-    return float(np.sum(field.values) * field.grid.cell_volume)
-
-
-def integrate_region(field: ScalarField, partition: RegionPartition, k: int) -> float:
-    """Midpoint-rule integral over the grid points assigned to region k.
-
-    Summing over all k reproduces integrate(field) exactly, since the label
-    map partitions the grid points.
-    """
-    if not 1 <= k <= partition.n:
-        raise GridError(f"unknown region label {k} (valid: 1..{partition.n})")
-    return float(integrate_regions(field, partition)[k - 1])
-
-
 def integrate_regions(field: ScalarField, partition: RegionPartition) -> np.ndarray:
-    """integrate_region for every label 1..n, labelling the grid once."""
+    """Midpoint-rule integral over the grid points of each region, labels
+    1..n in order, labelling the grid once. The integrals sum to the
+    whole-grid integral, since the label map partitions the grid points."""
     labels = partition.label_grid(field.grid)
     return np.array(
         [
@@ -316,86 +290,21 @@ def fourier_forward(f: ComplexField, hbar: float = 1.0) -> ComplexField:
     g = f.grid
     spec = np.fft.fftn(f.values)
     pref = g.cell_volume / (2.0 * np.pi * hbar) ** (g.ndim / 2.0)
-    phase = _corner_phase(g, hbar, sign=-1.0)
+    phase = _corner_phase(g, hbar)
     out = np.fft.fftshift(pref * phase * spec)
     return ComplexField(g.momentum_grid(hbar), out)
 
 
-def fourier_inverse(f: ComplexField, position_grid: SpatialGrid, hbar: float = 1.0) -> ComplexField:
-    """Inverse of fourier_forward back onto the given position grid."""
-    g = position_grid
-    spec = np.fft.ifftshift(f.values)
-    pref = g.cell_volume / (2.0 * np.pi * hbar) ** (g.ndim / 2.0)
-    phase = _corner_phase(g, hbar, sign=-1.0)
-    out = np.fft.ifftn(spec / (pref * phase))
-    return ComplexField(g, out)
-
-
-def _corner_phase(g: SpatialGrid, hbar: float, sign: float) -> np.ndarray:
-    """exp(sign * i p . q0 / hbar) on the unshifted FFT momentum mesh, where
+def _corner_phase(g: SpatialGrid, hbar: float) -> np.ndarray:
+    """exp(-i p . q0 / hbar) on the unshifted FFT momentum mesh, where
     q0 is the first cell center."""
     axes = []
     for i, n in enumerate(g.shape):
         p = 2.0 * np.pi * hbar * np.fft.fftfreq(n, d=g.spacing[i])
         q0 = g.axis(i)[0]
-        axes.append(np.exp(sign * 1j * p * q0 / hbar))
+        axes.append(np.exp(-1j * p * q0 / hbar))
     mesh = np.meshgrid(*axes, indexing="ij")
     out = mesh[0]
     for m in mesh[1:]:
         out = out * m
     return out
-
-
-def write_field(path, f: ScalarField | ComplexField) -> None:
-    """Binary field format: magic, u32 version, u8 kind, u8 D, u64 shape per
-    axis, f64 lo/hi per axis, then row-major little-endian samples."""
-    kind = 1 if isinstance(f, ComplexField) else 0
-    g = f.grid
-    with open(path, "wb") as fh:
-        fh.write(FIELD_MAGIC)
-        fh.write(struct.pack("<I", FIELD_VERSION))
-        fh.write(struct.pack("<BB", kind, g.ndim))
-        for n in g.shape:
-            fh.write(struct.pack("<Q", n))
-        for lo, hi in g.bounds:
-            fh.write(struct.pack("<dd", lo, hi))
-        if kind == 1:
-            fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
-        else:
-            fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-
-
-def read_field(path) -> ScalarField | ComplexField:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    off = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal off
-        if off + n > len(data):
-            raise FieldFormatError(f"truncated file while reading {what}", off)
-        chunk = data[off : off + n]
-        off += n
-        return chunk
-
-    if take(4, "magic") != FIELD_MAGIC:
-        raise FieldFormatError("bad magic", 0)
-    (version,) = struct.unpack("<I", take(4, "version"))
-    if version != FIELD_VERSION:
-        raise FieldFormatError(f"unsupported version {version}", 4)
-    kind, ndim = struct.unpack("<BB", take(2, "kind/dimension"))
-    if kind not in (0, 1):
-        raise FieldFormatError(f"unknown kind byte {kind}", 8)
-    if ndim not in (2, 3):
-        raise FieldFormatError(f"unsupported dimension {ndim}", 9)
-    shape = tuple(struct.unpack("<Q", take(8, "shape"))[0] for _ in range(ndim))
-    bounds = tuple(struct.unpack("<dd", take(16, "bounds")) for _ in range(ndim))
-    grid = SpatialGrid(bounds, shape)
-    count = grid.size
-    if kind == 1:
-        raw = take(16 * count, "complex samples")
-        values = np.frombuffer(raw, dtype="<c16").reshape(shape)
-        return ComplexField(grid, values.copy())
-    raw = take(8 * count, "real samples")
-    values = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    return ScalarField(grid, values.copy())

@@ -335,12 +335,3 @@ def scratch_insensitivity(
             }
         )
     return rows
-
-
-def density_std(psi: Wavefunction, axis: int = 0) -> float:
-    """Standard deviation of the position density along an axis."""
-    g = psi.field.grid
-    rho = np.abs(psi.field.values) ** 2 * g.cell_volume
-    q = g.meshgrid()[axis]
-    mean = float(np.sum(rho * q))
-    return float(np.sqrt(np.sum(rho * (q - mean) ** 2)))

@@ -244,6 +244,21 @@ class TestConfigValidation:
             ("theorem1", {"potential": {"name": "gauss_well", "depth": 0.4, "width": -3.0}}, PotentialError, "width"),
             ("theorem1", {"potential": {"name": "gauss_well", "depth": 0.4, "width": 3.0, "center": [0.0, 0.0, 0.0]}}, PotentialError, "center"),
             ("theorem1", {"potential": {"name": "double_well", "a": 1.0, "b": 0.0}}, PotentialError, "'b'"),
+            # specs of the wrong type, each refused by the field's name
+            ("theorem1", {"position_partition": "half_planes"}, ValidationError, "position_partition must be an object"),
+            ("theorem2", {"momentum_partition": "half_spaces"}, ValidationError, "momentum_partition must be an object"),
+            ("theorem2", {"momentum_partition": {}}, ValidationError, "unknown momentum_partition kind None"),
+            ("theorem1", {"potential": "gauss_well"}, ValidationError, "potential must be an object"),
+            ("theorem1", {"potential": {"name": ["x"]}}, ValidationError, "potential must be an object"),
+            ("theorem1", {"position_partition": {"kind": "boxes", "regions": 5}}, ValidationError, "position_partition regions must be a list"),
+            ("theorem1", {"position_partition": {"kind": "boxes", "regions": [5, 6]}}, ValidationError, "position_partition: a region must be a list of boxes"),
+            ("theorem1", {"position_partition": {"kind": "boxes", "regions": [{"lo": [-1.0, -1.0], "hi": [0.0, 1.0]}]}}, ValidationError, "a region must be a list of boxes"),
+            ("theorem1", {"position_partition": {"kind": "boxes", "regions": [[{"lo": 5, "hi": [0.0, 1.0]}]]}}, ValidationError, "position_partition box bounds must be lists"),
+            ("theorem1", {"schedule": 1.0}, ValidationError, "checkpoint times"),
+            ("theorem1", {"dt_quantum": "x"}, ValidationError, "dt_quantum"),
+            ("theorem1", {"dt_quantum": None}, ValidationError, "dt_quantum"),
+            # a key the mode does not read
+            ("theorem1", {"momentum_partition": "x"}, ValidationError, "momentum_partition"),
         ],
     )
     def test_door_refuses(self, mode, change, error, match):
@@ -261,7 +276,7 @@ class TestConfigValidation:
 
 class TestPartitionFromSpec:
     def test_half_planes(self):
-        part = partition_from_spec({"kind": "half_planes", "axis": 1, "split": 0.5}, grid2d())
+        part = partition_from_spec({"kind": "half_planes", "axis": 1, "split": 0.5}, grid2d(), "partition")
         assert part.n == 2
         assert np.array_equal(
             part.labels_for(np.array([[0.0, -1.0], [0.0, 2.0]])), [1, 2]
@@ -269,7 +284,7 @@ class TestPartitionFromSpec:
 
     def test_half_spaces(self):
         # all of momentum space, in the grid's dimension
-        part = partition_from_spec({"kind": "half_spaces", "axis": 0}, grid2d())
+        part = partition_from_spec({"kind": "half_spaces", "axis": 0}, grid2d(), "partition")
         assert part.n == 2
         assert part.regions[0][0].lo == (-math.inf, -math.inf)
 
@@ -281,7 +296,7 @@ class TestPartitionFromSpec:
                 [{"lo": [0.0, -1.0], "hi": [1.0, 1.0]}],
             ],
         }
-        part = partition_from_spec(spec, grid2d())
+        part = partition_from_spec(spec, grid2d(), "partition")
         assert np.array_equal(
             part.labels_for(np.array([[-0.5, 0.0], [0.5, 0.0]])), [1, 2]
         )
@@ -291,8 +306,8 @@ class TestPartitionFromSpec:
             part.labels_for(np.array([[5.0, 0.0]]))
 
     def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            partition_from_spec({"kind": "voronoi"}, grid2d())
+        with pytest.raises(ValidationError, match="unknown partition kind 'voronoi'"):
+            partition_from_spec({"kind": "voronoi"}, grid2d(), "partition")
 
 
 def halves_problem(num_groups: int, budget: int) -> diophantine.ApproximationProblem:

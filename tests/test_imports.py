@@ -1,10 +1,13 @@
-"""The pipelines run on numpy alone: loading them imports no scipy module,
-and the numpy submodules they call are imported with them, not on first
-call."""
+"""The pipelines run on numpy alone: numpy is the one declared runtime
+dependency, loading the pipelines imports no scipy module, and the numpy
+submodules they call are imported with them, not on first call."""
 
 import os
+import re
 import subprocess
 import sys
+
+import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -22,3 +25,10 @@ def test_pipelines_load_no_scipy():
     loaded = set(out.stdout.split())
     assert not any(m.split(".")[0] == "scipy" for m in loaded)
     assert {"numpy.fft", "numpy.random"} <= loaded
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(SRC, os.pardir, "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.split(r"[<>=!~;\[ ]", d, maxsplit=1)[0] for d in deps] == ["numpy"]

@@ -24,7 +24,6 @@ from scratchsim.quantum import (
     Wavefunction,
     _kinetic_factor,
     _transverse_frames,
-    density_std,
     gaussian_packet,
     occupation_probabilities,
     propagate,
@@ -36,6 +35,15 @@ from scratchsim.scratch import ScratchedPotential
 
 def grid2d(n=128, half=10.0):
     return SpatialGrid(((-half, half), (-half, half)), (n, n))
+
+
+def density_std(psi: Wavefunction, axis: int = 0) -> float:
+    """Standard deviation of the position density along an axis."""
+    g = psi.field.grid
+    rho = np.abs(psi.field.values) ** 2 * g.cell_volume
+    q = g.meshgrid()[axis]
+    mean = float(np.sum(rho * q))
+    return float(np.sqrt(np.sum(rho * (q - mean) ** 2)))
 
 
 class TestSchedule:
