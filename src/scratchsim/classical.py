@@ -237,6 +237,6 @@ def min_pairwise_distance(snapshots: list[ClassicalEnsemble]) -> float:
             - 2.0 * q @ q.T
             + np.sum(q**2, axis=1)[None, :]
         )
-        np.fill_diagonal(d2, np.inf)
+        d2[np.diag_indices_from(d2)] = np.inf
         best = min(best, float(np.sqrt(max(d2.min(), 0.0))))
     return best

@@ -212,8 +212,6 @@ class ExperimentConfig:
         if self.mode == "theorem1":
             if self.momentum_partition is not None:
                 raise ValidationError("two-checkpoint mode takes no momentum_partition")
-            if D < 2:
-                raise ValidationError("two-checkpoint mode needs D >= 2")
             if K != 2:
                 raise ValidationError("two-checkpoint mode needs exactly K = 2")
         else:
@@ -467,24 +465,19 @@ def _checkpoint_rows(times, probs_pos, probs_mom, occ, bound):
 def _geometry_stage(config, g, schedule, pos_part, mom_part, counts_pos, counts_mom, N):
     """Waypoints and scratches, re-sampled with seed + 1000 * attempt while
     the waypoints or the timing are infeasible; the eighth attempt's error
-    is raised. Without a momentum partition
-    the scratches are straight lines in general position, undriven; with one
-    they are splines, conditioned to the momentum counts and driven by
-    tangential potentials."""
+    is raised. Without a momentum partition the scratches are straight
+    lines, undriven; with one they are splines, conditioned to the momentum
+    counts and driven by tangential potentials."""
     times = schedule.times
+    kind = "line" if mom_part is None else "spline"
     for attempt in range(_GEOMETRY_ATTEMPTS):
         seed = config.seed + 1000 * attempt
         try:
             assignment = geometry.assign_itineraries(counts_pos, N)
             plan = geometry.sample_waypoints(
-                pos_part,
-                assignment,
-                g,
-                seed,
-                delta_path=config.delta_path,
-                general_position=mom_part is None,
+                pos_part, assignment, g, seed, delta_path=config.delta_path
             )
-            curves = geometry.build_paths(plan, grid=g, seed=seed)
+            curves = geometry.build_paths(plan, kind, grid=g, seed=seed)
             if mom_part is None:
                 return plan, curves, None, None
             speeds, curves = geometry.condition_momenta(

@@ -29,8 +29,6 @@ _NEWTON_ITERS = 8
 # length below which two samples of one curve count as an approach
 _CURVE_SAMPLES = 1000
 _ARC_RATIO = 0.3
-# general position's collinearity tolerance, a fraction of the grid's diagonal
-_COLLINEAR_TOL = 1e-6
 
 
 class GeometryError(ValueError):
@@ -465,7 +463,6 @@ class SplineFamily:
 class WaypointPlan:
     positions: np.ndarray  # (N, K, D)
     delta_path: float
-    mode: str  # "line" | "spline"
 
     @property
     def num_particles(self) -> int:
@@ -509,16 +506,6 @@ def _norms(v):
     return np.sqrt(_dots(v, v))
 
 
-def _line_distances(z, x, d, nd):
-    """Distance of z to each line x_i + t d_i through two placed points, with
-    nd_i = |d_i|; the distance to x_i where the two points coincide
-    (nd_i < 1e-300)."""
-    to_x = z - x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = _dots(to_x, d) / (nd * nd)
-    return np.where(nd < 1e-300, _norms(to_x), _norms(z - (x + t[:, None] * d)))
-
-
 def _region_boxes_clipped(partition: RegionPartition, k: int, lo, hi):
     """Region k boxes intersected with the domain box [lo, hi]."""
     out = []
@@ -537,23 +524,20 @@ def sample_waypoints(
     seed: int,
     *,
     delta_path: float | None = None,
-    general_position: bool = False,
 ) -> WaypointPlan:
     """Rejection-sample per-particle per-checkpoint positions, with at most
     4000 candidates per waypoint.
 
     Every waypoint is strictly interior to its assigned region (a margin of
     one grid spacing h from the region and domain boundaries); same-
-    checkpoint waypoints keep pairwise clearance delta_path, 4 h unless
-    given; in general-position mode no three of the sampled points are
-    collinear within _COLLINEAR_TOL times the grid's diagonal.
+    checkpoint waypoints, and a particle's consecutive waypoints, keep
+    pairwise clearance delta_path, 4 h unless given.
     """
     rng = np.random.default_rng(seed)
     N, K = assignment.shape
     D = grid.ndim
     h = margin = float(np.max(grid.spacing))
     delta_path = 4.0 * h if delta_path is None else delta_path
-    eps_coll = _COLLINEAR_TOL * grid.diagonal
 
     region_boxes = {}
     for k in range(1, partition.n + 1):
@@ -565,19 +549,11 @@ def sample_waypoints(
         region_boxes[k] = (boxes, vols / vols.sum())
 
     positions = np.zeros((N, K, D))
-    placed = np.empty((0, D))
     for l in range(N):
         for j in range(K):
             k = int(assignment[l, j])
             boxes, weights = region_boxes[k]
             same_t = positions[:l, j]
-            if general_position:
-                # the line through every pair of placed points
-                i1, i2 = np.triu_indices(len(placed), 1)
-                x = placed[i1]
-                d = placed[i2] - x
-                nd = _norms(d)
-            ok = False
             for _ in range(4000):
                 bi = rng.choice(len(boxes), p=weights)
                 lo, hi = boxes[bi]
@@ -588,25 +564,14 @@ def sample_waypoints(
                     continue
                 if j > 0 and np.linalg.norm(z - positions[l, j - 1]) < delta_path:
                     continue
-                if general_position and (
-                    np.any(_norms(z - placed) < eps_coll)
-                    or np.any(_line_distances(z, x, d, nd) < eps_coll)
-                ):
-                    continue
                 positions[l, j] = z
-                placed = np.vstack([placed, z])
-                ok = True
                 break
-            if not ok:
+            else:
                 raise CapacityError(
                     f"could not place waypoint for particle {l}, checkpoint {j}; "
                     "reduce N or the clearances"
                 )
-    return WaypointPlan(
-        positions=positions,
-        delta_path=delta_path,
-        mode="line" if general_position else "spline",
-    )
+    return WaypointPlan(positions=positions, delta_path=delta_path)
 
 
 # ---------------------------------------------------------------------------
@@ -695,31 +660,34 @@ def curve_self_min_distance(curve) -> float:
 
 def build_paths(
     plan: WaypointPlan,
+    kind: str,
     *,
     grid: SpatialGrid,
     seed: int,
 ) -> list[SegmentCurve] | list[SplineCurve]:
-    """Scratch curves through the plan's waypoints, of the kind `plan.mode`
-    names.
+    """Scratch curves through the plan's waypoints, of the given kind:
+    "line" (`SegmentCurve.kind`) or "spline" (`SplineCurve.kind`).
 
-    line mode (two checkpoints, D >= 2): straight segments plus the temporal
+    line (two checkpoints, D >= 2): straight segments plus the temporal
     no-collision certificate -- any pair coming within 1e-9 at one time
     triggers a waypoint perturbation of at most h/10, h the grid's largest
     spacing, and a recheck, at most 50 times.
-    spline mode (D >= 3): clamped cubic Hermite curves with Catmull-Rom
+    spline (D >= 3): clamped cubic Hermite curves with Catmull-Rom
     tangents, which `condition_momenta` replaces and then verifies.
     """
     D = plan.positions.shape[2]
-    if plan.mode == "spline":
+    if kind == SplineCurve.kind:
         if D < 3:
-            raise GeometryError("spline mode requires D >= 3")
+            raise GeometryError("spline curves require D >= 3")
         curves = []
         for wp in plan.positions:
             knots = _chord_knots(wp)
             curves.append(SplineCurve(knots, wp, catmull_rom_tangents(knots, wp)))
         return curves
+    if kind != SegmentCurve.kind:
+        raise GeometryError(f"unknown curve kind {kind!r}")
     if plan.num_checkpoints != 2:
-        raise GeometryError("line mode needs exactly two checkpoints")
+        raise GeometryError("line curves need exactly two checkpoints")
     rng = np.random.default_rng(seed)
     pos = plan.positions.copy()
     h = float(np.max(grid.spacing))

@@ -85,10 +85,6 @@ class SpatialGrid:
     def hi(self) -> np.ndarray:
         return np.array([b[1] for b in self.bounds])
 
-    @property
-    def diagonal(self) -> float:
-        return float(np.linalg.norm(self.lengths))
-
     def axis(self, i: int) -> np.ndarray:
         """Cell-center coordinates along axis i."""
         lo, _ = self.bounds[i]

@@ -214,7 +214,7 @@ class ScratchedPotential:
         tube l."""
         s, f, r, jets = self._nearest(points, own_f is not None, s_warm)
         if own_f is not None:
-            own_f[:] = f.diagonal()
+            own_f[:] = np.diag(f)
         inside = f <= self.tube_radius**2
         exps = np.exp(-self.lam * f, out=np.zeros_like(f), where=inside)
         one_minus = 1.0 - exps

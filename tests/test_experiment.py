@@ -259,6 +259,8 @@ class TestConfigValidation:
             ("theorem1", {"dt_quantum": None}, ValidationError, "dt_quantum"),
             # a key the mode does not read
             ("theorem1", {"momentum_partition": "x"}, ValidationError, "momentum_partition"),
+            # a grid of one dimension, refused before any mode rule reads D
+            ("theorem1", {"grid": {"bounds": [[-8.0, 8.0]], "shape": [64]}}, GridError, "dimension"),
         ],
     )
     def test_door_refuses(self, mode, change, error, match):

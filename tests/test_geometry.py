@@ -455,28 +455,14 @@ class TestWaypoints:
             sample_waypoints(part, assignment, g, seed=0, delta_path=50.0)
 
 
-def reference_sample_waypoints(
-    partition, assignment, grid, seed, *, delta_path=None, eps_coll=None, general_position=False
-):
-    """Waypoint sampling with a Python loop over the placed points and over
-    every pair of them, per candidate: the positions `sample_waypoints`
-    must reproduce. The collinearity tolerance eps_coll is 1e-6 of the grid's
-    diagonal unless given."""
-
-    def point_line_distance(z, x, y):
-        d = y - x
-        nd = np.linalg.norm(d)
-        if nd < 1e-300:
-            return np.linalg.norm(z - x)
-        t = (z - x) @ d / (nd * nd)
-        return float(np.linalg.norm(z - (x + t * d)))
-
+def reference_sample_waypoints(partition, assignment, grid, seed, *, delta_path=None):
+    """Waypoint sampling with a Python loop over the placed points, per
+    candidate: the positions `sample_waypoints` must reproduce."""
     rng = np.random.default_rng(seed)
     N, K = assignment.shape
     h = float(np.max(grid.spacing))
     margin = h
     delta_path = 4.0 * h if delta_path is None else delta_path
-    eps_coll = 1e-6 * grid.diagonal if eps_coll is None else eps_coll
     region_boxes = {}
     for k in range(1, partition.n + 1):
         boxes = [
@@ -489,7 +475,6 @@ def reference_sample_waypoints(
         vols = np.array([np.prod(hi - lo - 2 * margin) for lo, hi in boxes])
         region_boxes[k] = (boxes, vols / vols.sum())
     positions = np.zeros((N, K, grid.ndim))
-    placed = []
     for l in range(N):
         for j in range(K):
             k = int(assignment[l, j])
@@ -503,17 +488,7 @@ def reference_sample_waypoints(
                     continue
                 if np.linalg.norm(z - positions[l, j - 1]) < delta_path and j > 0:
                     continue
-                if general_position:
-                    if any(np.linalg.norm(z - w) < eps_coll for w in placed):
-                        continue
-                    if any(
-                        point_line_distance(z, placed[i1], placed[i2]) < eps_coll
-                        for i1 in range(len(placed))
-                        for i2 in range(i1 + 1, len(placed))
-                    ):
-                        continue
                 positions[l, j] = z
-                placed.append(z.copy())
                 break
             else:
                 raise CapacityError(
@@ -534,32 +509,17 @@ class TestWaypointsAgainstLoops:
         g = SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (128, 128))
         part = half_planes(g, 0, 0.0)
         assignment = assign_itineraries(np.array([[13, 12], [9, 16]]), 25)
-        for seed in (1, 2, 77):
-            self.same_plan(part, assignment, g, seed, general_position=True)
-            self.same_plan(part, assignment, g, seed, general_position=False)
+        # on seeds 8, 38 and 90 a waypoint lies within 2.3e-5 of the line
+        # through two waypoints placed before it
+        for seed in (1, 2, 8, 38, 77, 90):
+            self.same_plan(part, assignment, g, seed)
 
     def test_three_checkpoints_3d(self):
         g = grid3d(16)
         part = half_planes(g, 0, 0.0)
         assignment = assign_itineraries(np.array([[3, 3], [2, 4], [5, 1]]), 6)
         for seed in (0, 5):
-            for general_position in (True, False):
-                self.same_plan(part, assignment, g, seed, general_position=general_position)
-
-    def test_tight_collinearity_tolerance(self, monkeypatch):
-        # a tolerance of 0.3 rejects candidates as collinear with placed
-        # pairs, so the pair check decides the plan
-        g = SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (32, 32))
-        part = half_planes(g, 0, 0.0)
-        assignment = assign_itineraries(np.array([[4, 4], [4, 4]]), 8)
-        monkeypatch.setattr(_geometry, "_COLLINEAR_TOL", 0.3 / g.diagonal)
-        eps_coll = _geometry._COLLINEAR_TOL * g.diagonal
-        for seed in (3, 4):
-            plan = sample_waypoints(part, assignment, g, seed, general_position=True)
-            ref = reference_sample_waypoints(
-                part, assignment, g, seed, general_position=True, eps_coll=eps_coll
-            )
-            assert np.array_equal(plan.positions, ref)
+            self.same_plan(part, assignment, g, seed)
 
     def test_capacity_error_unchanged(self):
         g = grid3d()
@@ -570,17 +530,6 @@ class TestWaypointsAgainstLoops:
         with pytest.raises(CapacityError) as want:
             reference_sample_waypoints(part, assignment, g, seed=0, delta_path=50.0)
         assert str(got.value) == str(want.value)
-
-    def test_coincident_placed_points(self):
-        # two coincident placed points make a degenerate pair: the distance
-        # to it is the distance to the point
-        from scratchsim.geometry import _line_distances
-
-        x = np.array([[1.0, 2.0], [0.0, 0.0]])
-        d = np.array([[0.0, 0.0], [3.0, 0.0]])
-        nd = np.array([0.0, 3.0])
-        got = _line_distances(np.array([4.0, 6.0]), x, d, nd)
-        assert np.array_equal(got, [5.0, 6.0])
 
 
 class TestSegmentFamily:
@@ -605,8 +554,8 @@ class TestPaths:
         g = SpatialGrid(((-6.0, 6.0), (-6.0, 6.0)), (32, 32))
         part = half_planes(g, 0, 0.0)
         assignment = np.array([[1, 2], [2, 1], [1, 1]])
-        plan = sample_waypoints(part, assignment, g, seed=1, general_position=True)
-        curves = build_paths(plan, grid=g, seed=1)
+        plan = sample_waypoints(part, assignment, g, seed=1)
+        curves = build_paths(plan, "line", grid=g, seed=1)
         assert len(curves) == 3
         for l, c in enumerate(curves):
             assert np.allclose(c(np.array([0.0]))[0], plan.positions[l, 0], atol=0.1)
@@ -618,9 +567,9 @@ class TestPaths:
         )
         from scratchsim.geometry import WaypointPlan
 
-        plan = WaypointPlan(pos, 0.5, "line")
+        plan = WaypointPlan(pos, 0.5)
         g = SpatialGrid(((-6.0, 6.0), (-6.0, 6.0)), (32, 32))
-        curves = build_paths(plan, grid=g, seed=0)
+        curves = build_paths(plan, "line", grid=g, seed=0)
         t, d = linear_collision_parameter(
             curves[0].a, curves[0].b, curves[1].a, curves[1].b
         )
@@ -631,10 +580,10 @@ class TestPaths:
 
         pos = np.zeros((1, 2, 2))
         pos[0, 1] = [1.0, 1.0]
-        plan = WaypointPlan(pos, 0.1, "spline")
+        plan = WaypointPlan(pos, 0.1)
         g = SpatialGrid(((-6.0, 6.0), (-6.0, 6.0)), (32, 32))
-        with pytest.raises(GeometryError):
-            build_paths(plan, grid=g, seed=0)
+        with pytest.raises(GeometryError, match="D >= 3"):
+            build_paths(plan, "spline", grid=g, seed=0)
 
     def test_family_separation_verified(self):
         c1 = SegmentCurve([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
@@ -650,12 +599,14 @@ class TestPaths:
 
         g = grid3d()
         pos = np.array([[[-2.0, 0.0, 0.0], [2.0, 1.0, 0.0]], [[-2.0, 3.0, 0.0], [2.0, 4.0, 1.0]]])
-        for mode, kind in (("line", SegmentCurve), ("spline", SplineCurve)):
-            plan = WaypointPlan(pos, 0.5, mode)
-            curves = build_paths(plan, grid=g, seed=0)
-            assert all(type(c) is kind for c in curves)
+        plan = WaypointPlan(pos, 0.5)
+        for cls in (SegmentCurve, SplineCurve):
+            curves = build_paths(plan, cls.kind, grid=g, seed=0)
+            assert all(type(c) is cls for c in curves)
             for c, wp in zip(curves, pos):
                 assert np.allclose(c(c.checkpoint_params), wp, atol=1e-12)
+        with pytest.raises(GeometryError, match="unknown curve kind 'segment'"):
+            build_paths(plan, "segment", grid=g, seed=0)
 
     def test_spline_family_is_verified_once_conditioned(self):
         # build_paths leaves the Catmull-Rom curves unchecked: two splines
@@ -665,8 +616,8 @@ class TestPaths:
         g = grid3d()
         wp = np.array([[-2.0, 0.0, 0.0], [0.0, 1.0, 0.5], [2.0, 0.0, 1.0]])
         pos = np.stack([wp, wp + [0.0, 0.1, 0.0]])
-        plan = WaypointPlan(pos, 1.0, "spline")
-        curves = build_paths(plan, grid=g, seed=0)
+        plan = WaypointPlan(pos, 1.0)
+        curves = build_paths(plan, "spline", grid=g, seed=0)
         assert curve_pair_min_distance(*curves) < plan.delta_path
         # every momentum along +x, the direction the curves run in
         counts_mom = np.array([[0, 2]] * 3)
@@ -701,7 +652,7 @@ def reference_line_paths(plan, h, seed=0, collision_tol=1e-9, max_perturbations=
 
 class TestLinePathsAgainstLoop:
     def same_curves(self, plan, g, seed):
-        got = build_paths(plan, grid=g, seed=seed)
+        got = build_paths(plan, "line", grid=g, seed=seed)
         want = reference_line_paths(plan, float(np.max(g.spacing)), seed)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -712,7 +663,7 @@ class TestLinePathsAgainstLoop:
         part = half_planes(g, 0, 0.0)
         assignment = assign_itineraries(np.array([[13, 12], [11, 14]]), 25)
         for seed in (1, 2, 77):
-            plan = sample_waypoints(part, assignment, g, seed=seed, general_position=True)
+            plan = sample_waypoints(part, assignment, g, seed=seed)
             self.same_curves(plan, g, seed)
 
     def test_colliding_pairs(self):
@@ -726,7 +677,7 @@ class TestLinePathsAgainstLoop:
             ends = rng.uniform(-5.0, 5.0, (4, 2, D))
             pos = np.concatenate([ends, ends[:, ::-1], rng.uniform(-5.0, 5.0, (3, 2, D))])
             pos = pos[rng.permutation(len(pos))]
-            plan = WaypointPlan(pos, 0.5, "line")
+            plan = WaypointPlan(pos, 0.5)
             assert any(
                 linear_collision_parameter(pos[i, 0], pos[i, 1], pos[j, 0], pos[j, 1])[1] < 1e-9
                 for i in range(len(pos))
@@ -736,7 +687,7 @@ class TestLinePathsAgainstLoop:
                 self.same_curves(plan, g, seed)
             # translated copies: zero relative velocity
             same = np.concatenate([ends[:1], ends[:1] + 0.3, ends[1:]])
-            plan = WaypointPlan(same, 0.5, "line")
+            plan = WaypointPlan(same, 0.5)
             self.same_curves(plan, g, 3)
 
 
@@ -762,7 +713,7 @@ class TestConditioning:
         counts_mom = np.array([[1, 2], [2, 1]])
         assignment = assign_itineraries(counts_pos, 3)
         plan = sample_waypoints(part, assignment, g, seed=seed)
-        curves = build_paths(plan, grid=g, seed=seed)
+        curves = build_paths(plan, "spline", grid=g, seed=seed)
         times = np.array([0.0, 4.0])
         speeds, curves = condition_momenta(
             curves, mom, counts_mom, 1.0, times, seed=seed, delta_path=plan.delta_path
