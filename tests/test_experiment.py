@@ -472,23 +472,29 @@ class TestTheorem1Pipeline:
         assert err.__cause__ is err.cause
 
     def test_decay_drift_is_tagged(self, monkeypatch):
-        # the plain run passes; the decay table's scratched runs drift
-        calls = []
+        # the plain run passes; the decay table's scratched runs drift. Each
+        # executor stops at its first error, so with 3 lambdas one executor
+        # makes one scratched call and two make two.
         propagate = experiment.quantum.propagate
+        config = ExperimentConfig.from_dict(small_theorem1_config())
+        assert len(config.lambdas) == 3
+        for executors, expected_calls in ((1, 2), (2, 3)):
+            calls = []
 
-        def drift_after_first(*a, **k):
-            calls.append(1)
-            if len(calls) > 1:
-                raise experiment.quantum.NumericalStabilityError("norm drift 1e-3")
-            return propagate(*a, **k)
+            def drift_after_first(*a, **k):
+                calls.append(1)
+                if len(calls) > 1:
+                    raise experiment.quantum.NumericalStabilityError("norm drift 1e-3")
+                return propagate(*a, **k)
 
-        monkeypatch.setattr(experiment.quantum, "propagate", drift_after_first)
-        with pytest.raises(experiment.StageError) as info:
-            run_pipeline(ExperimentConfig.from_dict(small_theorem1_config()))
-        err = info.value
-        assert err.stage == "decay" and len(calls) == 2
-        assert isinstance(err.cause, experiment.quantum.NumericalStabilityError)
-        assert err.__cause__ is err.cause
+            monkeypatch.setattr(experiment.quantum, "propagate", drift_after_first)
+            monkeypatch.setattr(experiment.quantum, "_decay_executors", lambda count, n=executors: n)
+            with pytest.raises(experiment.StageError) as info:
+                run_pipeline(config)
+            err = info.value
+            assert err.stage == "decay" and len(calls) == expected_calls
+            assert isinstance(err.cause, experiment.quantum.NumericalStabilityError)
+            assert err.__cause__ is err.cause
 
     def test_diophantine_failure_is_tagged(self, monkeypatch):
         def fail(problem):

@@ -1,5 +1,9 @@
 """Spectral propagation, occupation statistics, and scratch insensitivity."""
 
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
@@ -181,6 +185,24 @@ class TestMergedKicks:
         assert np.array_equal(psi0.field.values, got[0].field.values)
 
 
+class TestWorkArrays:
+    def test_snapshots_do_not_alias_the_work_array(self):
+        g = grid2d(64, 8.0)
+        system = QuantumSystem(1.0, g, GaussianWellPotential(0.5, 2.0, offset=1.0))
+        psi0 = gaussian_packet(g, [1.0, -0.5], 1.0, momentum=[0.5, 0.2])
+        before = psi0.field.values.copy()
+        snaps = propagate(system, psi0, CheckpointSchedule([0.0, 0.1, 0.2, 0.3]), dt_max=1e-2)
+        assert snaps[0].field is psi0.field
+        assert np.array_equal(psi0.field.values, before)
+        # the last snapshot is the wavefunction's work array, 64-byte aligned
+        work = snaps[-1].field.values
+        assert work.ctypes.data % 64 == 0
+        arrays = [s.field.values for s in snaps]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+
 class TestOccupation:
     def test_labels_grid_once_and_sums_per_label(self, monkeypatch):
         g = grid2d(64, 8.0)
@@ -310,13 +332,135 @@ class TestInsensitivity:
         monkeypatch.setattr(ScratchedPotential, "sample", recording_sample)
         rows = scratch_insensitivity(system, scratched, psi0, schedule, reference, dt_max=1e-2)
         assert sampled == scratched
+        # the propagations run side by side, so they may start in any order
         assert len(propagated) == 2
-        for values, sp in zip(propagated, scratched):
-            assert np.array_equal(values, sample(sp, g))
+        for sp in scratched:
+            assert sum(np.array_equal(values, sample(sp, g)) for values in propagated) == 1
         lam_system = QuantumSystem(1.0, g, ScalarField(g, sample(scratched[0], g)))
         fin = propagate(lam_system, psi0, schedule, dt_max=1e-2)[-1]
         l2 = np.sqrt(np.sum(np.abs(fin.field.values - reference.field.values) ** 2) * g.cell_volume)
         assert rows[0]["l2_wavefunction"] == l2
+
+
+def decay_setup(lambdas=(1e2, 1e3, 1e4)):
+    g = grid2d(64, 8.0)
+    base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
+    system = QuantumSystem(1.0, g, base)
+    psi0 = gaussian_packet(g, [-1.0, 0.0], 1.2, momentum=[1.0, 0.0])
+    curve = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
+    scratched = [ScratchedPotential(base, [curve], lam) for lam in lambdas]
+    schedule = CheckpointSchedule([0.0, 0.3])
+    reference = propagate(system, psi0, schedule, dt_max=1e-2)[-1]
+    return system, scratched, psi0, schedule, reference
+
+
+def reference_decay_rows(system, scratched, psi0, schedule, reference, dt_max):
+    """The decay table with one propagation after another on this thread."""
+    g = system.grid
+    u_plain = system.potential_values()
+    fourier_norm = g.cell_volume / (2.0 * np.pi * system.hbar) ** g.ndim
+    rows = []
+    for sp in scratched:
+        u_lam = sp.sample(g)
+        lam_system = QuantumSystem(system.mass, g, ScalarField(g, u_lam), system.hbar)
+        fin = propagate(lam_system, psi0, schedule, dt_max=dt_max)[-1]
+        diff = fin.field.values - reference.field.values
+        rows.append(
+            {
+                "lambda": sp.lam,
+                "l1_potential": sum(
+                    tube_l1_difference(sp.base, p.curve, sp.lam) for p in sp.profiles
+                ),
+                "linf_fourier": float(
+                    np.max(np.abs(np.fft.fftn(u_lam - u_plain))) * fourier_norm
+                ),
+                "l2_wavefunction": float(np.sqrt(np.sum(np.abs(diff) ** 2) * g.cell_volume)),
+            }
+        )
+    return rows
+
+
+class TestDecayExecutors:
+    @pytest.mark.parametrize("executors", [1, 2])
+    def test_rows_match_one_propagation_at_a_time(self, executors, monkeypatch):
+        system, scratched, psi0, schedule, reference = decay_setup()
+        want = reference_decay_rows(system, scratched, psi0, schedule, reference, 1e-2)
+        caller = threading.current_thread()
+        callers = []
+
+        def recording_propagate(*args, **kwargs):
+            callers.append(threading.current_thread())
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(quantum, "propagate", recording_propagate)
+        monkeypatch.setattr(quantum, "_decay_executors", lambda count: executors)
+        rows = scratch_insensitivity(system, scratched, psi0, schedule, reference, dt_max=1e-2)
+        assert rows == want
+        # lambdas 0 and 2 on the calling thread, lambda 1 on the helper
+        assert callers.count(caller) == (3 if executors == 1 else 2)
+        assert len(set(callers)) == executors
+
+    def test_a_helpers_warning_reaches_the_caller(self, monkeypatch):
+        system, scratched, psi0, schedule, reference = decay_setup()
+        caller = threading.current_thread()
+
+        def warn_in_helper(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                warnings.warn("edge density in a helper", quantum.ConfinementWarning)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(quantum, "propagate", warn_in_helper)
+        monkeypatch.setattr(quantum, "_decay_executors", lambda count: 2)
+        with pytest.warns(quantum.ConfinementWarning, match="in a helper"):
+            scratch_insensitivity(system, scratched, psi0, schedule, reference, dt_max=1e-2)
+
+    def test_lowest_failure_raised_after_helpers_end(self, monkeypatch):
+        # three executors, each with one lambda; lambdas 1 and 2 fail in helpers
+        system, scratched, psi0, schedule, reference = decay_setup()
+        samples = [sp.sample(system.grid) for sp in scratched]
+
+        def fail_in_helpers(lam_system, *args, **kwargs):
+            i = next(i for i, u in enumerate(samples) if np.array_equal(lam_system.potential.values, u))
+            if i > 0:
+                raise NumericalStabilityError(f"drift at lambda {i}")
+            return propagate(lam_system, *args, **kwargs)
+
+        monkeypatch.setattr(quantum, "propagate", fail_in_helpers)
+        monkeypatch.setattr(quantum, "_decay_executors", lambda count: 3)
+        threads = len(threading.enumerate())
+        with pytest.raises(NumericalStabilityError, match="at lambda 1"):
+            scratch_insensitivity(system, scratched, psi0, schedule, reference, dt_max=1e-2)
+        assert len(threading.enumerate()) == threads
+
+    def test_many_executors_with_short_switches(self, monkeypatch):
+        # more executors than cores, switching threads every microsecond
+        monkeypatch.setattr(quantum, "_decay_executors", lambda count: 8)
+        threads = len(threading.enumerate())
+
+        def square_or_fail(x):
+            if x >= 3:
+                raise ValueError(f"item {x}")
+            return x * x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert quantum._map_side_by_side(lambda x: x * x, list(range(50))) == [
+                    x * x for x in range(50)
+                ]
+                # items 0-7 each start an executor, so item 3 always runs
+                with pytest.raises(ValueError, match="item 3$"):
+                    quantum._map_side_by_side(square_or_fail, list(range(50)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threading.enumerate()) == threads
+
+    def test_one_executor_per_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(quantum.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert [quantum._decay_executors(n) for n in (1, 2, 3)] == [1, 2, 2]
+        monkeypatch.setattr(quantum.os, "sched_getaffinity", lambda pid: {3})
+        assert quantum._decay_executors(3) == 1
 
 
 def _transverse_frame(tangent):
