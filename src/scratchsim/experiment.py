@@ -521,7 +521,8 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
     with _stage("quantum"):
         g = config.build_grid()
         base = potential_from_spec(config.potential, g.ndim)
-        system = quantum.QuantumSystem(config.mass, g, base, config.hbar)
+        # sampled once, for the plain run and the decay table
+        system = quantum.QuantumSystem(config.mass, g, base.sample(g), config.hbar)
         pk = config.packet
         psi0 = quantum.gaussian_packet(
             g, pk["center"], pk["sigma"], pk.get("momentum"), config.hbar

@@ -1,7 +1,9 @@
 """Built-in analytic base potentials with closed-form gradients.
 
 The classical integrator needs exact forces and the quantum propagator needs
-grid samples, so every potential exposes value_and_grad on point arrays.
+grid samples, so every potential exposes value_and_grad on point arrays, and
+value, which does the value's operations of value_and_grad in the same order
+without the gradient, so the two values agree bit for bit.
 Every potential checks its parameters when it is built: each is a finite
 number, widths are positive and a center has one entry per dimension.
 """
@@ -40,11 +42,11 @@ def _center(center, ndim: int) -> np.ndarray:
 
 
 class AnalyticPotential:
-    def value_and_grad(self, points: np.ndarray):
+    def value(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def value(self, points: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(points)[0]
+    def value_and_grad(self, points: np.ndarray):
+        raise NotImplementedError
 
     def sample(self, grid: SpatialGrid) -> ScalarField:
         return ScalarField(grid, self.value(grid.points()).reshape(grid.shape))
@@ -63,11 +65,16 @@ class HarmonicPotential(AnalyticPotential):
         self.center = _center(center, ndim)
         self.offset = _number("offset", offset)
 
+    def _value(self, d):
+        """The values at the offsets d from the center, one per row."""
+        return self.offset + 0.5 * self.k * np.einsum("ij,ij->i", d, d)
+
+    def value(self, points):
+        return self._value(np.atleast_2d(points) - self.center)
+
     def value_and_grad(self, points):
-        points = np.atleast_2d(points)
-        d = points - self.center
-        vals = self.offset + 0.5 * self.k * np.einsum("ij,ij->i", d, d)
-        return vals, self.k * d
+        d = np.atleast_2d(points) - self.center
+        return self._value(d), self.k * d
 
 
 class GaussianWellPotential(AnalyticPotential):
@@ -82,14 +89,18 @@ class GaussianWellPotential(AnalyticPotential):
         self.center = _center(center, ndim)
         self.offset = _number("offset", offset)
 
+    def _bump(self, d):
+        """exp(-|d|^2 / (2 width^2)) per row of d."""
+        return np.exp(-np.einsum("ij,ij->i", d, d) / (2.0 * self.width**2))
+
+    def value(self, points):
+        return self.offset - self.depth * self._bump(np.atleast_2d(points) - self.center)
+
     def value_and_grad(self, points):
-        points = np.atleast_2d(points)
-        d = points - self.center
-        r2 = np.einsum("ij,ij->i", d, d)
-        g = np.exp(-r2 / (2.0 * self.width**2))
-        vals = self.offset - self.depth * g
+        d = np.atleast_2d(points) - self.center
+        g = self._bump(d)
         grads = (self.depth * g / self.width**2)[:, None] * d
-        return vals, grads
+        return self.offset - self.depth * g, grads
 
 
 class DoubleWellPotential(AnalyticPotential):
@@ -101,23 +112,33 @@ class DoubleWellPotential(AnalyticPotential):
         self.k_perp = _number("k_perp", k_perp)
         self.offset = _number("offset", offset)
 
-    def value_and_grad(self, points):
-        points = np.atleast_2d(points)
-        x = points[:, 0]
+    def _value(self, points):
+        """The values at the rows of points, and (x^2 - b^2) / b^2."""
         perp = points[:, 1:]
-        core = (x**2 - self.b**2) / self.b**2
+        core = (points[:, 0] ** 2 - self.b**2) / self.b**2
         vals = self.offset + self.a * core**2 + 0.5 * self.k_perp * np.einsum(
             "ij,ij->i", perp, perp
         )
+        return vals, core
+
+    def value(self, points):
+        return self._value(np.atleast_2d(points))[0]
+
+    def value_and_grad(self, points):
+        points = np.atleast_2d(points)
+        vals, core = self._value(points)
         grads = np.zeros_like(points)
-        grads[:, 0] = 4.0 * self.a * core * x / self.b**2
-        grads[:, 1:] = self.k_perp * perp
+        grads[:, 0] = 4.0 * self.a * core * points[:, 0] / self.b**2
+        grads[:, 1:] = self.k_perp * points[:, 1:]
         return vals, grads
 
 
 class ZeroPotential(AnalyticPotential):
     def __init__(self, ndim: int = 2):
         self.ndim = ndim
+
+    def value(self, points):
+        return np.zeros(np.atleast_2d(points).shape[0])
 
     def value_and_grad(self, points):
         points = np.atleast_2d(points)

@@ -23,6 +23,7 @@ import functools
 import os
 import threading
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,13 +281,16 @@ def _transverse_frames(tangents: np.ndarray) -> np.ndarray:
     found = np.zeros(S, dtype=np.int64)
     for j in range(D):
         v = np.eye(D)[j] - t[:, j, None] * t
-        for b in range(D - 1):
+        # before unit vector j no row has more than j frames
+        for b in range(min(j, D - 1)):
             fb = frames[:, b]
             v = np.where((found > b)[:, None], v - np.sum(v * fb, axis=1)[:, None] * fb, v)
         n = np.linalg.norm(v, axis=1)
         take = np.flatnonzero((n > 1e-8) & (found < D - 1))
         frames[take, found[take]] = v[take] / n[take, None]
         found[take] += 1
+        if found.min() == D - 1:  # every row is complete
+            break
     return frames
 
 
@@ -340,39 +344,79 @@ def _decay_executors(count: int) -> int:
     return max(1, min(count, cpus))
 
 
-def _map_side_by_side(fn, items: list) -> list:
-    """[fn(x) for x in items] on n = _decay_executors(len(items)) executors:
-    the calling thread and n - 1 helper threads, item i on executor i mod n.
+def _prepare_then_work(count: int, prepare, finish, work) -> list:
+    """[work(i) for i in range(count)], each work(i) started only once
+    prepare(i) has returned, on n = _decay_executors(count) executors.
 
-    An executor stops at its first error, and once one has failed every
-    executor stops before its next item. The helpers are joined before this
-    returns or raises, and the error of the lowest failing item is raised.
+    The calling thread runs prepare(i) for every i in order, queuing i the
+    moment it returns; n - 1 helper threads take queued items and run work
+    on them. Meanwhile the caller runs finish(i) for every i, then takes
+    queued items too until none is left. Only then does it queue one stop
+    marker per helper, so it never takes one. With one executor no thread
+    starts, and the items run one after another.
+
+    Once any call has failed, no executor starts another work item and the
+    caller prepares and finishes no further item. The helpers are joined
+    before this returns or raises, and the error of the lowest failing item
+    is raised.
     """
-    n = _decay_executors(len(items))
-    results = [None] * len(items)
+    n = _decay_executors(count)
+    results = [None] * count
     errors = {}
     failed = threading.Event()
+    # a queue of items, counted by `queued`, so that a take after acquiring
+    # always finds one; importing module `queue` took about 2 ms per process
+    ready, queued = deque(), threading.Semaphore(0)
 
-    def run(k: int) -> None:
-        for i in range(k, len(items), n):
-            if i != k and failed.is_set():
-                return
-            try:
-                results[i] = fn(items[i])
-            except Exception as e:  # raised in the calling thread below
-                errors[i] = e
-                failed.set()
-                return
+    def put(item) -> None:
+        ready.append(item)
+        queued.release()
 
-    helpers = [threading.Thread(target=run, args=(k,), name=f"decay-{k}") for k in range(1, n)]
-    for t in helpers:
-        t.start()
+    def take(block: bool):
+        """The next queued item; None if `block` is false and none is queued."""
+        return ready.popleft() if queued.acquire(blocking=block) else None
+
+    def attempt(fn, i: int) -> bool:
+        """fn(i), with its error recorded; whether it returned."""
+        try:
+            fn(i)
+        except Exception as e:  # raised in the calling thread below
+            errors[i] = e
+            failed.set()
+            return False
+        return True
+
+    def run(i: int) -> None:
+        results[i] = work(i)
+
+    def helper() -> None:
+        while (i := take(True)) is not None:
+            if not failed.is_set():
+                attempt(run, i)
+
+    helpers = []
     try:
-        run(0)
+        for k in range(1, n):
+            t = threading.Thread(target=helper, name=f"decay-{k}")
+            t.start()
+            helpers.append(t)
+        for i in range(count):
+            if failed.is_set():
+                break
+            if attempt(prepare, i):
+                put(i)
+        for i in range(count):
+            if failed.is_set():
+                break
+            attempt(finish, i)
+        while not failed.is_set() and (i := take(False)) is not None:
+            attempt(run, i)
     except BaseException:
         failed.set()
         raise
     finally:
+        for t in helpers:
+            put(None)
         for t in helpers:
             t.join()
     if errors:
@@ -400,24 +444,30 @@ def scratch_insensitivity(
     final wavefunction, psi0 propagated through the schedule with the same
     dt_max.
 
-    Every potential is sampled, and its L1 and Fourier distances computed, on
-    the calling thread. The propagations are independent and numpy's FFT
-    releases the GIL, so they then run side by side, one per usable CPU
-    (`_map_side_by_side`).
+    The calling thread samples the potentials in order, and each λ's
+    propagation may start, on a helper thread, as soon as its sample exists.
+    The propagations are independent and numpy's FFT releases the GIL, so
+    they run side by side, one per usable CPU, while the caller computes the
+    L1 and Fourier columns; then the caller propagates what is left
+    (`_prepare_then_work`).
     """
     g = system.grid
     hbar = system.hbar
     u_plain = system.potential_values()
     fourier_norm = g.cell_volume / (2.0 * np.pi * hbar) ** g.ndim
-    rows, systems = [], []
-    for sp in scratched:
-        u_lam = sp.sample(g)
-        l1 = sum(tube_l1_difference(sp.base, p.curve, sp.lam) for p in sp.profiles)
-        linf = float(np.max(np.abs(np.fft.fftn(u_lam - u_plain))) * fourier_norm)
-        rows.append({"lambda": sp.lam, "l1_potential": l1, "linf_fourier": linf})
-        systems.append(QuantumSystem(system.mass, g, ScalarField(g, u_lam), hbar))
+    samples, rows = [], []
 
-    def l2_distance(lam_system: QuantumSystem) -> float:
+    def sample(i: int) -> None:
+        samples.append(scratched[i].sample(g))
+
+    def columns(i: int) -> None:
+        sp = scratched[i]
+        l1 = sum(tube_l1_difference(sp.base, p.curve, sp.lam) for p in sp.profiles)
+        linf = float(np.max(np.abs(np.fft.fftn(samples[i] - u_plain))) * fourier_norm)
+        rows.append({"lambda": sp.lam, "l1_potential": l1, "linf_fourier": linf})
+
+    def l2_distance(i: int) -> float:
+        lam_system = QuantumSystem(system.mass, g, ScalarField(g, samples[i]), hbar)
         fin = propagate(lam_system, psi0, schedule, dt_max=dt_max, edge_eps=edge_eps)[-1]
         return float(
             np.sqrt(
@@ -426,6 +476,7 @@ def scratch_insensitivity(
             )
         )
 
-    for row, l2 in zip(rows, _map_side_by_side(l2_distance, systems)):
-        row["l2_wavefunction"] = l2
+    l2 = _prepare_then_work(len(scratched), sample, columns, l2_distance)
+    for row, value in zip(rows, l2):
+        row["l2_wavefunction"] = value
     return rows

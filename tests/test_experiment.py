@@ -27,7 +27,7 @@ from scratchsim.experiment import (
     write_occupancy_csv,
 )
 from scratchsim.grid import GridError, SpatialGrid
-from scratchsim.potentials import PotentialError
+from scratchsim.potentials import AnalyticPotential, PotentialError
 from scratchsim.quantum import CheckpointSchedule
 
 
@@ -429,6 +429,19 @@ class TestTheorem1Pipeline:
         assert len(calls) == 1 + len(d["lambdas"]) == 4
         assert len(report.decay) == 3
 
+    def test_samples_the_plain_potential_once(self, monkeypatch):
+        # the plain run and the decay table share one sample of U
+        shapes = []
+        sample = AnalyticPotential.sample
+
+        def recording_sample(pot, grid):
+            shapes.append(grid.shape)
+            return sample(pot, grid)
+
+        monkeypatch.setattr(AnalyticPotential, "sample", recording_sample)
+        run_pipeline(ExperimentConfig.from_dict(small_theorem1_config()))
+        assert shapes == [(64, 64)]
+
     def test_runs_the_largest_lambda_once(self):
         d = small_theorem1_config()
         report = run_pipeline(ExperimentConfig.from_dict(d))
@@ -472,13 +485,13 @@ class TestTheorem1Pipeline:
         assert err.__cause__ is err.cause
 
     def test_decay_drift_is_tagged(self, monkeypatch):
-        # the plain run passes; the decay table's scratched runs drift. Each
-        # executor stops at its first error, so with 3 lambdas one executor
-        # makes one scratched call and two make two.
+        # the plain run passes; the decay table's scratched runs drift. No
+        # executor starts a run once one has failed, so one executor makes
+        # one scratched call, and two make one or two.
         propagate = experiment.quantum.propagate
         config = ExperimentConfig.from_dict(small_theorem1_config())
         assert len(config.lambdas) == 3
-        for executors, expected_calls in ((1, 2), (2, 3)):
+        for executors, most_calls in ((1, 2), (2, 3)):
             calls = []
 
             def drift_after_first(*a, **k):
@@ -492,7 +505,7 @@ class TestTheorem1Pipeline:
             with pytest.raises(experiment.StageError) as info:
                 run_pipeline(config)
             err = info.value
-            assert err.stage == "decay" and len(calls) == expected_calls
+            assert err.stage == "decay" and 2 <= len(calls) <= most_calls
             assert isinstance(err.cause, experiment.quantum.NumericalStabilityError)
             assert err.__cause__ is err.cause
 

@@ -381,11 +381,10 @@ def reference_decay_rows(system, scratched, psi0, schedule, reference, dt_max):
 
 
 class TestDecayExecutors:
-    @pytest.mark.parametrize("executors", [1, 2])
+    @pytest.mark.parametrize("executors", [1, 2, 3])
     def test_rows_match_one_propagation_at_a_time(self, executors, monkeypatch):
         system, scratched, psi0, schedule, reference = decay_setup()
         want = reference_decay_rows(system, scratched, psi0, schedule, reference, 1e-2)
-        caller = threading.current_thread()
         callers = []
 
         def recording_propagate(*args, **kwargs):
@@ -396,9 +395,33 @@ class TestDecayExecutors:
         monkeypatch.setattr(quantum, "_decay_executors", lambda count: executors)
         rows = scratch_insensitivity(system, scratched, psi0, schedule, reference, dt_max=1e-2)
         assert rows == want
-        # lambdas 0 and 2 on the calling thread, lambda 1 on the helper
-        assert callers.count(caller) == (3 if executors == 1 else 2)
-        assert len(set(callers)) == executors
+        assert len(callers) == 3
+        if executors == 1:  # no thread starts
+            assert set(callers) == {threading.current_thread()}
+
+    def test_a_propagation_starts_before_the_last_l1_column(self, monkeypatch):
+        system, scratched, psi0, schedule, reference = decay_setup()
+        want = reference_decay_rows(system, scratched, psi0, schedule, reference, 1e-2)
+        started = threading.Event()
+        waited = []
+
+        def flagging_propagate(*args, **kwargs):
+            started.set()
+            return propagate(*args, **kwargs)
+
+        def last_column_waits(base, curve, lam):
+            # fails after the timeout, rather than hangs, if no propagation
+            # starts until every column is done
+            if lam == scratched[-1].lam:
+                waited.append(started.wait(timeout=10.0))
+            return tube_l1_difference(base, curve, lam)
+
+        monkeypatch.setattr(quantum, "propagate", flagging_propagate)
+        monkeypatch.setattr(quantum, "tube_l1_difference", last_column_waits)
+        monkeypatch.setattr(quantum, "_decay_executors", lambda count: 2)
+        rows = scratch_insensitivity(system, scratched, psi0, schedule, reference, dt_max=1e-2)
+        assert waited == [True]
+        assert rows == want
 
     def test_a_helpers_warning_reaches_the_caller(self, monkeypatch):
         system, scratched, psi0, schedule, reference = decay_setup()
@@ -435,26 +458,63 @@ class TestDecayExecutors:
     def test_many_executors_with_short_switches(self, monkeypatch):
         # more executors than cores, switching threads every microsecond
         monkeypatch.setattr(quantum, "_decay_executors", lambda count: 8)
-        threads = len(threading.enumerate())
+        threads = threading.enumerate()
+        count = 50
+        prepared, finished, started = [], [], []
 
-        def square_or_fail(x):
-            if x >= 3:
-                raise ValueError(f"item {x}")
-            return x * x
+        def prepare(i):
+            prepared.append(i)
+
+        def finish(i):
+            finished.append(i)
+
+        def square(i):
+            # an item is worked on only once it is prepared
+            started.append((i, i in prepared))
+            return i * i
+
+        def square_or_fail(i):
+            square(i)
+            if i >= 3:
+                raise ValueError(f"item {i}")
+            return i * i
+
+        def fail_to_prepare(i):
+            if i == 30:
+                raise ValueError("prepare 30")
+            prepare(i)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                assert quantum._map_side_by_side(lambda x: x * x, list(range(50))) == [
-                    x * x for x in range(50)
-                ]
-                # items 0-7 each start an executor, so item 3 always runs
-                with pytest.raises(ValueError, match="item 3$"):
-                    quantum._map_side_by_side(square_or_fail, list(range(50)))
+                for lst in (prepared, finished, started):
+                    lst.clear()
+                results = quantum._prepare_then_work(count, prepare, finish, square)
+                assert results == [i * i for i in range(count)]
+                assert prepared == finished == list(range(count))
+                assert sorted(started) == [(i, True) for i in range(count)]
+
+                # the lowest item that started and failed is raised
+                started.clear()
+                with pytest.raises(ValueError) as info:
+                    quantum._prepare_then_work(count, prepare, finish, square_or_fail)
+                failing = [i for i, _ in started if i >= 3]
+                assert str(info.value) == f"item {min(failing)}"
+                # after the first failure, each executor starts at most one
+                # item, the one it took before it could see the failure
+                assert len(failing) <= 8
+                assert all(ok for _, ok in started)
+
+                prepared.clear()
+                started.clear()
+                with pytest.raises(ValueError, match="prepare 30"):
+                    quantum._prepare_then_work(count, fail_to_prepare, finish, square)
+                assert prepared == list(range(30))
+                assert all(i < 30 and ok for i, ok in started)
         finally:
             sys.setswitchinterval(interval)
-        assert len(threading.enumerate()) == threads
+        assert threading.enumerate() == threads
 
     def test_one_executor_per_usable_cpu(self, monkeypatch):
         monkeypatch.setattr(quantum.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
