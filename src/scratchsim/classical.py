@@ -162,7 +162,9 @@ def integrate(
     s_warm = np.full((scratched.num_scratches, ensemble.num_particles), np.nan)
     vals, grad = scratched.eval(q, s_warm=s_warm)
     s_prev = s_warm.copy()
-    force = -grad
+    lo = hi = None
+    if domain is not None:
+        lo, hi = domain.lo, domain.hi
 
     def energy(pv, potential):
         # the potential comes from the force evaluation at the same positions
@@ -175,21 +177,21 @@ def integrate(
     step_count = 0
     for span, nsteps in zip(np.diff(times), schedule.steps(dt_max)):
         dt = span / nsteps
+        # the half kick with the force -grad: p - (dt / 2) grad is p + (dt / 2)
+        # (-grad) to the bit
+        half = 0.5 * dt
         for _ in range(nsteps):
-            p = p + 0.5 * dt * force
+            p = p - half * grad
             q = q + dt * p / mass
             s_warm, s_prev = 2.0 * s_warm - s_prev, s_warm
             vals, grad = scratched.eval(q, own_f=own_f, s_warm=s_warm)
-            force = -grad
-            p = p + 0.5 * dt * force
+            p = p - half * grad
             step_count += 1
             if own_f is not None:
                 np.maximum(max_f, own_f, out=max_f)
             if step_count % _ENERGY_LOG_STRIDE == 0:
                 energy_rows.append(energy(p, vals))
-            if domain is not None and (
-                np.any(q < domain.lo) or np.any(q > domain.hi)
-            ):
+            if lo is not None and ((q < lo).any() or (q > hi).any()):
                 raise ConfinementError("a particle left the domain box")
         snapshots.append(ClassicalEnsemble(q.copy(), p.copy(), mass))
     energy_rows.append(energy(p, vals))

@@ -235,17 +235,21 @@ class ExperimentConfig:
 
 
 def _jsonable(obj):
+    """obj as plain JSON values. JSON (RFC 8259) has no infinity or nan: an
+    infinite float becomes None (null), as `min_pairwise_distance` does for a
+    single particle, which has no pair. A nan is kept, so that writing it
+    fails (`DiscriminationReport.save`)."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return None if math.isinf(obj) else float(obj)
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
+    if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
     return str(obj)
 
@@ -272,7 +276,8 @@ class DiscriminationReport:
     def save(self, out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
+            # a stray nan fails here rather than write invalid JSON
+            json.dump(self.to_dict(), fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
         write_occupancy_csv(os.path.join(out_dir, "occupancy.csv"), self.checkpoints)
         write_decay_csv(os.path.join(out_dir, "decay.csv"), self.decay)

@@ -194,9 +194,9 @@ class HermiteSpline:
         """Value, first and second derivative at t, each shaped t.shape + the
         shape of one value."""
         t = np.asarray(t, dtype=float)
-        i = np.searchsorted(self.x, t, side="right") - (t == self.x[-1])
-        x = t - self.x[np.maximum(i - 1, 0)]
-        return _piece_jet(self.coef[:, i], x.reshape(x.shape + (1,) * (self.coef.ndim - 2)))
+        i = self.x.searchsorted(t, side="right") - (t == self.x[-1])
+        x = t - self.x.take(np.maximum(i - 1, 0))
+        return _piece_jet(self.coef.take(i, 1), x.reshape(x.shape + (1,) * (self.coef.ndim - 2)))
 
     def __call__(self, t):
         return self.jet(t)[0]
@@ -310,33 +310,49 @@ class SplineFamily:
 
     Curve l's nearest parameter is searched over [s_lo_l, s_hi_l]; s_lo and
     s_hi are scalars or one entry per curve. The piece tables and knots are
-    padded to the longest curve, so that one gather and one `_piece_jet`
-    give the jets of any set of (curve, parameter) pairs, each bit for bit
-    as `SplineCurve.jet` gives it. Each curve has a box, grown by `reach`, that
-    `near` tests points against.
+    padded to the longest curve, so that one gather gives the jets of any set
+    of (curve, parameter) pairs, each bit for bit as `SplineCurve.jet` gives
+    it. Each curve has a box, grown by `reach`, that `near` tests points
+    against.
     """
 
     def __init__(self, curves, s_lo=0.0, s_hi=1.0, reach=0.0):
         L = len(curves)
         self.s_lo = np.broadcast_to(np.asarray(s_lo, dtype=float), (L,)).copy()
         self.s_hi = np.broadcast_to(np.asarray(s_hi, dtype=float), (L,)).copy()
-        self._tol = 4.0 * np.finfo(float).eps * np.maximum(
+        # per curve its range and Newton's stop tolerance, 4 ulps of the
+        # range's magnitude, for one gather per pair
+        tol = 4.0 * np.finfo(float).eps * np.maximum(
             np.maximum(np.abs(self.s_lo), np.abs(self.s_hi)), 1.0
         )
+        self._bounds = np.stack([self.s_lo, self.s_hi, tol], axis=1)
+        # A parameter lies in row (knots at or below it) of its curve's
+        # table, as in `HermiteSpline`: the last knot is one ulp up, so that
+        # the curve's end lies in the last cubic, and padding knots are +inf.
+        # Curve l's rows start at l * (K + 1). A row holds the offsets'
+        # origin and `_piece_jet`'s terms with its leading 0.0 + and its
+        # 2.0 * b2 done: origin, a3, a2, 0 + a1, 0 + a0, b2, 0 + b1, 2 b2.
+        # 0.0 + only turns -0.0 into 0.0, after which a0 + a1 x and a1 + b1 x
+        # round alike for either zero, so the jets keep every bit.
         K = max(c.knots.size for c in curves)
-        # padding pieces are never reached: their knots are +inf
-        self._coef = np.zeros((6, L, K + 1, curves[0].ndim))
         self._knots = np.full((L, K), np.inf)
+        self._stride = K + 1
+        self._rows = np.zeros((L * self._stride, 8, curves[0].ndim))
         for l, c in enumerate(curves):
-            self._coef[:, l, : c.knots.size + 1] = c.coef
-            self._knots[l, : c.knots.size] = c.knots
-        self._end = np.array([c.knots[-1] for c in curves])
+            k = c.knots.size
+            self._knots[l, :k] = c.knots
+            self._knots[l, k - 1] = np.nextafter(c.knots[-1], np.inf)
+            a3, a2, a1, a0, b2, b1 = c.coef
+            rows = self._rows[l * self._stride :][: k + 1].transpose(1, 0, 2)
+            rows[0] = c.knots[np.maximum(np.arange(k + 1) - 1, 0)][:, None]
+            rows[1:] = a3, a2, 0.0 + a1, 0.0 + a0, b2, 0.0 + b1, 2.0 * b2
         samples = [
             c.sample(_SCAN_SAMPLES, lo, hi) for c, lo, hi in zip(curves, self.s_lo, self.s_hi)
         ]
-        self._scan_s = np.stack([s for s, _ in samples])  # (L, S)
-        self._scan_pts = np.stack([pts for _, pts in samples])  # (L, S, D)
-        self._scan_pts_t = np.ascontiguousarray(self._scan_pts.transpose(0, 2, 1))
+        # stacked, curve l's samples from l * S on
+        self._scan_s = np.concatenate([s for s, _ in samples])  # (L S,)
+        self._scan_pts = np.concatenate([pts for _, pts in samples])  # (L S, D)
+        self._scan_pts_t = np.stack([pts.T for _, pts in samples])  # (L, D, S)
         self._scan_norm2 = np.stack([np.einsum("ij,ij->i", pts, pts) for _, pts in samples])
         # every point farther than `reach` from the box is farther than
         # `reach` from the curve, also as the projection rounds: the box is
@@ -358,34 +374,40 @@ class SplineFamily:
 
     def _jet(self, cl, s, knots=None):
         """Jets of curves cl at parameters s, each (P, D), from the piece that
-        `HermiteSpline` takes; `knots` is self._knots[cl] if the caller has
-        it."""
-        knots = self._knots[cl] if knots is None else knots
-        i = np.count_nonzero(knots <= s[:, None], axis=1) - (s == self._end[cl])
-        x = (s - self._knots[cl, np.maximum(i - 1, 0)])[:, None]
-        return _piece_jet(self._coef[:, cl, i], x)
+        `HermiteSpline` takes and summed as `_piece_jet` sums them; `knots`
+        is self._knots[cl] if the caller has it."""
+        knots = self._knots.take(cl, 0) if knots is None else knots
+        s = s[:, None]
+        origin, a3, a2, a1, a0, b2, b1, b2x2 = self._rows.take(
+            cl * self._stride + (knots <= s).sum(axis=1), 0
+        ).transpose(1, 0, 2)
+        x = s - origin
+        xx = x * x
+        return a0 + a1 * x + a2 * xx + a3 * (xx * x), a1 + b1 * x + b2 * xx, b1 + b2x2 * x
 
     def _scan(self, cl, q):
         """Index of each pair's nearest sample among its curve's 512 scan
-        samples, the pairs sorted by curve."""
+        samples, counted in the stacked samples of every curve, the pairs
+        sorted by curve."""
         j = np.empty(cl.size, dtype=np.intp)
-        rows = _SCAN_BLOCK // self._scan_s.shape[1]
-        bounds = np.searchsorted(cl, np.arange(self.s_lo.size + 1)).tolist()
+        S = self._scan_norm2.shape[1]
+        bounds = cl.searchsorted(np.arange(self.s_lo.size + 1)).tolist()
         for l, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
             if start == stop:
                 continue
             pts_t, norm2 = self._scan_pts_t[l], self._scan_norm2[l]
-            cuts = _row_blocks(start, stop, rows)
+            cuts = _row_blocks(start, stop, _SCAN_BLOCK // S)
             for a, b in zip(cuts[:-1], cuts[1:]):
                 # |q - c|^2 less its per-point constant |q|^2; a lone row is
                 # doubled, so that it rounds as it would in any larger block
-                d2 = (q[a:b] if b - a > 1 else q[[a, a]]) @ pts_t
+                d2 = (q[a:b] if b - a > 1 else q[a:b].repeat(2, 0)) @ pts_t
                 d2 *= -2.0
                 d2 += norm2
-                j[a:b] = np.argmin(d2, axis=1)[: b - a]
+                j[a:b] = d2.argmin(axis=1)[: b - a]
+                j[a:b] += l * S
         return j
 
-    def _newton(self, cl, q, s, iters, lo, hi):
+    def _newton(self, cl, q, s, iters, lo, hi, tol):
         """Newton steps on g(s) = (q - c(s)) . c'(s), each clipped to 0.1 and
         to the range, from s for every pair. A pair stops at the first
         iterate from which its step would move it by at most 4 ulps of its
@@ -395,19 +417,21 @@ class SplineFamily:
 
         A stopped pair takes every later step from the same iterate, so it
         stays stopped, and each pair's result does not depend on the others.
-        `lo` and `hi` are the pairs' ranges.
+        `lo`, `hi` and `tol` are the pairs' ranges and stop tolerances.
         """
-        tol, knots = self._tol[cl], self._knots[cl]
+        knots = self._knots.take(cl, 0)
         for _ in range(iters):
             c, dc, d2c = self._jet(cl, s, knots)
             r = q - c
             g = np.einsum("ij,ij->i", r, dc)
-            gp = np.einsum("ij,ij->i", r, d2c) - np.einsum("ij,ij->i", dc, dc)
-            step = -g / np.where(np.abs(gp) > 1e-30, gp, np.inf)
+            # g' = r . c'' - c' . c', negated: the step -g / g' is g / -g'
+            # to the bit, and -g / inf is g / -inf
+            ngp = np.einsum("ij,ij->i", dc, dc) - np.einsum("ij,ij->i", r, d2c)
+            step = g / np.where(np.abs(ngp) > 1e-30, ngp, -np.inf)
             step = np.minimum(np.maximum(step, -0.1), 0.1)
             s_new = np.minimum(np.maximum(s + step, lo), hi)
             moving = np.abs(s_new - s) > tol
-            if not moving.any():
+            if not np.count_nonzero(moving):
                 return s, (c, dc, d2c)
             s = np.where(moving, s_new, s)
         return s, self._jet(cl, s, knots)
@@ -430,22 +454,22 @@ class SplineFamily:
             L, M = self.s_lo.size, points.shape[0]
             pairs = (np.repeat(np.arange(L), M), np.tile(np.arange(M), L))
         cl, pm = pairs
-        q = points[pm]
-        lo, hi = self.s_lo[cl], self.s_hi[cl]
+        q = points.take(pm, 0)
+        lo, hi, tol = self._bounds.take(cl, 0).T
         j = self._scan(cl, q)
-        s_scan = self._scan_s[cl, j]
+        s_scan = self._scan_s.take(j)
         if s_start is None:
             s_start = np.full(cl.size, np.nan)
-        warm = ~np.isnan(s_start)
+        warm = s_start == s_start  # not nan
         s0 = np.minimum(np.maximum(np.where(warm, s_start, s_scan), lo), hi)
-        s, jet = self._newton(cl, q, s0, _NEWTON_ITERS, lo, hi)
+        s, jet = self._newton(cl, q, s0, _NEWTON_ITERS, lo, hi, tol)
         diff = q - jet[0]
         f = np.einsum("ij,ij->i", diff, diff)
-        to_sample = q - self._scan_pts[cl, j]
-        back = np.flatnonzero(warm & (f > np.einsum("ij,ij->i", to_sample, to_sample)))
+        to_sample = q - self._scan_pts.take(j, 0)
+        back = (warm & (f > np.einsum("ij,ij->i", to_sample, to_sample))).nonzero()[0]
         if back.size:
             s_b, jet_b = self._newton(
-                cl[back], q[back], s_scan[back], _NEWTON_ITERS, lo[back], hi[back]
+                cl[back], q[back], s_scan[back], _NEWTON_ITERS, lo[back], hi[back], tol[back]
             )
             s[back] = s_b
             for part, part_b in zip(jet, jet_b):

@@ -304,18 +304,30 @@ def _gauss_hermite(num_h: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+class TubeSamples:
+    """What the tube quadrature takes from a curve, none of it dependent on
+    lambda: _TUBE_SAMPLES parameters s over [0, 1], the curve's points and
+    speeds there, and the transverse frames of its tangents."""
+
+    def __init__(self, curve):
+        self.s, self.points = curve.sample(_TUBE_SAMPLES)
+        dc = curve.deriv(self.s)
+        self.speed = np.linalg.norm(dc, axis=1)
+        self.frames = _transverse_frames(dc)
+
+
 def tube_l1_difference(base, curve, lam: float) -> float:
     """L1 norm of U * exp(-lam * dist^2) over one scratch tube.
 
     Gauss-Hermite in the scaled transverse coordinates (exact in the thin-tube
-    limit), trapezoid along the curve: scales as lam^-((D-1)/2)."""
-    num_s, num_h = _TUBE_SAMPLES, _HERMITE_NODES
-    s, pts = curve.sample(num_s)
-    dc = curve.deriv(s)
-    speed = np.linalg.norm(dc, axis=1)
+    limit), trapezoid along the curve: scales as lam^-((D-1)/2). `curve` may
+    also be the curve's `TubeSamples`, which a decay table takes once per
+    curve for all its lambdas."""
+    tube = curve if isinstance(curve, TubeSamples) else TubeSamples(curve)
+    s, pts, speed, frames = tube.s, tube.points, tube.speed, tube.frames
+    num_s, D = pts.shape
+    num_h = _HERMITE_NODES
     x, w = _gauss_hermite(num_h)
-    D = curve.ndim
-    frames = _transverse_frames(dc)
     if D == 2:
         q = pts[:, None, :] + (x / np.sqrt(lam))[None, :, None] * frames[:, 0, None, :]
         u = np.abs(base.value(q.reshape(-1, D))).reshape(num_s, num_h)
@@ -456,13 +468,19 @@ def scratch_insensitivity(
     u_plain = system.potential_values()
     fourier_norm = g.cell_volume / (2.0 * np.pi * hbar) ** g.ndim
     samples, rows = [], []
+    tubes = {}  # one TubeSamples per curve, for every lambda
+
+    def tube(curve) -> TubeSamples:
+        if curve not in tubes:
+            tubes[curve] = TubeSamples(curve)
+        return tubes[curve]
 
     def sample(i: int) -> None:
         samples.append(scratched[i].sample(g))
 
     def columns(i: int) -> None:
         sp = scratched[i]
-        l1 = sum(tube_l1_difference(sp.base, p.curve, sp.lam) for p in sp.profiles)
+        l1 = sum(tube_l1_difference(sp.base, tube(p.curve), sp.lam) for p in sp.profiles)
         linf = float(np.max(np.abs(np.fft.fftn(samples[i] - u_plain))) * fourier_norm)
         rows.append({"lambda": sp.lam, "l1_potential": l1, "linf_fourier": linf})
 

@@ -112,11 +112,13 @@ class TangentialPotential(HermiteSpline):
 class ScratchedPotential:
     """Base potential with N scratches and optional tangential potentials.
 
-    `eval` treats all scratches at once, on (scratch, point) arrays: the
-    straight scratches are projected together in one pass, and so are the
-    spline scratches, each only on the points in its box grown by the tube
-    radius (`SplineFamily.near`). A point outside a scratch's box is outside its
-    tube, where the scratch's factor is exactly 1, so the box changes no bit.
+    `eval` works on flat arrays of the (scratch, point) pairs inside tubes,
+    not on dense scratch x point arrays: the straight scratches are projected
+    onto every point in one pass, the spline scratches onto the points in
+    their boxes grown by the tube radius (`SplineFamily.near`), and a pair
+    outside its tube, whose factor is exactly 1 and whose terms vanish, is
+    dropped. `np.multiply.at` and `np.add.at` apply each point's terms in
+    scratch order, as a sum over every scratch would, so no value changes.
     """
 
     def __init__(
@@ -139,98 +141,121 @@ class ScratchedPotential:
         if len(tangential) != len(self.profiles):
             raise ScratchError("one tangential potential slot per scratch required")
         self.tangential = tangential
-        self._lines = [l for l, p in enumerate(self.profiles) if p.curve.kind == "line"]
-        self._splines = [l for l, p in enumerate(self.profiles) if p.curve.kind != "line"]
+        self._snap_f = np.array([p.snap_f for p in self.profiles])
+        lines = [l for l, p in enumerate(self.profiles) if p.curve.kind == "line"]
+        splines = [l for l, p in enumerate(self.profiles) if p.curve.kind != "line"]
         self._segments = None
-        if self._lines:
-            line_profiles = [self.profiles[l] for l in self._lines]
+        if lines:
+            line_profiles = [self.profiles[l] for l in lines]
             self._segments = SegmentFamily(
                 [p.curve for p in line_profiles],
                 [-p.extension for p in line_profiles],
                 [1.0 + p.extension for p in line_profiles],
             )
+            self._lines = np.array(lines)
+            self._line_snap = self._snap_f[self._lines, None]
         self._family = None
-        if self._splines:
-            spline_profiles = [self.profiles[l] for l in self._splines]
+        if splines:
+            spline_profiles = [self.profiles[l] for l in splines]
             self._family = SplineFamily(
                 [p.curve for p in spline_profiles],
                 [-p.extension for p in spline_profiles],
                 [1.0 + p.extension for p in spline_profiles],
                 reach=self.tube_radius,
             )
-            self._spline_rows = np.array(self._splines)
-        self._snap_f = np.array([[p.snap_f] for p in self.profiles])
-        self._driven = [l for l, v in enumerate(tangential) if v is not None]
+            self._splines = np.array(splines)
+        self._drives = np.array([l for l, v in enumerate(tangential) if v is not None], dtype=int)
+        # with every scratch driven, every pair is a driven pair
+        self._driven = None
+        if self._drives.size < len(self.profiles):
+            self._driven = np.array([v is not None for v in tangential], dtype=bool)
 
     @property
     def num_scratches(self) -> int:
         return len(self.profiles)
 
-    def _nearest(self, points: np.ndarray, own: bool = False, s_warm=None):
-        """Every scratch against every point: nearest parameters s (N, M),
-        squared distances f (N, M), zero below each profile's snap threshold,
-        residuals q - c(s) stored component-major (N, D, M), and per spline
-        scratch l the first and second derivative at s, jets[l] = (dc, d2c),
-        each (M, D).
+    def _pairs(self, points: np.ndarray, own_f=None, s_warm=None, geometry=False):
+        """The (scratch, point) pairs inside tubes, sorted by scratch and
+        then by point: scratch l, point m, nearest parameter s and squared
+        distance f, zero below the profile's snap threshold, each (P,); with
+        `geometry` also the residual q - c(s) and the curve's first and
+        second derivative at s, each (P, D).
 
-        A spline scratch projects only the points in its box, and with `own`
-        also point l onto scratch l; its other pairs get s = nan, f = inf and
-        zero residuals and derivatives. `s_warm` (N, M), if given, holds a
-        start for each pair's Newton iteration (nan for none) and receives s.
+        Every line pair is projected, and every spline pair whose point is in
+        the scratch's box; with `own_f` also point l onto scratch l, whose f
+        entry l receives. `s_warm` (N, M), if given, holds a start for each
+        spline pair's Newton iteration (nan for none) and receives the
+        parameters found, nan for the spline pairs not projected.
         """
-        M, D = points.shape
-        s = np.empty((self.num_scratches, M))
-        f = np.empty((self.num_scratches, M))
-        r = np.empty((self.num_scratches, D, M))
+        R2 = self.tube_radius**2
+        parts = []
         if self._segments is not None:
-            s[self._lines], r[self._lines], f[self._lines] = self._segments.project(points)
-        jets = {}
+            s, r, f = self._segments.project(points)
+            f[f < self._line_snap] = 0.0
+            if own_f is not None:
+                own_f[self._lines] = f[np.arange(self._lines.size), self._lines]
+            if s_warm is not None:
+                s_warm[self._lines] = s
+            k, m = (f <= R2).nonzero()
+            part = [self._lines.take(k), m, s[k, m], f[k, m]]
+            if geometry:
+                d = self._segments.d.take(k, 0)
+                part += [r[k, :, m], d, np.zeros_like(d)]
+            parts.append(part)
         if self._family is not None:
-            rows = self._spline_rows
             near = self._family.near(points)
-            if own:
-                near[np.arange(rows.size), rows] = True
-            cl, pm = np.nonzero(near)
-            pair_rows = rows[cl]
-            start = None if s_warm is None else s_warm[pair_rows, pm]
-            sp, fp, (c, dc, d2c) = self._family.project(points, (cl, pm), start)
-            s[rows], f[rows], r[rows] = np.nan, np.inf, 0.0
-            s[pair_rows, pm] = sp
-            f[pair_rows, pm] = fp
-            r[pair_rows, :, pm] = points[pm] - c
-            dcs = np.zeros((2, rows.size, M, D))
-            dcs[0, cl, pm] = dc
-            dcs[1, cl, pm] = d2c
-            jets = {l: (dcs[0, k], dcs[1, k]) for k, l in enumerate(self._splines)}
-        f[f < self._snap_f] = 0.0
-        if s_warm is not None:
-            s_warm[:] = s
-        return s, f, r, jets
+            if own_f is not None:
+                near[np.arange(self._splines.size), self._splines] = True
+            k, m = near.nonzero()
+            l = self._splines.take(k)
+            start = None if s_warm is None else s_warm[l, m]
+            s, f, (c, dc, d2c) = self._family.project(points, (k, m), start)
+            f[f < self._snap_f.take(l)] = 0.0
+            if own_f is not None:
+                own_f[self._splines] = f[l == m]
+            if s_warm is not None:
+                s_warm[self._splines] = np.nan
+                s_warm[l, m] = s
+            part = [l, m, s, f]
+            if geometry:
+                part += [points.take(m, 0) - c, dc, d2c]
+            inside = f <= R2
+            if np.count_nonzero(inside) < inside.size:
+                i = inside.nonzero()[0]
+                part = [a.take(i, 0) for a in part]
+            parts.append(part)
+        if len(parts) == 1:
+            return parts[0]
+        order = np.concatenate([p[0] * len(points) + p[1] for p in parts]).argsort()
+        return [np.concatenate(a).take(order, 0) for a in zip(*parts)]
 
-    def _value(self, points: np.ndarray, u: np.ndarray, own_f=None, s_warm=None):
+    def _value(self, points: np.ndarray, u: np.ndarray, own_f=None, s_warm=None, geometry=False):
         """The scratched value over the base values u, with what the gradient
-        reuses: (value, (r, jets, exps, one_minus, prod_all, drives)),
-        drives[l] = (idx, s, V_l(s), V_l'(s), e) on the points inside driven
-        tube l."""
-        s, f, r, jets = self._nearest(points, own_f is not None, s_warm)
-        if own_f is not None:
-            own_f[:] = np.diag(f)
-        inside = f <= self.tube_radius**2
-        exps = np.exp(-self.lam * f, out=np.zeros_like(f), where=inside)
-        one_minus = 1.0 - exps
-        prod_all = np.prod(one_minus, axis=0)
+        reuses: (value, (pairs, e, one_minus, prod_all, drive)), `pairs` from
+        `_pairs` and, if a scratch is driven, drive = (d, V_l(s), V_l'(s)) on
+        the driven pairs, which d indexes among the pairs."""
+        pairs = self._pairs(points, own_f, s_warm, geometry)
+        l, m, s, f = pairs[:4]
+        e = np.exp(-self.lam * f)
+        one_minus = 1.0 - e
+        prod_all = np.ones(len(points))
+        np.multiply.at(prod_all, m, one_minus)
         value = u * prod_all
-        drives = {}
-        for l in self._driven:
-            idx = np.flatnonzero(inside[l])
-            if idx.size == 0:
-                continue
-            sl = s[l, idx]
-            v, dv, _ = self.tangential[l].jet(sl)
-            e = exps[l, idx]
-            value[idx] += v * e
-            drives[l] = (idx, sl, v, dv, e)
-        return value, (r, jets, exps, one_minus, prod_all, drives)
+        drive = None
+        if self._drives.size:
+            d = slice(None) if self._driven is None else self._driven.take(l).nonzero()[0]
+            sd = s[d]
+            cuts = l[d].searchsorted(self._drives).tolist() + [sd.size]
+            jets = [
+                self.tangential[k].jet(sd[a:b])[:2]
+                for k, a, b in zip(self._drives, cuts, cuts[1:])
+                if a < b
+            ]
+            if jets:
+                v, dv = (np.concatenate(part) for part in zip(*jets))
+                np.add.at(value, m[d], v * e[d])
+                drive = (d, v, dv)
+        return value, (pairs, e, one_minus, prod_all, drive)
 
     def eval(self, points: np.ndarray, *, own_f: np.ndarray | None = None, s_warm=None):
         """Analytic value and gradient of the scratched potential.
@@ -248,33 +273,34 @@ class ScratchedPotential:
         u, grad_u = self.base.value_and_grad(points)
         if not self.profiles:
             return u, grad_u
-        value, (r, jets, exps, one_minus, prod_all, drives) = self._value(
-            points, u, own_f, s_warm
+        value, ((_, m, _, _, r, dc, d2c), e, one_minus, prod_all, drive) = self._value(
+            points, u, own_f, s_warm, geometry=True
         )
         prod_others = np.divide(
-            prod_all, one_minus, out=np.zeros_like(exps), where=one_minus > 1e-300
+            prod_all.take(m), one_minus, out=np.zeros_like(one_minus), where=one_minus > 1e-300
         )
-        # product rule on every factor 1 - e^{-lam f_l}, with grad f_l = 2 r_l:
-        # the base term first, then the scratches in order, summed over the
-        # stack in that order
-        terms = np.empty((self.num_scratches + 1,) + r.shape[1:])
-        terms[0] = grad_u.T * prod_all
-        coef = u * self.lam * exps
+        # product rule on every factor 1 - e^{-lam f_l}, with grad f_l = 2 r_l,
+        # then per driven pair + e V' grad(sigma), grad(sigma) = c' / denom,
+        # and - lam V e 2 r
+        grad = grad_u * prod_all[:, None]
+        coef = (u * self.lam).take(m) * e
         coef *= prod_others
-        np.multiply(r, 2.0, out=terms[1:])
-        terms[1:] *= coef[:, None, :]
-        grad = np.ascontiguousarray(terms.sum(axis=0).T)
-        for l, (idx, sl, v, dv, e) in drives.items():
-            rl = r[l][:, idx].T
-            if l in jets:
-                dc, d2c = jets[l][0][idx], jets[l][1][idx]
-            else:  # a line: constant tangent, d2c = 0
-                _, dc, d2c = self.profiles[l].curve.jet(sl)
-            denom = np.einsum("ij,ij->i", dc, dc) - np.einsum("ij,ij->i", rl, d2c)
+        two_r = r * 2.0
+        terms = two_r * coef[:, None]
+        if drive is not None:
+            d, v, dv = drive
+            dc, ed = dc[d], e[d]
+            # the rows are C-ordered, as the dense evaluation's were: einsum
+            # sums the rows of a Fortran-ordered array in another order
+            denom = np.einsum("ij,ij->i", dc, dc) - np.einsum("ij,ij->i", r[d], d2c[d])
             denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
-            grad_sigma = dc / denom[:, None]
-            grad[idx] += e[:, None] * (dv[:, None] * grad_sigma)
-            grad[idx] -= (self.lam * v * e)[:, None] * (2.0 * rl)
+            kicks = np.empty((v.size, 2, r.shape[1]))
+            np.multiply(dv[:, None], dc / denom[:, None], out=kicks[:, 0])
+            kicks[:, 0] *= ed[:, None]
+            np.multiply(two_r[d], (-self.lam * v * ed)[:, None], out=kicks[:, 1])
+            m = np.concatenate([m, m[d].repeat(2)])
+            terms = np.concatenate([terms, kicks.reshape(-1, r.shape[1])])
+        np.add.at(grad, m, terms)
         return value, grad
 
     def value(self, points: np.ndarray) -> np.ndarray:
@@ -289,10 +315,10 @@ class ScratchedPotential:
         """Values on all grid points, row-major, shaped like the grid.
 
         The points go to `value` in blocks of at most _SAMPLE_PAIRS // N, so
-        that each (N, rows) array of `eval` takes 64 KiB. Larger temporaries
-        come as fresh pages from the system: with 2^16 pairs per block,
-        sampling 25 line scratches on a 128^2 grid took twice as long. The
-        blocks are equal to within one point, so that none is a single
+        that each (N, rows) array of the line projection takes 64 KiB. Larger
+        temporaries come as fresh pages from the system: with 2^16 pairs per
+        block, sampling 25 line scratches on a 128^2 grid took twice as long.
+        The blocks are equal to within one point, so that none is a single
         point, whose one-row matrix products round differently: the values
         are those of one `value` call on all points.
         """
@@ -311,12 +337,10 @@ class ScratchedPotential:
         prof = self.profiles[l]
         q = prof.curve(np.array([s]))[0]
         D = q.size
-        _, f, _, _ = self._nearest(q[None, :])
-        for lp in range(self.num_scratches):
-            if lp != l and f[lp, 0] <= self.tube_radius**2:
-                raise ScratchError(
-                    f"scratch {lp} interferes inside the tube of scratch {l}"
-                )
+        others = self._pairs(q[None, :])[0]
+        others = others[others != l]
+        if others.size:
+            raise ScratchError(f"scratch {others[0]} interferes inside the tube of scratch {l}")
         fd_step = 0.01 / np.sqrt(self.lam)
         H = np.zeros((D, D))
         for i in range(D):

@@ -722,6 +722,32 @@ class TestTimestepSizing:
         assert all(row["energy_drift"] < 0.8 * cfg.energy_tol for row in rows)
 
 
+class TestStrictJson:
+    @staticmethod
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    def test_single_particle_report_is_strict_json(self, tmp_path):
+        d = small_theorem2_config()
+        d["lambdas"] = [10.0, 100.0]
+        report = run_pipeline(ExperimentConfig.from_dict(d), out_dir=str(tmp_path))
+        assert report.num_particles == 1
+        assert report.diagnostics["min_pairwise_distance"] == math.inf
+        on_disk = json.loads((tmp_path / "report.json").read_text(), parse_constant=self.refuse)
+        # null: no pair, so no finite distance
+        assert on_disk["diagnostics"]["min_pairwise_distance"] is None
+
+    def test_nan_fails_at_save(self, tmp_path):
+        report = _stub_theorem2_report()
+        report.diagnostics = {"above": math.inf, "below": -math.inf}
+        report.save(str(tmp_path))
+        on_disk = json.loads((tmp_path / "report.json").read_text(), parse_constant=self.refuse)
+        assert on_disk["diagnostics"] == {"above": None, "below": None}
+        report.diagnostics = {"stray": np.float64(math.nan)}
+        with pytest.raises(ValueError):
+            report.save(str(tmp_path))
+
+
 class TestCli:
     def test_theorem1_command(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -399,6 +399,29 @@ class TestDecayExecutors:
         if executors == 1:  # no thread starts
             assert set(callers) == {threading.current_thread()}
 
+    def test_tube_samples_once_per_curve(self, monkeypatch):
+        # two curves shared by three lambdas: two tube samplings, and every
+        # column still goes through tube_l1_difference, bit for bit
+        system, scratched, psi0, schedule, reference = decay_setup()
+        curves = [scratched[0].profiles[0].curve, SegmentCurve([-4.0, 2.0], [3.0, 3.0])]
+        scratched = [ScratchedPotential(sp.base, curves, sp.lam) for sp in scratched]
+        want = reference_decay_rows(system, scratched, psi0, schedule, reference, 1e-2)
+        sampled, columns = [], []
+
+        class Counted(quantum.TubeSamples):
+            def __init__(self, curve):
+                sampled.append(curve)
+                super().__init__(curve)
+
+        monkeypatch.setattr(quantum, "TubeSamples", Counted)
+        monkeypatch.setattr(
+            quantum, "tube_l1_difference",
+            lambda *a: columns.append(a[1]) or tube_l1_difference(*a),
+        )
+        rows = scratch_insensitivity(system, scratched, psi0, schedule, reference, dt_max=1e-2)
+        assert rows == want
+        assert sampled == curves and len(columns) == 6
+
     def test_a_propagation_starts_before_the_last_l1_column(self, monkeypatch):
         system, scratched, psi0, schedule, reference = decay_setup()
         want = reference_decay_rows(system, scratched, psi0, schedule, reference, 1e-2)

@@ -1,14 +1,17 @@
 """Scratched potentials: on-curve structure, gradients, timing inversion."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
+from scratchsim.classical import initialize_on_scratches, integrate
 from scratchsim.geometry import SegmentCurve, SplineCurve, catmull_rom_tangents
 from scratchsim.grid import SpatialGrid
 from scratchsim.potentials import GaussianWellPotential, HarmonicPotential
+from scratchsim.quantum import CheckpointSchedule
 from scratchsim.scratch import (
     _DRIVE_BLOCK,
     _SAMPLE_PAIRS,
@@ -313,6 +316,265 @@ class TestAllScratchEval:
         u, grad_u = sp.base.value_and_grad(pts)
         assert np.array_equal(value, u) and np.array_equal(grad, grad_u)
         assert np.array_equal(ref_value, u) and np.array_equal(ref_grad, grad_u)
+
+
+def dense_eval(sp, points, own_f=None, s_warm=None):
+    """`ScratchedPotential.eval` as it was on dense scratch x point arrays:
+    (N, M) parameters, distances and factors, (N, D, M) residuals, per
+    spline scratch its (M, D) derivatives, one product-rule stack summed
+    over the scratches, then per driven scratch its tangential terms. The
+    pair evaluation must give every bit of it."""
+    points = np.atleast_2d(points)
+    u, grad_u = sp.base.value_and_grad(points)
+    N = sp.num_scratches
+    if not N:
+        return u, grad_u
+    M, D = points.shape
+    lines = [l for l, p in enumerate(sp.profiles) if p.curve.kind == "line"]
+    splines = [l for l, p in enumerate(sp.profiles) if p.curve.kind != "line"]
+    driven = [l for l, v in enumerate(sp.tangential) if v is not None]
+    # nearest parameters, distances, residuals and spline derivatives
+    s = np.empty((N, M))
+    f = np.empty((N, M))
+    r = np.empty((N, D, M))
+    if lines:
+        s[lines], r[lines], f[lines] = sp._segments.project(points)
+    jets = {}
+    if splines:
+        rows = np.array(splines)
+        near = sp._family.near(points)
+        if own_f is not None:
+            near[np.arange(rows.size), rows] = True
+        cl, pm = np.nonzero(near)
+        pair_rows = rows[cl]
+        start = None if s_warm is None else s_warm[pair_rows, pm]
+        sp_, fp, (c, dc, d2c) = sp._family.project(points, (cl, pm), start)
+        s[rows], f[rows], r[rows] = np.nan, np.inf, 0.0
+        s[pair_rows, pm] = sp_
+        f[pair_rows, pm] = fp
+        r[pair_rows, :, pm] = points[pm] - c
+        dcs = np.zeros((2, rows.size, M, D))
+        dcs[0, cl, pm] = dc
+        dcs[1, cl, pm] = d2c
+        jets = {l: (dcs[0, k], dcs[1, k]) for k, l in enumerate(splines)}
+    f[f < np.array([[p.snap_f] for p in sp.profiles])] = 0.0
+    if s_warm is not None:
+        s_warm[:] = s
+    # the value
+    if own_f is not None:
+        own_f[:] = np.diag(f)
+    inside = f <= sp.tube_radius**2
+    exps = np.exp(-sp.lam * f, out=np.zeros_like(f), where=inside)
+    one_minus = 1.0 - exps
+    prod_all = np.prod(one_minus, axis=0)
+    value = u * prod_all
+    drives = {}
+    for l in driven:
+        idx = np.flatnonzero(inside[l])
+        if idx.size == 0:
+            continue
+        sl = s[l, idx]
+        v, dv, _ = sp.tangential[l].jet(sl)
+        e = exps[l, idx]
+        value[idx] += v * e
+        drives[l] = (idx, sl, v, dv, e)
+    # the gradient
+    prod_others = np.divide(prod_all, one_minus, out=np.zeros_like(exps), where=one_minus > 1e-300)
+    terms = np.empty((N + 1,) + r.shape[1:])
+    terms[0] = grad_u.T * prod_all
+    coef = u * sp.lam * exps
+    coef *= prod_others
+    np.multiply(r, 2.0, out=terms[1:])
+    terms[1:] *= coef[:, None, :]
+    grad = np.ascontiguousarray(terms.sum(axis=0).T)
+    for l, (idx, sl, v, dv, e) in drives.items():
+        rl = r[l][:, idx].T
+        if l in jets:
+            dc, d2c = jets[l][0][idx], jets[l][1][idx]
+        else:
+            _, dc, d2c = sp.profiles[l].curve.jet(sl)
+        denom = np.einsum("ij,ij->i", dc, dc) - np.einsum("ij,ij->i", rl, d2c)
+        denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
+        grad_sigma = dc / denom[:, None]
+        grad[idx] += e[:, None] * (dv[:, None] * grad_sigma)
+        grad[idx] -= (sp.lam * v * e)[:, None] * (2.0 * rl)
+    return value, grad
+
+
+def assert_is_dense(sp, points, s_start=None):
+    """eval, own_f (one point per scratch) and s_warm (nan pattern
+    included) against `dense_eval`, and value against its cold value, bit
+    for bit."""
+    N, M = sp.num_scratches, len(points)
+    own = M == N
+    start = np.full((N, M), np.nan) if s_start is None else s_start
+    got_s, want_s = start.copy(), start.copy()
+    got_f, want_f = (np.full(N, -1.0), np.full(N, -1.0)) if own else (None, None)
+    got = sp.eval(points, own_f=got_f, s_warm=got_s)
+    want = dense_eval(sp, points, own_f=want_f, s_warm=want_s)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert np.array_equal(got_s, want_s, equal_nan=True)
+    if own:
+        assert np.array_equal(got_f, want_f)
+    assert np.array_equal(sp.value(points), dense_eval(sp, points)[0])
+    return want_s
+
+
+def mixed_scratches(rng, lam=30.0):
+    """Driven and undriven splines and lines in D = 3, interleaved."""
+    splines = driven_splines(3, rng, lam=lam)
+    lines = [SegmentCurve(*rng.uniform(-3.0, 3.0, (2, 3))) for _ in range(3)]
+    cond = TimingConditions([0.0, 2.0], [0.0, 1.0], [0.4, 0.6])
+    drive = construct_tangential_potential(lines[0], cond, 1.0, num_samples=2001)
+    sp = [p.curve for p in splines.profiles]
+    return ScratchedPotential(
+        splines.base,
+        [lines[0], sp[0], lines[1], sp[1], sp[2], lines[2]],
+        lam=lam,
+        tangential=[drive, splines.tangential[0], None, None, splines.tangential[2], None],
+    )
+
+
+class TestPairsAreTheDenseEval:
+    def test_segment_cloud(self):
+        rng = np.random.default_rng(61)
+        base = GaussianWellPotential(depth=0.4, width=3.0, offset=0.6, ndim=2)
+        curves = [SegmentCurve(*rng.uniform(-6.0, 6.0, (2, 2))) for _ in range(25)]
+        sp = ScratchedPotential(base, curves, lam=1e2)
+        s = rng.uniform(-0.1, 1.1, 25)
+        near = np.array([c(np.array([t]))[0] for c, t in zip(curves, s)])
+        near += rng.normal(scale=0.5 * sp.tube_radius, size=near.shape)
+        assert_is_dense(sp, near)
+        cloud = rng.uniform(-7.0, 7.0, (4000, 2))
+        assert_is_dense(sp, cloud)
+        inside = sum(
+            c.project(cloud, -p.extension, 1.0 + p.extension)[1] <= sp.tube_radius**2
+            for c, p in zip(curves, sp.profiles)
+        )
+        assert np.any(inside == 1) and np.any(inside >= 3)
+
+    @pytest.mark.parametrize("lam", [200.0, 30.0])
+    def test_driven_splines(self, lam):
+        rng = np.random.default_rng(62)
+        sp = driven_splines(4, rng, lam=lam)
+        s = rng.uniform(0.0, 1.0, 4)
+        near = np.array([p.curve(np.array([t]))[0] for p, t in zip(sp.profiles, s)])
+        near += rng.normal(scale=0.3 * sp.tube_radius, size=near.shape)
+        found = assert_is_dense(sp, near)
+        # warm starts from the parameters found, one of them dropped
+        moved = near + rng.normal(scale=0.01, size=near.shape)
+        found[0, 1] = np.nan
+        assert_is_dense(sp, moved, found + rng.normal(scale=1e-3, size=found.shape))
+        assert_is_dense(sp, rng.uniform(-3.5, 3.5, (3000, 3)))
+        for prof in sp.profiles:
+            on = prof.curve(np.linspace(0.0, 1.0, 101))
+            assert_is_dense(sp, on)
+            # several points in one tube and a single point in another
+            assert_is_dense(sp, np.concatenate([on[::25], near[:1]]))
+
+    def test_overlapping_driven_lines(self):
+        base = GaussianWellPotential(depth=0.5, width=2.0, offset=1.0, ndim=2)
+        curves = [SegmentCurve([-1.0, -1.0], [1.0, 1.0]), SegmentCurve([-1.0, 1.0], [1.0, -1.0])]
+        tangential = [
+            construct_tangential_potential(c, TimingConditions([0.0, 1.0], [0.0, 1.0], [0.8, 1.1]), 1.0)
+            for c in curves
+        ]
+        sp = ScratchedPotential(base, curves, lam=1e3, tangential=tangential)
+        r = sp.tube_radius
+        pts = np.array([[0.1 * r, 0.05 * r], [0.0, 0.3 * r], [-0.2 * r, 0.1 * r], [0.5, 0.5]])
+        assert_is_dense(sp, pts)
+        assert_is_dense(sp, pts[:2])
+
+    def test_outside_every_tube(self):
+        rng = np.random.default_rng(63)
+        sp = driven_splines(3, rng, lam=1e4)
+        pts = rng.uniform(-3.5, 3.5, (3000, 3))
+        far = np.ones(len(pts), dtype=bool)
+        for prof in sp.profiles:
+            far &= prof.curve.project(pts, -prof.extension, 1.0 + prof.extension)[1] > sp.tube_radius**2
+        assert_is_dense(sp, pts[far][:500])
+        assert_is_dense(sp, pts[far][:3])
+
+    def test_driven_and_undriven_lines_and_splines(self):
+        rng = np.random.default_rng(64)
+        sp = mixed_scratches(rng)
+        s = rng.uniform(0.0, 1.0, 200)
+        on_curves = np.concatenate([p.curve(s) for p in sp.profiles])
+        pts = np.concatenate(
+            [on_curves + rng.normal(0.0, 0.2, on_curves.shape), rng.uniform(-4.0, 4.0, (500, 3))]
+        )
+        assert_is_dense(sp, pts)
+        near = np.array([p.curve(np.array([t]))[0] for p, t in zip(sp.profiles, s)])
+        found = assert_is_dense(sp, near + rng.normal(0.0, 0.05, near.shape))
+        assert_is_dense(sp, near, found)
+        g = SpatialGrid(((-4.0, 4.0),) * 3, (14, 15, 16))
+        assert np.array_equal(sp.sample(g).ravel(), dense_eval(sp, g.points())[0])
+
+    def test_more_points_than_scratches_and_fewer(self):
+        rng = np.random.default_rng(65)
+        sp = mixed_scratches(rng, lam=100.0)
+        s = rng.uniform(0.0, 1.0, 3)
+        for pts in (
+            np.concatenate([p.curve(s) for p in sp.profiles]),  # M = 3 N
+            np.stack([p.curve(s[:1])[0] for p in sp.profiles[:4]]),  # M < N
+            sp.profiles[1].curve(s[:1]),  # one point
+        ):
+            assert_is_dense(sp, pts + rng.normal(0.0, 0.1, pts.shape))
+
+
+class TestPairsRunTheDenseTrajectory:
+    """About 200 Verlet steps with deviation tracking and warm starts: the
+    run with the pair evaluation is the run with `dense_eval`, bit for bit.
+    A one-ulp change in a force moves reported drifts by up to 4e-4, so
+    equality is the only safe bar."""
+
+    def runs(self, monkeypatch, sp, ensemble, schedule):
+        def run():
+            return integrate(
+                ensemble, sp, schedule, dt_max=2e-3, energy_tol=math.inf,
+                curves=[p.curve for p in sp.profiles],
+            )
+
+        got = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ScratchedPotential, "eval",
+                lambda self, points, own_f=None, s_warm=None: dense_eval(self, points, own_f, s_warm),
+            )
+            want = run()
+        assert len(got.snapshots) == len(want.snapshots)
+        for a, b in zip(got.snapshots, want.snapshots):
+            assert np.array_equal(a.positions, b.positions)
+            assert np.array_equal(a.momenta, b.momenta)
+        assert np.array_equal(got.energy_log, want.energy_log)
+        assert got.energy_drift == want.energy_drift
+        assert np.array_equal(got.max_curve_deviation, want.max_curve_deviation)
+        return got
+
+    def test_driven_splines(self, monkeypatch):
+        sp = driven_splines(4, np.random.default_rng(66))
+        schedule = CheckpointSchedule([0.0, 0.2, 0.4])
+        ensemble = initialize_on_scratches(
+            [p.curve for p in sp.profiles], 1.0, schedule, np.full((4, 3), 0.3)
+        )
+        got = self.runs(monkeypatch, sp, ensemble, schedule)
+        assert len(got.energy_log) > 20 and np.all(got.max_curve_deviation > 0.0)
+
+    def test_segments(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        base = GaussianWellPotential(depth=0.4, width=3.0, offset=0.6, ndim=2)
+        curves = [SegmentCurve(*rng.uniform(-6.0, 6.0, (2, 2))) for _ in range(25)]
+        sp = ScratchedPotential(base, curves, lam=1e2)
+        schedule = CheckpointSchedule([0.0, 0.2, 0.4])
+        got = self.runs(monkeypatch, sp, initialize_on_scratches(curves, 1.0, schedule), schedule)
+        # some particle passes through a tube not its own
+        q = np.concatenate([snap.positions for snap in got.snapshots])
+        inside = sum(
+            c.project(q, -p.extension, 1.0 + p.extension)[1] <= sp.tube_radius**2
+            for c, p in zip(curves, sp.profiles)
+        )
+        assert np.any(inside >= 2)
 
 
 class TestSampleBlocks:
