@@ -602,20 +602,11 @@ def sample_waypoints(
 # path construction
 
 
-def linear_collision_parameter(a1, b1, a2, b2):
-    """Closest-approach parameter and distance for two particles moving
-    linearly a->b over a common unit time interval."""
-    d0 = np.asarray(a1) - np.asarray(a2)
-    d1 = np.asarray(b1) - np.asarray(b2)
-    v = d1 - d0
-    vv = float(v @ v)
-    t = 0.0 if vv < 1e-300 else float(np.clip(-(d0 @ v) / vv, 0.0, 1.0))
-    return t, float(np.linalg.norm(d0 + t * v))
-
-
 def _collision_distances(p1, p2):
-    """`linear_collision_parameter`'s distance for each pair of rows of p1
-    and p2, (P, 2, D) start and end points, rounded as it rounds it."""
+    """Closest-approach distance of each pair of rows of p1 and p2, (P, 2, D)
+    start and end points of two particles moving linearly over a common unit
+    time: |d0 + t v| for the offset d0 at t = 0, the relative velocity v, and
+    t the minimizer clipped to [0, 1], or 0 where |v|^2 < 1e-300."""
     d0 = p1[:, 0] - p2[:, 0]
     v = (p1[:, 1] - p2[:, 1]) - d0
     vv = _dots(v, v)

@@ -260,9 +260,6 @@ class ComplexField:
                 f"field shape {self.values.shape} != grid shape {self.grid.shape}"
             )
 
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume)
-
 
 def integrate_regions(field: ScalarField, partition: RegionPartition) -> np.ndarray:
     """Midpoint-rule integral over the grid points of each region, labels

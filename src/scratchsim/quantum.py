@@ -15,15 +15,18 @@ kick at each interval's ends. Each is built in place by the same operations,
 in the same order, as the expression it stands for, so the values are those
 of that expression bit for bit. The norm and the edge-layer mass are summed
 without a full-size temporary.
+
+The decay table (`scratch_insensitivity`) propagates once per scratch
+strength λ. Its propagations run side by side, on a standard thread pool
+that it starts and joins itself.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import threading
 import warnings
-from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +120,6 @@ class QuantumSystem:
 class Wavefunction:
     field: ComplexField
     t: float
-
-    def norm_sq(self) -> float:
-        return self.field.norm_sq()
 
 
 def gaussian_packet(
@@ -356,86 +356,6 @@ def _decay_executors(count: int) -> int:
     return max(1, min(count, cpus))
 
 
-def _prepare_then_work(count: int, prepare, finish, work) -> list:
-    """[work(i) for i in range(count)], each work(i) started only once
-    prepare(i) has returned, on n = _decay_executors(count) executors.
-
-    The calling thread runs prepare(i) for every i in order, queuing i the
-    moment it returns; n - 1 helper threads take queued items and run work
-    on them. Meanwhile the caller runs finish(i) for every i, then takes
-    queued items too until none is left. Only then does it queue one stop
-    marker per helper, so it never takes one. With one executor no thread
-    starts, and the items run one after another.
-
-    Once any call has failed, no executor starts another work item and the
-    caller prepares and finishes no further item. The helpers are joined
-    before this returns or raises, and the error of the lowest failing item
-    is raised.
-    """
-    n = _decay_executors(count)
-    results = [None] * count
-    errors = {}
-    failed = threading.Event()
-    # a queue of items, counted by `queued`, so that a take after acquiring
-    # always finds one; importing module `queue` took about 2 ms per process
-    ready, queued = deque(), threading.Semaphore(0)
-
-    def put(item) -> None:
-        ready.append(item)
-        queued.release()
-
-    def take(block: bool):
-        """The next queued item; None if `block` is false and none is queued."""
-        return ready.popleft() if queued.acquire(blocking=block) else None
-
-    def attempt(fn, i: int) -> bool:
-        """fn(i), with its error recorded; whether it returned."""
-        try:
-            fn(i)
-        except Exception as e:  # raised in the calling thread below
-            errors[i] = e
-            failed.set()
-            return False
-        return True
-
-    def run(i: int) -> None:
-        results[i] = work(i)
-
-    def helper() -> None:
-        while (i := take(True)) is not None:
-            if not failed.is_set():
-                attempt(run, i)
-
-    helpers = []
-    try:
-        for k in range(1, n):
-            t = threading.Thread(target=helper, name=f"decay-{k}")
-            t.start()
-            helpers.append(t)
-        for i in range(count):
-            if failed.is_set():
-                break
-            if attempt(prepare, i):
-                put(i)
-        for i in range(count):
-            if failed.is_set():
-                break
-            attempt(finish, i)
-        while not failed.is_set() and (i := take(False)) is not None:
-            attempt(run, i)
-    except BaseException:
-        failed.set()
-        raise
-    finally:
-        for t in helpers:
-            put(None)
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def scratch_insensitivity(
     system: QuantumSystem,
     scratched,
@@ -456,18 +376,21 @@ def scratch_insensitivity(
     final wavefunction, psi0 propagated through the schedule with the same
     dt_max.
 
-    The calling thread samples the potentials in order, and each λ's
-    propagation may start, on a helper thread, as soon as its sample exists.
-    The propagations are independent and numpy's FFT releases the GIL, so
-    they run side by side, one per usable CPU, while the caller computes the
-    L1 and Fourier columns; then the caller propagates what is left
-    (`_prepare_then_work`).
+    The calling thread samples the potentials in order and submits each λ's
+    propagation the moment its sample exists, to a thread pool of
+    `_decay_executors(#λ) - 1` helpers (none on one CPU). The propagations
+    are independent and numpy's FFT releases the GIL, so they run side by
+    side while the caller computes the L1 and Fourier columns. Then the
+    caller propagates, in λ order, each λ that no helper has started. No
+    propagation starts once one has failed; the helpers are joined before
+    this returns or raises, and the lowest failing λ's error is raised.
     """
     g = system.grid
     hbar = system.hbar
     u_plain = system.potential_values()
     fourier_norm = g.cell_volume / (2.0 * np.pi * hbar) ** g.ndim
-    samples, rows = [], []
+    samples, rows, futures = [], [], []
+    errors = {}  # propagation errors by λ index; one stops further starts
     tubes = {}  # one TubeSamples per curve, for every lambda
 
     def tube(curve) -> TubeSamples:
@@ -475,26 +398,41 @@ def scratch_insensitivity(
             tubes[curve] = TubeSamples(curve)
         return tubes[curve]
 
-    def sample(i: int) -> None:
-        samples.append(scratched[i].sample(g))
-
-    def columns(i: int) -> None:
-        sp = scratched[i]
-        l1 = sum(tube_l1_difference(sp.base, tube(p.curve), sp.lam) for p in sp.profiles)
-        linf = float(np.max(np.abs(np.fft.fftn(samples[i] - u_plain))) * fourier_norm)
-        rows.append({"lambda": sp.lam, "l1_potential": l1, "linf_fourier": linf})
-
-    def l2_distance(i: int) -> float:
-        lam_system = QuantumSystem(system.mass, g, ScalarField(g, samples[i]), hbar)
-        fin = propagate(lam_system, psi0, schedule, dt_max=dt_max, edge_eps=edge_eps)[-1]
-        return float(
-            np.sqrt(
-                np.sum(np.abs(fin.field.values - reference.field.values) ** 2)
-                * g.cell_volume
+    def l2_distance(i: int) -> float | None:
+        """Row i's L2 column; None, without starting, once a propagation has
+        failed, and None, with the error recorded, if this one fails."""
+        if errors:
+            return None
+        try:
+            lam_system = QuantumSystem(system.mass, g, ScalarField(g, samples[i]), hbar)
+            fin = propagate(lam_system, psi0, schedule, dt_max=dt_max, edge_eps=edge_eps)[-1]
+            return float(
+                np.sqrt(
+                    np.sum(np.abs(fin.field.values - reference.field.values) ** 2)
+                    * g.cell_volume
+                )
             )
-        )
+        except Exception as e:  # raised by the caller below
+            errors[i] = e
+            return None
 
-    l2 = _prepare_then_work(len(scratched), sample, columns, l2_distance)
+    helpers = _decay_executors(len(scratched)) - 1
+    pool = ThreadPoolExecutor(helpers, thread_name_prefix="decay") if helpers else None
+    try:
+        for i, sp in enumerate(scratched):
+            samples.append(sp.sample(g))
+            futures.append(pool.submit(l2_distance, i) if pool else None)
+        for sp, u_lam in zip(scratched, samples):
+            l1 = sum(tube_l1_difference(sp.base, tube(p.curve), sp.lam) for p in sp.profiles)
+            linf = float(np.max(np.abs(np.fft.fftn(u_lam - u_plain))) * fourier_norm)
+            rows.append({"lambda": sp.lam, "l1_potential": l1, "linf_fourier": linf})
+        # a future that cancels has not started on a helper
+        l2 = [l2_distance(i) if f is None or f.cancel() else f for i, f in enumerate(futures)]
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    if errors:
+        raise errors[min(errors)]
     for row, value in zip(rows, l2):
-        row["l2_wavefunction"] = value
+        row["l2_wavefunction"] = value if isinstance(value, float) else value.result()
     return rows

@@ -327,36 +327,6 @@ class ScratchedPotential:
         blocks = np.array_split(pts, -(-pts.shape[0] // rows))
         return np.concatenate([self.value(b) for b in blocks]).reshape(grid.shape)
 
-    def hessian_on_scratch(self, l: int, s: float):
-        """Hessian spectrum of the scratched potential at a point of scratch l.
-
-        Finite differences of the analytic gradient, with a step 0.01 /
-        sqrt(lam) well inside the tube; returns (eigenvalues ascending,
-        tangent-alignment cosine).
-        """
-        prof = self.profiles[l]
-        q = prof.curve(np.array([s]))[0]
-        D = q.size
-        others = self._pairs(q[None, :])[0]
-        others = others[others != l]
-        if others.size:
-            raise ScratchError(f"scratch {others[0]} interferes inside the tube of scratch {l}")
-        fd_step = 0.01 / np.sqrt(self.lam)
-        H = np.zeros((D, D))
-        for i in range(D):
-            dq = np.zeros(D)
-            dq[i] = fd_step
-            _, gp = self.eval((q + dq)[None, :])
-            _, gm = self.eval((q - dq)[None, :])
-            H[i] = (gp[0] - gm[0]) / (2.0 * fd_step)
-        H = 0.5 * (H + H.T)
-        evals, evecs = np.linalg.eigh(H)
-        tangent = prof.curve.deriv(np.array([s]))[0]
-        tangent /= np.linalg.norm(tangent)
-        zero_vec = evecs[:, int(np.argmin(np.abs(evals)))]
-        cosine = float(abs(zero_vec @ tangent))
-        return np.sort(evals), cosine
-
 
 def monotone_timing(conditions: TimingConditions) -> HermiteSpline:
     """Monotone C1 interpolant s(t) with prescribed knot values and slopes:
@@ -429,41 +399,3 @@ def construct_tangential_potential(
     del sdot_dense, sddot_dense
     v -= v[0]
     return TangentialPotential(s_dense, v, dv)
-
-
-def integrate_lagrange(
-    curve,
-    potential: TangentialPotential,
-    conditions: TimingConditions,
-    mass: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-):
-    """Forward-integrate the constrained equation of motion along the curve,
-    returning (s, sdot) at each checkpoint time. Independent round-trip check
-    for the inverse construction."""
-
-    def rhs(t, y):
-        s, sdot = y
-        _, (dq,), (d2q,) = curve.jet(np.array([s]))
-        w = float(dq @ dq)
-        coupling = float(dq @ d2q)
-        sddot = (-potential.deriv(s) - mass * coupling * sdot**2) / (mass * w)
-        return [sdot, sddot]
-
-    # imported here, not with the module: no pipeline calls this check, and
-    # scipy.integrate would add its import to every process that loads it
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        rhs,
-        (conditions.times[0], conditions.times[-1]),
-        [conditions.params[0], conditions.speeds[0]],
-        t_eval=conditions.times,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise ScratchError(f"forward integration failed: {sol.message}")
-    return sol.y[0], sol.y[1]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from test_diophantine import exhaustive_min_q, random_problem
+from test_scratch import hessian_on_scratch, integrate_lagrange
 
 from scratchsim.classical import initialize_on_scratches, integrate, stable_timestep
 from scratchsim.diophantine import solve, verify
@@ -35,7 +36,6 @@ from scratchsim.scratch import (
     ScratchedPotential,
     TimingConditions,
     construct_tangential_potential,
-    integrate_lagrange,
 )
 
 
@@ -163,8 +163,8 @@ def test_criterion_5_scratch_structure():
     rng = np.random.default_rng(17)
     spectrum_ok = True
     for s_i in rng.uniform(0.05, 0.95, 100):
-        ev, cos = sp.hessian_on_scratch(0, float(s_i))
-        ev2, _ = sp2.hessian_on_scratch(0, float(s_i))
+        ev, cos = hessian_on_scratch(sp, 0, float(s_i))
+        ev2, _ = hessian_on_scratch(sp2, 0, float(s_i))
         spectrum_ok = spectrum_ok and abs(ev[0]) <= 1e-6 * ev[-1]
         spectrum_ok = spectrum_ok and bool(np.all(ev[1:] > 0))
         spectrum_ok = spectrum_ok and bool(np.allclose(ev2[1:], 2.0 * ev[1:], rtol=0.02))

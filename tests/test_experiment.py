@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -760,6 +762,20 @@ class TestCli:
         assert lines[-1] == (
             f"particles N={report['num_particles']} bound={report['bound']:.6g}"
         )
+
+    def test_diophantine_command(self, monkeypatch, capsys):
+        # thirds and quarters: the smallest certifying denominator is exact
+        problem = {
+            "alphas": [[1 / 3, 2 / 3], [0.25, 0.75]],
+            "constraints": [[1, 1], [1, 1]],
+            "Q": 500,
+        }
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(problem)))
+        assert cli.main(["diophantine", "--problem", "-"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["q"] == 12
+        assert out["numerators"] == [[4, 8], [3, 9]]
+        assert out["certificate_ok"] is True
 
 
 def _stub_theorem2_report():

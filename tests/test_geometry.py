@@ -23,7 +23,6 @@ from scratchsim.geometry import (
     curve_pair_min_distance,
     curve_self_min_distance,
     hermite_coefficients,
-    linear_collision_parameter,
     recount_momenta,
     recount_positions,
     sample_waypoints,
@@ -626,6 +625,18 @@ class TestPaths:
                 curves, momentum_half_spaces(3, 0, 0.0), counts_mom, 1.0,
                 np.array([0.0, 1.0, 2.0]), seed=0, delta_path=plan.delta_path,
             )
+
+
+def linear_collision_parameter(a1, b1, a2, b2):
+    """Closest-approach parameter and distance for two particles moving
+    linearly a->b over a common unit time interval: the scalar reference of
+    `geometry._collision_distances`."""
+    d0 = np.asarray(a1) - np.asarray(a2)
+    d1 = np.asarray(b1) - np.asarray(b2)
+    v = d1 - d0
+    vv = float(v @ v)
+    t = 0.0 if vv < 1e-300 else float(np.clip(-(d0 @ v) / vv, 0.0, 1.0))
+    return t, float(np.linalg.norm(d0 + t * v))
 
 
 def reference_line_paths(plan, h, seed=0, collision_tol=1e-9, max_perturbations=50):

@@ -2,11 +2,14 @@
 
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
+
+from test_grid import norm_sq
 
 import scratchsim.quantum as quantum
 from scratchsim.geometry import SegmentCurve, SplineCurve
@@ -80,7 +83,7 @@ class TestPropagation:
         psi0 = gaussian_packet(g, [0.5, 0.0], 1.0)
         snaps = propagate(system, psi0, CheckpointSchedule([0.0, 0.5, 1.0]))
         for s in snaps:
-            assert abs(s.norm_sq() - 1.0) < 1e-12
+            assert abs(norm_sq(s.field) - 1.0) < 1e-12
 
     def test_nan_norm_is_a_drift(self):
         g = grid2d(32)
@@ -479,65 +482,85 @@ class TestDecayExecutors:
         assert len(threading.enumerate()) == threads
 
     def test_many_executors_with_short_switches(self, monkeypatch):
-        # more executors than cores, switching threads every microsecond
+        # more executors than cores, switching threads every microsecond.
+        # Each scratched potential samples to the constant lambda, and the
+        # stub propagation returns the constant lambda too, so a table of 50
+        # rows takes milliseconds and each row's L2 column is lambda times
+        # the root of the box's volume.
         monkeypatch.setattr(quantum, "_decay_executors", lambda count: 8)
         threads = threading.enumerate()
-        count = 50
-        prepared, finished, started = [], [], []
+        g = grid2d(8, 8.0)
+        base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
+        system = QuantumSystem(1.0, g, base)
+        curve = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
+        lams = [float(k) for k in range(1, 51)]
+        scratched = [ScratchedPotential(base, [curve], lam) for lam in lams]
+        zero = Wavefunction(ComplexField(g, np.zeros(g.shape)), 0.0)
+        schedule = CheckpointSchedule([0.0, 0.1])
+        volume = g.cell_volume * np.prod(g.shape)
+        # the lambda whose sample fails, and the first whose propagation fails
+        fails = {"sample": np.inf, "propagate": np.inf}
+        sampled, started = [], []
 
-        def prepare(i):
-            prepared.append(i)
+        def constant_sample(sp, grid):
+            if sp.lam == fails["sample"]:
+                raise ValueError(f"sample {sp.lam:g}")
+            sampled.append(sp.lam)
+            return np.full(grid.shape, sp.lam)
 
-        def finish(i):
-            finished.append(i)
+        def constant_propagate(lam_system, psi0, schedule, **kwargs):
+            lam = float(lam_system.potential.values.flat[0])
+            # a lambda is propagated only once it is sampled
+            started.append((lam, lam in sampled))
+            if lam >= fails["propagate"]:
+                # so that several are in flight, and higher lambdas fail first
+                time.sleep(1e-3 / lam)
+                raise NumericalStabilityError(f"drift at {lam:g}")
+            return [Wavefunction(ComplexField(g, np.full(g.shape, lam + 0j)), schedule.t_final)]
 
-        def square(i):
-            # an item is worked on only once it is prepared
-            started.append((i, i in prepared))
-            return i * i
+        monkeypatch.setattr(ScratchedPotential, "sample", constant_sample)
+        monkeypatch.setattr(quantum, "propagate", constant_propagate)
+        monkeypatch.setattr(quantum, "tube_l1_difference", lambda base, curve, lam: 1.0 / lam)
 
-        def square_or_fail(i):
-            square(i)
-            if i >= 3:
-                raise ValueError(f"item {i}")
-            return i * i
-
-        def fail_to_prepare(i):
-            if i == 30:
-                raise ValueError("prepare 30")
-            prepare(i)
+        def table(sample_fails=np.inf, propagate_fails=np.inf):
+            fails.update(sample=sample_fails, propagate=propagate_fails)
+            sampled.clear()
+            started.clear()
+            try:
+                return scratch_insensitivity(system, scratched, zero, schedule, zero)
+            finally:
+                assert threading.enumerate() == threads
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                for lst in (prepared, finished, started):
-                    lst.clear()
-                results = quantum._prepare_then_work(count, prepare, finish, square)
-                assert results == [i * i for i in range(count)]
-                assert prepared == finished == list(range(count))
-                assert sorted(started) == [(i, True) for i in range(count)]
+                rows = table()
+                assert [row["lambda"] for row in rows] == lams
+                assert [row["l1_potential"] for row in rows] == [1.0 / lam for lam in lams]
+                assert [row["l2_wavefunction"] for row in rows] == pytest.approx(
+                    [lam * np.sqrt(volume) for lam in lams], rel=1e-12
+                )
+                assert sampled == lams
+                assert sorted(started) == [(lam, True) for lam in lams]
 
-                # the lowest item that started and failed is raised
-                started.clear()
-                with pytest.raises(ValueError) as info:
-                    quantum._prepare_then_work(count, prepare, finish, square_or_fail)
-                failing = [i for i, _ in started if i >= 3]
-                assert str(info.value) == f"item {min(failing)}"
+                # the lowest lambda that started and failed is raised
+                with pytest.raises(NumericalStabilityError) as info:
+                    table(propagate_fails=4.0)
+                failing = [lam for lam, _ in started if lam >= 4.0]
+                assert str(info.value) == f"drift at {min(failing):g}"
                 # after the first failure, each executor starts at most one
-                # item, the one it took before it could see the failure
+                # propagation, the one it took before it could see the failure
                 assert len(failing) <= 8
                 assert all(ok for _, ok in started)
 
-                prepared.clear()
-                started.clear()
-                with pytest.raises(ValueError, match="prepare 30"):
-                    quantum._prepare_then_work(count, fail_to_prepare, finish, square)
-                assert prepared == list(range(30))
-                assert all(i < 30 and ok for i, ok in started)
+                # a sampling failure samples no later lambda
+                with pytest.raises(ValueError, match="sample 31"):
+                    table(sample_fails=31.0)
+                assert sampled == lams[:30]
+                assert all(lam < 31.0 and ok for lam, ok in started)
         finally:
             sys.setswitchinterval(interval)
-        assert threading.enumerate() == threads
 
     def test_one_executor_per_usable_cpu(self, monkeypatch):
         monkeypatch.setattr(quantum.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -33,8 +33,10 @@ def test_theorem1_n211():
     for cp in report.checkpoints:
         assert cp["max_diff"] < report.bound
     assert report.criteria and all(report.criteria.values()), report.criteria
-    # no_collisions is not vacuous: there are pairs, and their closest
-    # approach is held to half the waypoint clearance delta_path = 4h
+    # no_collisions is not vacuous: there are pairs, and their smallest
+    # distance at the checkpoints is held to half the waypoint clearance
+    # delta_path = 4h. Distances between checkpoints are not measured
+    # (ROADMAP item 1).
     delta_path = 4.0 * max(hi - lo for lo, hi in _BOX2) / min(_SHAPE)
     assert report.num_particles > 1
     assert report.diagnostics["min_pairwise_distance"] > delta_path / 2
