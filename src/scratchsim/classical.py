@@ -191,7 +191,7 @@ def integrate(
                 np.maximum(max_f, own_f, out=max_f)
             if step_count % _ENERGY_LOG_STRIDE == 0:
                 energy_rows.append(energy(p, vals))
-            if lo is not None and ((q < lo).any() or (q > hi).any()):
+            if lo is not None and (np.count_nonzero(q < lo) or np.count_nonzero(q > hi)):
                 raise ConfinementError("a particle left the domain box")
         snapshots.append(ClassicalEnsemble(q.copy(), p.copy(), mass))
     energy_rows.append(energy(p, vals))

@@ -115,7 +115,9 @@ def _row_blocks(start: int, stop: int, rows: int) -> list[int]:
     whenever n does.
     """
     n = stop - start
-    nb = max(1, -(-n // rows))
+    if n <= rows:
+        return [start, stop]
+    nb = -(-n // rows)
     return [start + k * n // nb for k in range(nb + 1)]
 
 
@@ -160,18 +162,22 @@ def hermite_coefficients(x, y, dydx) -> np.ndarray:
     return c
 
 
-def _piece_jet(table, x):
+def _piece_jet(table, x, order=2):
     """Value, first and second derivative from gathered piece-table rows
     (a3, a2, a1, a0, 3 a3, 2 a2) at offsets x from the pieces' left ends,
     each summed in ascending powers as scipy's `PPoly` sums it, so that on a
     cubic piece each is bit for bit that of the `PPoly`, its `.derivative()`
-    and its `.derivative(2)`."""
-    a3, a2, a1, a0, b2, b1 = table
+    and its `.derivative(2)`; with `order` 1, the value and first derivative
+    alone. Those two are summed side by side, one operation on two rows per
+    term: 0 + a1 and 0 + a0, + b1 x and + a1 x, + b2 x^2 and + a2 x^2."""
     xx = x * x
-    value = 0.0 + a0 + a1 * x + a2 * xx + a3 * (xx * x)
-    d1 = 0.0 + a1 + b1 * x + b2 * xx
-    d2 = 0.0 + b1 + 2.0 * b2 * x
-    return value, d1, d2
+    low = 0.0 + table[2:4]
+    low += table[5::-3] * x
+    low += table[4::-3] * xx
+    value = low[1] + table[0] * (xx * x)
+    if order == 1:
+        return value, low[0]
+    return value, low[0], 0.0 + table[5] + 2.0 * table[4] * x
 
 
 class HermiteSpline:
@@ -190,13 +196,16 @@ class HermiteSpline:
         self.x = np.asarray(x, dtype=float)
         self.coef = hermite_coefficients(self.x, y, dydx)
 
-    def jet(self, t):
+    def jet(self, t, order=2):
         """Value, first and second derivative at t, each shaped t.shape + the
-        shape of one value."""
+        shape of one value; with `order` 1 the value and first derivative
+        alone, bit for bit the same."""
         t = np.asarray(t, dtype=float)
         i = self.x.searchsorted(t, side="right") - (t == self.x[-1])
         x = t - self.x.take(np.maximum(i - 1, 0))
-        return _piece_jet(self.coef.take(i, 1), x.reshape(x.shape + (1,) * (self.coef.ndim - 2)))
+        return _piece_jet(
+            self.coef.take(i, 1), x.reshape(x.shape + (1,) * (self.coef.ndim - 2)), order
+        )
 
     def __call__(self, t):
         return self.jet(t)[0]
@@ -325,34 +334,38 @@ class SplineFamily:
         tol = 4.0 * np.finfo(float).eps * np.maximum(
             np.maximum(np.abs(self.s_lo), np.abs(self.s_hi)), 1.0
         )
-        self._bounds = np.stack([self.s_lo, self.s_hi, tol], axis=1)
-        # A parameter lies in row (knots at or below it) of its curve's
+        self._bounds = np.stack([self.s_lo, self.s_hi, tol])
+        # A parameter lies in column (knots at or below it) of its curve's
         # table, as in `HermiteSpline`: the last knot is one ulp up, so that
-        # the curve's end lies in the last cubic, and padding knots are +inf.
-        # Curve l's rows start at l * (K + 1). A row holds the offsets'
+        # the curve's end lies in the last cubic, and padding knots are +inf,
+        # at least one per curve, so that the count is the first knot above.
+        # Curve l's columns start at l * (K + 1). A column holds the offsets'
         # origin and `_piece_jet`'s terms with its leading 0.0 + and its
-        # 2.0 * b2 done: origin, a3, a2, 0 + a1, 0 + a0, b2, 0 + b1, 2 b2.
+        # 2.0 * b2 done, in the order `_jet` takes them in slices: origin,
+        # a3, 0, b2, a2, 0 + b1, 0 + a1, 0 + a0, 2 b2, 0 + b1, 0 + a1.
         # 0.0 + only turns -0.0 into 0.0, after which a0 + a1 x and a1 + b1 x
         # round alike for either zero, so the jets keep every bit.
         K = max(c.knots.size for c in curves)
-        self._knots = np.full((L, K), np.inf)
+        self._knots = np.full((L, K + 1), np.inf)
         self._stride = K + 1
-        self._rows = np.zeros((L * self._stride, 8, curves[0].ndim))
+        self._rows = np.zeros((11, L * self._stride, curves[0].ndim))
         for l, c in enumerate(curves):
             k = c.knots.size
             self._knots[l, :k] = c.knots
             self._knots[l, k - 1] = np.nextafter(c.knots[-1], np.inf)
             a3, a2, a1, a0, b2, b1 = c.coef
-            rows = self._rows[l * self._stride :][: k + 1].transpose(1, 0, 2)
+            rows = self._rows[:, l * self._stride :][:, : k + 1]
             rows[0] = c.knots[np.maximum(np.arange(k + 1) - 1, 0)][:, None]
-            rows[1:] = a3, a2, 0.0 + a1, 0.0 + a0, b2, 0.0 + b1, 2.0 * b2
+            rows[1], rows[3], rows[4] = a3, b2, a2
+            rows[5:] = 0.0 + b1, 0.0 + a1, 0.0 + a0, 2.0 * b2, 0.0 + b1, 0.0 + a1
         samples = [
             c.sample(_SCAN_SAMPLES, lo, hi) for c, lo, hi in zip(curves, self.s_lo, self.s_hi)
         ]
-        # stacked, curve l's samples from l * S on
+        # stacked, curve l's samples from l * S on; the transposed samples
+        # are scaled by -2, which is exact, for the scan's q . (-2 c)
         self._scan_s = np.concatenate([s for s, _ in samples])  # (L S,)
         self._scan_pts = np.concatenate([pts for _, pts in samples])  # (L S, D)
-        self._scan_pts_t = np.stack([pts.T for _, pts in samples])  # (L, D, S)
+        self._scan_pts_t = np.stack([-2.0 * pts.T for _, pts in samples])  # (L, D, S)
         self._scan_norm2 = np.stack([np.einsum("ij,ij->i", pts, pts) for _, pts in samples])
         # every point farther than `reach` from the box is farther than
         # `reach` from the curve, also as the projection rounds: the box is
@@ -372,18 +385,22 @@ class SplineFamily:
         inside &= points <= self.box_hi
         return inside.all(axis=2)
 
-    def _jet(self, cl, s, knots=None):
-        """Jets of curves cl at parameters s, each (P, D), from the piece that
-        `HermiteSpline` takes and summed as `_piece_jet` sums them; `knots`
-        is self._knots[cl] if the caller has it."""
-        knots = self._knots.take(cl, 0) if knots is None else knots
+    def _jet(self, rows, knots, s, q):
+        """c(s) (P, D) and, stacked (3, P, D), c''(s), c'(s) and q - c(s), for
+        the curves whose tables start at column `rows` and whose knots are
+        `knots`: `HermiteSpline`'s piece and `_piece_jet`'s sums, one
+        operation on a slice of columns per term. c'' gets + 0 x^2 with the
+        others' x^2 terms, which changes no bit: 0.0 + b1 is never -0.0, so
+        neither is c''."""
         s = s[:, None]
-        origin, a3, a2, a1, a0, b2, b1, b2x2 = self._rows.take(
-            cl * self._stride + (knots <= s).sum(axis=1), 0
-        ).transpose(1, 0, 2)
-        x = s - origin
+        t = self._rows.take(rows + (knots <= s).argmin(axis=1), 1)
+        x = s - t[0]
         xx = x * x
-        return a0 + a1 * x + a2 * xx + a3 * (xx * x), a1 + b1 * x + b2 * xx, b1 + b2x2 * x
+        jet = t[5:8] + t[8:] * x
+        jet += t[2:5] * xx
+        c = jet[2] + t[1] * (xx * x)
+        np.subtract(q, c, out=jet[2])
+        return c, jet
 
     def _scan(self, cl, q):
         """Index of each pair's nearest sample among its curve's 512 scan
@@ -391,7 +408,8 @@ class SplineFamily:
         sorted by curve."""
         j = np.empty(cl.size, dtype=np.intp)
         S = self._scan_norm2.shape[1]
-        bounds = cl.searchsorted(np.arange(self.s_lo.size + 1)).tolist()
+        L = self.s_lo.size
+        bounds = [0, cl.size] if L == 1 else cl.searchsorted(np.arange(L + 1)).tolist()
         for l, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
             if start == stop:
                 continue
@@ -401,53 +419,67 @@ class SplineFamily:
                 # |q - c|^2 less its per-point constant |q|^2; a lone row is
                 # doubled, so that it rounds as it would in any larger block
                 d2 = (q[a:b] if b - a > 1 else q[a:b].repeat(2, 0)) @ pts_t
-                d2 *= -2.0
                 d2 += norm2
                 j[a:b] = d2.argmin(axis=1)[: b - a]
-                j[a:b] += l * S
+                if l:
+                    j[a:b] += l * S
         return j
 
-    def _newton(self, cl, q, s, iters, lo, hi, tol):
+    def _newton(self, cl, q, s, lo, hi, tol):
         """Newton steps on g(s) = (q - c(s)) . c'(s), each clipped to 0.1 and
-        to the range, from s for every pair. A pair stops at the first
-        iterate from which its step would move it by at most 4 ulps of its
-        range's magnitude, and keeps that iterate and its jet; a pair still
-        moving after `iters` steps keeps its last iterate. Returns the
-        parameters (P,) and their jets (c, dc, d2c), each (P, D).
+        to the range, from s for every pair, _NEWTON_ITERS at most. A pair
+        stops at the first iterate from which its step would move it by at
+        most 4 ulps of its range's magnitude; a pair still moving after the
+        last step keeps its last iterate. Returns per pair that iterate s
+        (P,), the squared distance f = r.r (P,) of its residual r = q - c,
+        its jet (c, dc, d2c), each (P, D), r (P, D) and -g' = c'.c' - r.c''
+        (P,), the step's divisor.
 
         A stopped pair takes every later step from the same iterate, so it
         stays stopped, and each pair's result does not depend on the others.
         `lo`, `hi` and `tol` are the pairs' ranges and stop tolerances.
         """
         knots = self._knots.take(cl, 0)
-        for _ in range(iters):
-            c, dc, d2c = self._jet(cl, s, knots)
-            r = q - c
-            g = np.einsum("ij,ij->i", r, dc)
-            # g' = r . c'' - c' . c', negated: the step -g / g' is g / -g'
-            # to the bit, and -g / inf is g / -inf
-            ngp = np.einsum("ij,ij->i", dc, dc) - np.einsum("ij,ij->i", r, d2c)
-            step = g / np.where(np.abs(ngp) > 1e-30, ngp, -np.inf)
+        rows = cl * self._stride
+        for it in range(_NEWTON_ITERS + 1):
+            c, J = self._jet(rows, knots, s, q)
+            # c' and r dotted with c'', c' and r in one product, each row
+            # summed as in a product of its own; indexed, not unpacked
+            dots = np.einsum("kij,lij->kli", J[1:], J)
+            ngp = dots[0, 1] - dots[1, 0]
+            if it == _NEWTON_ITERS:
+                break
+            # the step -g / g' is g / -g' to the bit, and -g / inf is g / -inf
+            step = dots[1, 1] / np.where(np.abs(ngp) > 1e-30, ngp, -np.inf)
             step = np.minimum(np.maximum(step, -0.1), 0.1)
             s_new = np.minimum(np.maximum(s + step, lo), hi)
             moving = np.abs(s_new - s) > tol
-            if not np.count_nonzero(moving):
-                return s, (c, dc, d2c)
-            s = np.where(moving, s_new, s)
-        return s, self._jet(cl, s, knots)
+            count = np.count_nonzero(moving)
+            if not count:
+                break
+            s = s_new if count == s.size else np.where(moving, s_new, s)
+        return s, dots[1, 2], (c, J[1], J[0]), J[2], ngp
 
     def project(self, points, pairs=None, s_start=None):
         """Nearest parameter, squared distance and jet (position, first and
-        second derivative) of (curve, point) pairs.
+        second derivative) of (curve, point) pairs: the first three results
+        of `locate`."""
+        return self.locate(points, pairs, s_start)[:3]
+
+    def locate(self, points, pairs=None, s_start=None):
+        """Nearest parameter and squared distance of (curve, point) pairs,
+        with what `_newton` computed at the iterate it returns.
 
         `pairs` holds curve and point indices, sorted by curve; every pair by
         default, curve-major. A scan over 512 samples of the curve's range
         gives each pair's start, and `_newton` refines it in _NEWTON_ITERS
-        steps at most. With `s_start`, one start per pair (nan for none, the
-        default for every pair), Newton starts there instead, and a pair that
-        ends farther from its point than the scan's nearest sample starts
-        again from that sample, so that no result is worse than the scan.
-        Returns s (P,), f (P,) and the jet as three (P, D) arrays.
+        steps at most. With `s_start`, one start per pair (nan for none),
+        Newton starts there instead, and a pair that ends farther from its
+        point than the scan's nearest sample starts again from that sample,
+        so that no result is worse than the scan.
+        Returns s (P,), f = r.r (P,), the jet as three (P, D) arrays, the
+        residual r = q - c(s) (P, D) and -g' = c'.c' - r.c'' (P,), g = r.c'
+        being the function whose root Newton seeks.
         """
         points = np.atleast_2d(points)
         if pairs is None:
@@ -455,28 +487,26 @@ class SplineFamily:
             pairs = (np.repeat(np.arange(L), M), np.tile(np.arange(M), L))
         cl, pm = pairs
         q = points.take(pm, 0)
-        lo, hi, tol = self._bounds.take(cl, 0).T
+        bounds = self._bounds.take(cl, 1)
+        lo, hi, tol = bounds[0], bounds[1], bounds[2]
         j = self._scan(cl, q)
         s_scan = self._scan_s.take(j)
+        # the scan samples lie in [lo, hi], so a start from the scan needs no clip
+        if s_start is not None:
+            warm = s_start == s_start  # not nan
+            s_start = np.minimum(np.maximum(np.where(warm, s_start, s_scan), lo), hi)
+        s, f, jet, r, ngp = self._newton(cl, q, s_scan if s_start is None else s_start, lo, hi, tol)
         if s_start is None:
-            s_start = np.full(cl.size, np.nan)
-        warm = s_start == s_start  # not nan
-        s0 = np.minimum(np.maximum(np.where(warm, s_start, s_scan), lo), hi)
-        s, jet = self._newton(cl, q, s0, _NEWTON_ITERS, lo, hi, tol)
-        diff = q - jet[0]
-        f = np.einsum("ij,ij->i", diff, diff)
+            return s, f, jet, r, ngp
         to_sample = q - self._scan_pts.take(j, 0)
         back = (warm & (f > np.einsum("ij,ij->i", to_sample, to_sample))).nonzero()[0]
         if back.size:
-            s_b, jet_b = self._newton(
-                cl[back], q[back], s_scan[back], _NEWTON_ITERS, lo[back], hi[back], tol[back]
+            s_b, f_b, jet_b, r_b, ngp_b = self._newton(
+                cl[back], q[back], s_scan[back], lo[back], hi[back], tol[back]
             )
-            s[back] = s_b
-            for part, part_b in zip(jet, jet_b):
+            for part, part_b in zip((s, f, *jet, r, ngp), (s_b, f_b, *jet_b, r_b, ngp_b)):
                 part[back] = part_b
-            diff = q[back] - jet_b[0]
-            f[back] = np.einsum("ij,ij->i", diff, diff)
-        return s, f, jet
+        return s, f, jet, r, ngp
 
 
 # ---------------------------------------------------------------------------

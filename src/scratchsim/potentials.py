@@ -90,17 +90,17 @@ class GaussianWellPotential(AnalyticPotential):
         self.offset = _number("offset", offset)
 
     def _bump(self, d):
-        """exp(-|d|^2 / (2 width^2)) per row of d."""
-        return np.exp(-np.einsum("ij,ij->i", d, d) / (2.0 * self.width**2))
+        """exp(-|d|^2 / (2 width^2)) per row of d; -x / y is x / -y to the
+        bit."""
+        return np.exp(np.einsum("ij,ij->i", d, d) / (-2.0 * self.width**2))
 
     def value(self, points):
         return self.offset - self.depth * self._bump(np.atleast_2d(points) - self.center)
 
     def value_and_grad(self, points):
         d = np.atleast_2d(points) - self.center
-        g = self._bump(d)
-        grads = (self.depth * g / self.width**2)[:, None] * d
-        return self.offset - self.depth * g, grads
+        dg = self.depth * self._bump(d)
+        return self.offset - dg, (dg / self.width**2)[:, None] * d
 
 
 class DoubleWellPotential(AnalyticPotential):

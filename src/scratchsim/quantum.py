@@ -266,8 +266,8 @@ def occupation_probabilities(
 
 
 _TUBE_SAMPLES = 400  # tube quadrature samples along the curve
-_HERMITE_NODES = 24  # Gauss-Hermite nodes per transverse axis
-_TUBE_BLOCK = 32  # samples per base.value call in 3D (18432 nodes)
+_HERMITE_NODES = 12  # Gauss-Hermite nodes per transverse axis
+_TUBE_BLOCK = 32  # samples per base.value call in 3D (4608 nodes)
 
 
 def _transverse_frames(tangents: np.ndarray) -> np.ndarray:

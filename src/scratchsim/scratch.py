@@ -154,6 +154,9 @@ class ScratchedPotential:
             )
             self._lines = np.array(lines)
             self._line_snap = self._snap_f[self._lines, None]
+            self._line_own = (np.arange(len(lines)), self._lines)
+            # a line's -g' = c'.c' - r.c'' is c'.c', as its c'' is 0
+            self._line_ngp = np.einsum("ij,ij->i", self._segments.d, self._segments.d)
         self._family = None
         if splines:
             spline_profiles = [self.profiles[l] for l in splines]
@@ -164,6 +167,8 @@ class ScratchedPotential:
                 reach=self.tube_radius,
             )
             self._splines = np.array(splines)
+            self._spline_snap = self._snap_f[self._splines]
+            self._spline_own = (np.arange(len(splines)), self._splines)
         self._drives = np.array([l for l, v in enumerate(tangential) if v is not None], dtype=int)
         # with every scratch driven, every pair is a driven pair
         self._driven = None
@@ -178,8 +183,9 @@ class ScratchedPotential:
         """The (scratch, point) pairs inside tubes, sorted by scratch and
         then by point: scratch l, point m, nearest parameter s and squared
         distance f, zero below the profile's snap threshold, each (P,); with
-        `geometry` also the residual q - c(s) and the curve's first and
-        second derivative at s, each (P, D).
+        `geometry` also the residual r = q - c(s) and the curve's first
+        derivative c'(s), each (P, D), and -g' = c'.c' - r.c'' (P,), all as
+        the projection computed them.
 
         Every line pair is projected, and every spline pair whose point is in
         the scratch's box; with `own_f` also point l onto scratch l, whose f
@@ -193,32 +199,29 @@ class ScratchedPotential:
             s, r, f = self._segments.project(points)
             f[f < self._line_snap] = 0.0
             if own_f is not None:
-                own_f[self._lines] = f[np.arange(self._lines.size), self._lines]
+                own_f[self._lines] = f[self._line_own]
             if s_warm is not None:
                 s_warm[self._lines] = s
             k, m = (f <= R2).nonzero()
             part = [self._lines.take(k), m, s[k, m], f[k, m]]
             if geometry:
-                d = self._segments.d.take(k, 0)
-                part += [r[k, :, m], d, np.zeros_like(d)]
+                part += [r[k, :, m], self._segments.d.take(k, 0), self._line_ngp.take(k)]
             parts.append(part)
         if self._family is not None:
             near = self._family.near(points)
             if own_f is not None:
-                near[np.arange(self._splines.size), self._splines] = True
+                near[self._spline_own] = True
             k, m = near.nonzero()
             l = self._splines.take(k)
             start = None if s_warm is None else s_warm[l, m]
-            s, f, (c, dc, d2c) = self._family.project(points, (k, m), start)
-            f[f < self._snap_f.take(l)] = 0.0
+            s, f, (_, dc, _), r, ngp = self._family.locate(points, (k, m), start)
+            f[f < self._spline_snap.take(k)] = 0.0
             if own_f is not None:
                 own_f[self._splines] = f[l == m]
             if s_warm is not None:
                 s_warm[self._splines] = np.nan
                 s_warm[l, m] = s
-            part = [l, m, s, f]
-            if geometry:
-                part += [points.take(m, 0) - c, dc, d2c]
+            part = [l, m, s, f, r, dc, ngp] if geometry else [l, m, s, f]
             inside = f <= R2
             if np.count_nonzero(inside) < inside.size:
                 i = inside.nonzero()[0]
@@ -229,11 +232,24 @@ class ScratchedPotential:
         order = np.concatenate([p[0] * len(points) + p[1] for p in parts]).argsort()
         return [np.concatenate(a).take(order, 0) for a in zip(*parts)]
 
+    def _drive(self, l, s):
+        """V_l(s) and V_l'(s) of the driven pairs' scratches l, sorted, at
+        their parameters s, each (P,): one jet per driven scratch."""
+        if self._drives.size == 1:
+            return self.tangential[self._drives[0]].jet(s, 1)
+        cuts = l.searchsorted(self._drives).tolist() + [s.size]
+        jets = [
+            self.tangential[k].jet(s[a:b], 1)
+            for k, a, b in zip(self._drives, cuts, cuts[1:])
+            if a < b
+        ]
+        return [np.concatenate(part) for part in zip(*jets)]
+
     def _value(self, points: np.ndarray, u: np.ndarray, own_f=None, s_warm=None, geometry=False):
         """The scratched value over the base values u, with what the gradient
         reuses: (value, (pairs, e, one_minus, prod_all, drive)), `pairs` from
-        `_pairs` and, if a scratch is driven, drive = (d, V_l(s), V_l'(s)) on
-        the driven pairs, which d indexes among the pairs."""
+        `_pairs` and, if a pair is driven, drive = (d, m, e, V_l(s), V_l'(s))
+        on the driven pairs, which d indexes among the pairs."""
         pairs = self._pairs(points, own_f, s_warm, geometry)
         l, m, s, f = pairs[:4]
         e = np.exp(-self.lam * f)
@@ -245,20 +261,17 @@ class ScratchedPotential:
         if self._drives.size:
             d = slice(None) if self._driven is None else self._driven.take(l).nonzero()[0]
             sd = s[d]
-            cuts = l[d].searchsorted(self._drives).tolist() + [sd.size]
-            jets = [
-                self.tangential[k].jet(sd[a:b])[:2]
-                for k, a, b in zip(self._drives, cuts, cuts[1:])
-                if a < b
-            ]
-            if jets:
-                v, dv = (np.concatenate(part) for part in zip(*jets))
-                np.add.at(value, m[d], v * e[d])
-                drive = (d, v, dv)
+            if sd.size:
+                md, ed = m[d], e[d]
+                v, dv = self._drive(l[d], sd)
+                np.add.at(value, md, v * ed)
+                drive = (d, md, ed, v, dv)
         return value, (pairs, e, one_minus, prod_all, drive)
 
     def eval(self, points: np.ndarray, *, own_f: np.ndarray | None = None, s_warm=None):
-        """Analytic value and gradient of the scratched potential.
+        """Analytic value and gradient of the scratched potential, each
+        computed once per (scratch, point) pair inside a tube from the
+        residual, c' and -g' that the projection returns.
 
         Outside every tube returns the base potential and gradient exactly.
         With `own_f` (one entry per scratch, and one point per scratch), entry
@@ -273,34 +286,32 @@ class ScratchedPotential:
         u, grad_u = self.base.value_and_grad(points)
         if not self.profiles:
             return u, grad_u
-        value, ((_, m, _, _, r, dc, d2c), e, one_minus, prod_all, drive) = self._value(
+        value, ((_, m, _, _, r, dc, ngp), e, one_minus, prod_all, drive) = self._value(
             points, u, own_f, s_warm, geometry=True
         )
-        prod_others = np.divide(
-            prod_all.take(m), one_minus, out=np.zeros_like(one_minus), where=one_minus > 1e-300
-        )
+        # a factor 1 - e^{-lam f} is 0 or at least 2^-53, and where it is 0
+        # its point's product is 0 too, as the quotient is taken to be
+        prod_others = prod_all.take(m)
+        np.divide(prod_others, one_minus, out=prod_others, where=one_minus > 1e-300)
         # product rule on every factor 1 - e^{-lam f_l}, with grad f_l = 2 r_l,
-        # then per driven pair + e V' grad(sigma), grad(sigma) = c' / denom,
-        # and - lam V e 2 r
+        # then per driven pair + e V' grad(sigma), grad(sigma) = c' / -g', and
+        # - lam V e 2 r: the same additions in the same order as one sum
         grad = grad_u * prod_all[:, None]
         coef = (u * self.lam).take(m) * e
         coef *= prod_others
         two_r = r * 2.0
-        terms = two_r * coef[:, None]
+        np.add.at(grad, m, two_r * coef[:, None])
         if drive is not None:
-            d, v, dv = drive
-            dc, ed = dc[d], e[d]
-            # the rows are C-ordered, as the dense evaluation's were: einsum
-            # sums the rows of a Fortran-ordered array in another order
-            denom = np.einsum("ij,ij->i", dc, dc) - np.einsum("ij,ij->i", r[d], d2c[d])
+            d, md, ed, v, dv = drive
+            denom = ngp[d]
             denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
-            kicks = np.empty((v.size, 2, r.shape[1]))
-            np.multiply(dv[:, None], dc / denom[:, None], out=kicks[:, 0])
-            kicks[:, 0] *= ed[:, None]
-            np.multiply(two_r[d], (-self.lam * v * ed)[:, None], out=kicks[:, 1])
-            m = np.concatenate([m, m[d].repeat(2)])
-            terms = np.concatenate([terms, kicks.reshape(-1, r.shape[1])])
-        np.add.at(grad, m, terms)
+            kick = dc[d] / denom[:, None]
+            kick *= dv[:, None]
+            kick *= ed[:, None]
+            pull = two_r[d] * (-self.lam * v * ed)[:, None]
+            # each driven pair's kick, then its pull
+            kicks = np.concatenate((kick, pull), axis=1).reshape(-1, r.shape[1])
+            np.add.at(grad, md.repeat(2), kicks)
         return value, grad
 
     def value(self, points: np.ndarray) -> np.ndarray:

@@ -402,6 +402,37 @@ class TestSplineFamily:
         s2, f2, _ = fam.project(pts, pairs, s_start=cold_s)
         assert np.allclose(s2, cold_s, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fallback_hands_over_the_residual_and_divisor(self, seed, monkeypatch):
+        # far-off warm starts, as above: on the pairs that start again from
+        # the scan, r and -g' are those of the jet returned, bit for bit
+        rng = np.random.default_rng(seed)
+        c = random_spline(rng, int(rng.integers(2, 6)), bend=0.5)
+        fam = SplineFamily([c], -0.3, 1.3)
+        u = rng.normal(size=(40, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        pts = c(rng.uniform(-0.3, 1.3, 40)) + rng.uniform(0.0, 1.0, (40, 1)) * u
+        cold_s, _, _ = fam.project(pts)
+        start = cold_s + rng.choice([-2.0, 2.0], 40) * rng.uniform(0.5, 1.0, 40)
+        start[::7] = np.nan
+        restarted = []
+        inner = SplineFamily._newton
+        monkeypatch.setattr(
+            SplineFamily,
+            "_newton",
+            lambda self, cl, *a: restarted.append(cl.size) or inner(self, cl, *a),
+        )
+        pairs = (np.zeros(40, dtype=np.intp), np.arange(40))
+        s, f, (pos, dc, d2c), r, ngp = fam.locate(pts, pairs, s_start=start)
+        assert len(restarted) == 2 and restarted[1] > 0
+        assert np.array_equal(r, pts - pos)
+        assert np.array_equal(f, np.einsum("ij,ij->i", r, r))
+        assert np.array_equal(ngp, np.einsum("ij,ij->i", dc, dc) - np.einsum("ij,ij->i", r, d2c))
+        # project is locate's first three
+        s2, f2, jet2 = fam.project(pts, pairs, s_start=start)
+        assert np.array_equal(s2, s) and np.array_equal(f2, f)
+        assert all(np.array_equal(a, b) for a, b in zip(jet2, (pos, dc, d2c)))
+
 
 class TestItineraries:
     def test_counts_realized(self):

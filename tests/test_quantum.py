@@ -586,7 +586,7 @@ def _transverse_frame(tangent):
     return basis
 
 
-def reference_tube_l1(base, curve, lam, num_s=400, num_h=24):
+def reference_tube_l1(base, curve, lam, num_s=400, num_h=quantum._HERMITE_NODES):
     """tube_l1_difference with one frame and one base.value call per sample."""
     s, pts = curve.sample(num_s)
     dc = curve.deriv(s)
@@ -647,3 +647,37 @@ class TestVectorizedTube:
         for i in range(s.size):
             ref = np.array(_transverse_frame(dc[i]))
             assert np.allclose(frames[i], ref, rtol=0.0, atol=1e-15)
+
+
+def random_tube_curves(rng, ndim):
+    """Three segments and three splines of 2 to 4 waypoints in a 10-wide box."""
+    curves = [SegmentCurve(*rng.uniform(-5.0, 5.0, (2, ndim))) for _ in range(3)]
+    for K in (2, 3, 4):
+        knots = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, K - 2)), [1.0]])
+        waypoints = rng.uniform(-4.0, 4.0, (K, ndim))
+        curves.append(SplineCurve(knots, waypoints, rng.normal(0.0, 4.0, (K, ndim))))
+    return curves
+
+
+class TestTubeNodes:
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_nodes_agree_with_24_nodes(self, ndim, monkeypatch):
+        # the transverse Gauss-Hermite order is converged: 24 nodes per axis
+        # give the same column to 1e-14, at the smallest lambda too, where
+        # the Gaussian is widest against the scale of U
+        assert quantum._HERMITE_NODES < 24
+        rng = np.random.default_rng(70 + ndim)
+        bases = [
+            GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=ndim),
+            GaussianWellPotential(1.0, 4.0, offset=3.5, ndim=ndim),
+            GaussianWellPotential(0.8, 1.0, rng.uniform(-1.0, 1.0, ndim), offset=1.0, ndim=ndim),
+        ]
+        tubes = [quantum.TubeSamples(c) for c in random_tube_curves(rng, ndim)]
+        for lam in (10.0, 1e2, 1e4):
+            for base in bases:
+                for tube in tubes:
+                    got = tube_l1_difference(base, tube, lam)
+                    with monkeypatch.context() as m:
+                        m.setattr(quantum, "_HERMITE_NODES", 24)
+                        want = tube_l1_difference(base, tube, lam)
+                    assert abs(got - want) <= 1e-14 * abs(want)

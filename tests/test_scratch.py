@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from scratchsim.classical import initialize_on_scratches, integrate
-from scratchsim.geometry import SegmentCurve, SplineCurve, catmull_rom_tangents
+from scratchsim.geometry import HermiteSpline, SegmentCurve, SplineCurve, catmull_rom_tangents
 from scratchsim.grid import SpatialGrid
 from scratchsim.potentials import GaussianWellPotential, HarmonicPotential
 from scratchsim.quantum import CheckpointSchedule
@@ -626,6 +626,25 @@ class TestPairsRunTheDenseTrajectory:
         got = self.runs(monkeypatch, sp, ensemble, schedule)
         assert len(got.energy_log) > 20 and np.all(got.max_curve_deviation > 0.0)
 
+    @pytest.mark.parametrize("lam", [10.0, 100.0])
+    def test_one_driven_spline(self, monkeypatch, lam):
+        # t2-spline's shape: one particle driven along one spline, in its
+        # potential, 400 steps through three checkpoints
+        base = GaussianWellPotential(depth=1.0, width=4.0, offset=3.5, ndim=3)
+        wp = np.array([[-1.5, 0.5, 0.0], [0.3, -0.4, 0.6], [1.8, 0.2, -0.3]])
+        chords = np.linalg.norm(np.diff(wp, axis=0), axis=1)
+        knots = np.concatenate([[0.0], np.cumsum(chords) / chords.sum()])
+        c = SplineCurve(knots, wp, catmull_rom_tangents(knots, wp))
+        speeds = np.array([1.1, 1.4, 1.2])
+        cond = TimingConditions([0.0, 0.4, 0.8], knots, speeds)
+        sp = ScratchedPotential(
+            base, [c], lam=lam, tangential=[construct_tangential_potential(c, cond, 1.0, 20001)]
+        )
+        schedule = CheckpointSchedule([0.0, 0.4, 0.8])
+        ensemble = initialize_on_scratches([c], 1.0, schedule, speeds[None, :])
+        got = self.runs(monkeypatch, sp, ensemble, schedule)
+        assert len(got.energy_log) > 40 and got.max_curve_deviation[0] > 0.0
+
     def test_segments(self, monkeypatch):
         rng = np.random.default_rng(67)
         base = GaussianWellPotential(depth=0.4, width=3.0, offset=0.6, ndim=2)
@@ -772,6 +791,34 @@ class TestTangentialPotential:
             assert np.array_equal(got, want) and np.array_equal(v(x), want)
             assert np.array_equal(dgot, dwant) and np.array_equal(v.deriv(x), dgot)
             assert v.deriv(0.37) == dpp(0.37)
+
+    def test_value_and_slope_are_the_jets_first_two(self):
+        # the drive's (V, V'), which every driven force evaluation takes,
+        # inside the samples, at them and on both linear continuations
+        rng = np.random.default_rng(56)
+        c = SplineCurve([0.0, 0.4, 1.0], rng.uniform(-3.0, 3.0, (3, 3)), rng.normal(0.0, 3.0, (3, 3)))
+        cond = TimingConditions([0.0, 1.0, 2.0], [0.0, 0.4, 1.0], [0.3, 0.4, 0.3])
+        s = np.sort(rng.uniform(0.0, 1.0, 50))
+        for v in (
+            construct_tangential_potential(c, cond, 1.0, num_samples=20001),
+            TangentialPotential(s, rng.normal(size=50), rng.normal(size=50)),
+        ):
+            s = v.s_samples
+            x = np.concatenate(
+                [
+                    rng.uniform(-0.5, 0.0, 300),
+                    rng.uniform(0.0, 1.0, 3000),
+                    rng.uniform(1.0, 1.5, 300),
+                    s[:3],
+                    s[-3:],
+                    np.nextafter(s[[0, -1]], -1.0),
+                    np.nextafter(s[[0, -1]], 2.0),
+                ]
+            )
+            got, want = v.jet(x, 1), HermiteSpline.jet(v, x)[:2]
+            assert len(got) == 2
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 2001])
     def test_coefficients_are_scipys(self, n):
