@@ -9,16 +9,20 @@ full kicks between them, and a closing half kick, and every snapshot lands
 on the Strang-split state. The wavefunction is transformed in place, by
 numpy's FFT with `out=`, so that a step allocates no array.
 
-A propagation works in three complex arrays, each 64-byte aligned: the
-wavefunction, the full kick, and the kinetic factor, which also holds the half
-kick at each interval's ends. Each is built in place by the same operations,
-in the same order, as the expression it stands for, so the values are those
-of that expression bit for bit. The norm and the edge-layer mass are summed
-without a full-size temporary.
+A propagation works in two complex arrays of its own, each 64-byte aligned:
+the wavefunction and the kick, which holds the half kick at each interval's
+ends and the full kick in between. The kinetic factor depends on the grid,
+the mass, hbar and the step alone, not on the potential: it is computed
+once per step length, read-only, and the decay table computes it once for
+all its propagations to share. Each array is built in place by the same
+operations, in the same order, as the expression it stands for, so the
+values are those of that expression bit for bit. The norm and the
+edge-layer mass are summed without a full-size temporary.
 
 The decay table (`scratch_insensitivity`) propagates once per scratch
-strength λ. Its propagations run side by side, on a standard thread pool
-that it starts and joins itself.
+strength λ. All its propagations run at once, up to two per CPU, on a
+standard thread pool that it starts and joins itself, and the operating
+system shares the cores among them.
 """
 
 from __future__ import annotations
@@ -191,6 +195,27 @@ def edge_density(field: ComplexField) -> float:
     return total * field.grid.cell_volume
 
 
+def _step_lengths(schedule: CheckpointSchedule, dt_max: float) -> list[tuple[float, int]]:
+    """(dt, steps) per checkpoint interval: its span in equal steps of at
+    most dt_max."""
+    return [(span / n, n) for span, n in zip(np.diff(schedule.times), schedule.steps(dt_max))]
+
+
+def _kinetic_factors(
+    system: QuantumSystem, schedule: CheckpointSchedule, dt_max: float
+) -> dict[float, np.ndarray]:
+    """The kinetic factor of each step length of the schedule, read-only, for
+    any number of propagations of `system`'s grid, mass and hbar to share."""
+    factors = {}
+    for dt, _ in _step_lengths(schedule, dt_max):
+        if dt not in factors:
+            kin = _aligned_empty(system.grid.shape)
+            _kinetic_factor(system.grid, system.mass, system.hbar, dt, out=kin)
+            kin.flags.writeable = False
+            factors[dt] = kin
+    return factors
+
+
 def propagate(
     system: QuantumSystem,
     psi0: Wavefunction,
@@ -198,6 +223,8 @@ def propagate(
     dt_max: float = 5e-3,
     norm_tol: float = 1e-8,
     edge_eps: float = 1e-6,
+    *,
+    _kinetic: dict[float, np.ndarray] | None = None,
 ) -> list[Wavefunction]:
     """Evolve psi0 through every checkpoint time; returns one snapshot per
     checkpoint (the first checkpoint is psi0 itself, retimed).
@@ -205,20 +232,25 @@ def propagate(
     Each interval takes `schedule.steps(dt_max)` equal steps, so snapshots
     land exactly on checkpoints. Raises unless the norm drift is below
     norm_tol; warns when edge density exceeds edge_eps.
+
+    The propagation works in two arrays of its own, the wavefunction and the
+    kick. `_kinetic` maps each step length to its kinetic factor, as
+    `_kinetic_factors` gives it, for propagations that share them; when it is
+    None the propagation computes its own.
     """
     times = schedule.times
     g = psi0.field.grid
     snapshots = [Wavefunction(psi0.field, float(times[0]))]
     v = system.potential_values()
     hbar = system.hbar
-    psi, full_kick, kin = (_aligned_empty(g.shape) for _ in range(3))
+    kinetic = _kinetic_factors(system, schedule, dt_max) if _kinetic is None else _kinetic
+    psi, kick = _aligned_empty(g.shape), _aligned_empty(g.shape)
     psi[...] = psi0.field.values
     last = len(times) - 2
-    for i, (t2, span, nsteps) in enumerate(zip(times[1:], np.diff(times), schedule.steps(dt_max))):
-        dt = span / nsteps
-        psi *= _exp_phase(-0.5j * dt, v, hbar, kin)  # the opening half kick
-        _kinetic_factor(g, system.mass, hbar, dt, out=kin)
-        _exp_phase(-1j * dt, v, hbar, full_kick)
+    for i, (t2, (dt, nsteps)) in enumerate(zip(times[1:], _step_lengths(schedule, dt_max))):
+        kin = kinetic[dt]
+        psi *= _exp_phase(-0.5j * dt, v, hbar, kick)  # the opening half kick
+        _exp_phase(-1j * dt, v, hbar, kick)  # the full kick
         for step in range(nsteps):
             np.fft.fftn(psi, out=psi)
             psi *= kin
@@ -226,8 +258,8 @@ def propagate(
             # the closing half kick merges with the next step's opening one,
             # except at the checkpoint
             if step < nsteps - 1:
-                psi *= full_kick
-        psi *= _exp_phase(-0.5j * dt, v, hbar, kin)  # the closing half kick
+                psi *= kick
+        psi *= _exp_phase(-0.5j * dt, v, hbar, kick)  # the closing half kick
         # the last snapshot keeps the work array
         snap = Wavefunction(ComplexField(g, psi if i == last else psi.copy()), float(t2))
         drift = abs(_mass(psi) * g.cell_volume - 1.0)
@@ -347,13 +379,14 @@ def tube_l1_difference(base, curve, lam: float) -> float:
 
 
 def _decay_executors(count: int) -> int:
-    """Executors for `count` independent propagations: one per CPU this
-    process may run on, and no more than `count`."""
+    """Executors for `count` independent propagations: one each, up to two
+    per CPU this process may run on. On one CPU there is one, since taking
+    turns on it gains nothing and holds more arrays at once."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(count, cpus))
+    return 1 if cpus == 1 else max(1, min(count, 2 * cpus))
 
 
 def scratch_insensitivity(
@@ -376,12 +409,16 @@ def scratch_insensitivity(
     final wavefunction, psi0 propagated through the schedule with the same
     dt_max.
 
-    The calling thread samples the potentials in order and submits each λ's
-    propagation the moment its sample exists, to a thread pool of
-    `_decay_executors(#λ) - 1` helpers (none on one CPU). The propagations
-    are independent and numpy's FFT releases the GIL, so they run side by
-    side while the caller computes the L1 and Fourier columns. Then the
-    caller propagates, in λ order, each λ that no helper has started. No
+    Every propagation shares the kinetic factors, computed once here and
+    read-only, and works in two arrays of its own; its L2 column is computed
+    in place in its final array. The calling thread samples the potentials
+    in order and submits each λ's propagation the moment its sample exists,
+    to a thread pool of `_decay_executors(#λ) - 1` helpers: with the caller,
+    one executor per λ, up to two per CPU; on one CPU, no helper. The
+    propagations are independent and numpy's FFT releases the GIL, so they
+    run at once, the operating system sharing the cores among them, while
+    the caller computes the L1 and Fourier columns. Then the caller
+    propagates, in λ order, each λ that no helper has started. No
     propagation starts once one has failed; the helpers are joined before
     this returns or raises, and the lowest failing λ's error is raised.
     """
@@ -389,6 +426,7 @@ def scratch_insensitivity(
     hbar = system.hbar
     u_plain = system.potential_values()
     fourier_norm = g.cell_volume / (2.0 * np.pi * hbar) ** g.ndim
+    kinetic = _kinetic_factors(system, schedule, dt_max)
     samples, rows, futures = [], [], []
     errors = {}  # propagation errors by λ index; one stops further starts
     tubes = {}  # one TubeSamples per curve, for every lambda
@@ -405,16 +443,24 @@ def scratch_insensitivity(
             return None
         try:
             lam_system = QuantumSystem(system.mass, g, ScalarField(g, samples[i]), hbar)
-            fin = propagate(lam_system, psi0, schedule, dt_max=dt_max, edge_eps=edge_eps)[-1]
-            return float(
-                np.sqrt(
-                    np.sum(np.abs(fin.field.values - reference.field.values) ** 2)
-                    * g.cell_volume
-                )
-            )
+            d = propagate(
+                lam_system, psi0, schedule, dt_max=dt_max, edge_eps=edge_eps, _kinetic=kinetic
+            )[-1].field.values
+            # in place: the final wavefunction is this propagation's own
+            d -= reference.field.values
+            a = np.abs(d)
+            a *= a
+            return float(np.sqrt(np.sum(a) * g.cell_volume))
         except Exception as e:  # raised by the caller below
             errors[i] = e
             return None
+
+    def fourier_sup(u_lam: np.ndarray) -> float:
+        """A row's Fourier column, transformed in place: one complex array,
+        gone on return."""
+        f = np.subtract(u_lam, u_plain, dtype=complex)
+        np.fft.fftn(f, out=f)
+        return float(np.max(np.abs(f)) * fourier_norm)
 
     helpers = _decay_executors(len(scratched)) - 1
     pool = ThreadPoolExecutor(helpers, thread_name_prefix="decay") if helpers else None
@@ -424,8 +470,7 @@ def scratch_insensitivity(
             futures.append(pool.submit(l2_distance, i) if pool else None)
         for sp, u_lam in zip(scratched, samples):
             l1 = sum(tube_l1_difference(sp.base, tube(p.curve), sp.lam) for p in sp.profiles)
-            linf = float(np.max(np.abs(np.fft.fftn(u_lam - u_plain))) * fourier_norm)
-            rows.append({"lambda": sp.lam, "l1_potential": l1, "linf_fourier": linf})
+            rows.append({"lambda": sp.lam, "l1_potential": l1, "linf_fourier": fourier_sup(u_lam)})
         # a future that cancels has not started on a helper
         l2 = [l2_distance(i) if f is None or f.cancel() else f for i, f in enumerate(futures)]
     finally:

@@ -168,24 +168,94 @@ def reference_propagate(system, psi0, times, dt_max):
     return out
 
 
+def three_array_propagate(system, psi0, times, dt_max):
+    """`propagate` as it was in three arrays of its own: the wavefunction,
+    the full kick, and the kinetic factor, which also held the half kicks at
+    each interval's ends. Its snapshots, without the norm and edge checks;
+    the two-array propagation must give every bit of them."""
+    g = psi0.field.grid
+    v = system.potential_values()
+    hbar = system.hbar
+    schedule = CheckpointSchedule(times)
+    psi, full_kick, kin = (quantum._aligned_empty(g.shape) for _ in range(3))
+    psi[...] = psi0.field.values
+    out = [psi.copy()]
+    for span, nsteps in zip(np.diff(schedule.times), schedule.steps(dt_max)):
+        dt = span / nsteps
+        psi *= quantum._exp_phase(-0.5j * dt, v, hbar, kin)
+        _kinetic_factor(g, system.mass, hbar, dt, out=kin)
+        quantum._exp_phase(-1j * dt, v, hbar, full_kick)
+        for step in range(nsteps):
+            np.fft.fftn(psi, out=psi)
+            psi *= kin
+            np.fft.ifftn(psi, out=psi)
+            if step < nsteps - 1:
+                psi *= full_kick
+        psi *= quantum._exp_phase(-0.5j * dt, v, hbar, kin)
+        out.append(psi.copy())
+    return out
+
+
+_KICK_SETUPS = [
+    (SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (64, 64)), [1.0, -0.5], [0.5, 0.2]),
+    (SpatialGrid(((-8.0, 8.0),) * 3, (16, 16, 16)), [1.0, -0.5, 0.3], [0.5, 0.2, -0.1]),
+]
+# unequal intervals: 17 and 34 steps of different lengths
+_KICK_TIMES = [0.0, 0.337, 1.001]
+
+
+def kick_system(grid, depth=0.5):
+    return QuantumSystem(1.0, grid, GaussianWellPotential(depth, 2.0, offset=1.0, ndim=grid.ndim))
+
+
 class TestMergedKicks:
-    @pytest.mark.parametrize(
-        "grid, center, momentum",
-        [
-            (SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (64, 64)), [1.0, -0.5], [0.5, 0.2]),
-            (SpatialGrid(((-8.0, 8.0),) * 3, (16, 16, 16)), [1.0, -0.5, 0.3], [0.5, 0.2, -0.1]),
-        ],
-    )
+    @pytest.mark.parametrize("grid, center, momentum", _KICK_SETUPS)
     def test_matches_two_half_kicks_per_step(self, grid, center, momentum):
-        # unequal intervals: 17 and 34 steps of different lengths
-        system = QuantumSystem(1.0, grid, GaussianWellPotential(0.5, 2.0, offset=1.0, ndim=grid.ndim))
+        system = kick_system(grid)
         psi0 = gaussian_packet(grid, center, 1.0, momentum=momentum)
-        times = [0.0, 0.337, 1.001]
-        got = propagate(system, psi0, CheckpointSchedule(times), dt_max=2e-2)
-        ref = reference_propagate(system, psi0, times, dt_max=2e-2)
+        got = propagate(system, psi0, CheckpointSchedule(_KICK_TIMES), dt_max=2e-2)
+        ref = reference_propagate(system, psi0, _KICK_TIMES, dt_max=2e-2)
         for snap, want in zip(got, ref):
             assert np.max(np.abs(snap.field.values - want)) < 1e-12
         assert np.array_equal(psi0.field.values, got[0].field.values)
+        # and every bit of the three-array propagation: the kick array holds
+        # a half kick, the full kick and the closing half kick in turn, in
+        # each of two intervals of different steps
+        want = three_array_propagate(system, psi0, _KICK_TIMES, dt_max=2e-2)
+        assert len(got) == len(want) == 3
+        for snap, w in zip(got, want):
+            assert np.array_equal(snap.field.values, w)
+
+    @pytest.mark.parametrize("grid, center, momentum", _KICK_SETUPS)
+    def test_threads_sharing_one_kinetic_factor(self, grid, center, momentum):
+        # two potentials propagated on two threads at once, with one
+        # read-only kinetic factor per step length between them
+        systems = [kick_system(grid, depth) for depth in (0.5, 0.8)]
+        psi0 = gaussian_packet(grid, center, 1.0, momentum=momentum)
+        schedule = CheckpointSchedule(_KICK_TIMES)
+        shared = quantum._kinetic_factors(systems[0], schedule, 2e-2)
+        assert len(shared) == 2
+        assert not any(kin.flags.writeable for kin in shared.values())
+        before = {dt: kin.copy() for dt, kin in shared.items()}
+        together = threading.Barrier(2, timeout=10.0)
+        got = [None, None]
+
+        def run(i):
+            together.wait()
+            got[i] = propagate(systems[i], psi0, schedule, dt_max=2e-2, _kinetic=shared)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+            assert not t.is_alive()
+        for system, snaps in zip(systems, got):
+            want = three_array_propagate(system, psi0, _KICK_TIMES, dt_max=2e-2)
+            for snap, w in zip(snaps, want):
+                assert np.array_equal(snap.field.values, w)
+        for dt, kin in shared.items():
+            assert np.array_equal(kin, before[dt])
 
 
 class TestWorkArrays:
@@ -388,10 +458,11 @@ class TestDecayExecutors:
     def test_rows_match_one_propagation_at_a_time(self, executors, monkeypatch):
         system, scratched, psi0, schedule, reference = decay_setup()
         want = reference_decay_rows(system, scratched, psi0, schedule, reference, 1e-2)
-        callers = []
+        callers, kinetics = [], []
 
         def recording_propagate(*args, **kwargs):
             callers.append(threading.current_thread())
+            kinetics.append(kwargs["_kinetic"])
             return propagate(*args, **kwargs)
 
         monkeypatch.setattr(quantum, "propagate", recording_propagate)
@@ -399,6 +470,9 @@ class TestDecayExecutors:
         rows = scratch_insensitivity(system, scratched, psi0, schedule, reference, dt_max=1e-2)
         assert rows == want
         assert len(callers) == 3
+        # one read-only kinetic factor for every propagation
+        assert all(kin is kinetics[0] for kin in kinetics)
+        assert [kin.flags.writeable for kin in kinetics[0].values()] == [False]
         if executors == 1:  # no thread starts
             assert set(callers) == {threading.current_thread()}
 
@@ -562,11 +636,48 @@ class TestDecayExecutors:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_one_executor_per_usable_cpu(self, monkeypatch):
+    def test_one_executor_per_lambda_up_to_two_per_cpu(self, monkeypatch):
         monkeypatch.setattr(quantum.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert [quantum._decay_executors(n) for n in (1, 2, 3)] == [1, 2, 2]
+        assert [quantum._decay_executors(n) for n in (1, 2, 3, 4, 5)] == [1, 2, 3, 4, 4]
+        # one CPU: taking turns gains nothing
         monkeypatch.setattr(quantum.os, "sched_getaffinity", lambda pid: {3})
-        assert quantum._decay_executors(3) == 1
+        assert [quantum._decay_executors(n) for n in (1, 3)] == [1, 1]
+
+    def test_fifty_lambdas_on_two_cpus_run_four_at_a_time(self, monkeypatch):
+        # the executor rule itself, not a stub of it: 50 stubbed lambdas on
+        # two CPUs have three helper threads and the caller, never more
+        monkeypatch.setattr(quantum.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        threads = threading.enumerate()
+        g = grid2d(8, 8.0)
+        base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
+        system = QuantumSystem(1.0, g, base)
+        curve = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
+        lams = [float(k) for k in range(1, 51)]
+        scratched = [ScratchedPotential(base, [curve], lam) for lam in lams]
+        zero = Wavefunction(ComplexField(g, np.zeros(g.shape)), 0.0)
+        lock = threading.Lock()
+        running, most, helpers = [0], [0], []
+
+        def constant_propagate(lam_system, psi0, schedule, **kwargs):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+                helpers.append(sum(t.name.startswith("decay") for t in threading.enumerate()))
+            time.sleep(1e-3)  # so that propagations overlap
+            with lock:
+                running[0] -= 1
+            values = np.full(g.shape, lam_system.potential.values.flat[0] + 0j)
+            return [Wavefunction(ComplexField(g, values), schedule.t_final)]
+
+        monkeypatch.setattr(ScratchedPotential, "sample", lambda sp, grid: np.full(grid.shape, sp.lam))
+        monkeypatch.setattr(quantum, "propagate", constant_propagate)
+        monkeypatch.setattr(quantum, "tube_l1_difference", lambda base, curve, lam: 1.0 / lam)
+        rows = scratch_insensitivity(system, scratched, zero, CheckpointSchedule([0.0, 0.1]), zero)
+        assert threading.enumerate() == threads
+        assert [row["lambda"] for row in rows] == lams
+        assert len(helpers) == 50
+        assert 1 <= max(helpers) <= 3
+        assert 1 <= most[0] <= 4
 
 
 def _transverse_frame(tangent):
