@@ -95,7 +95,6 @@ class RationalApproximation:
     numerators: tuple[tuple[int, ...], ...]
     error_bound: float  # certified value 1/(q * Q^(1/(nK))), `problem.bound(q)`
     repair_penalty: float = 0.0  # total |q*alpha - a| added by constraint repair
-    zero_numerators: tuple[tuple[int, int], ...] = ()  # (group, index) with a == 0
 
 
 @dataclass(frozen=True)
@@ -201,18 +200,11 @@ def solve(problem: ApproximationProblem) -> RationalApproximation:
             numerators, penalty = got
             if not _bound_holds(problem, int(q), numerators):
                 continue
-            zeros = tuple(
-                (r + 1, j + 1)
-                for r, grp in enumerate(numerators)
-                for j, a in enumerate(grp)
-                if a == 0
-            )
             return RationalApproximation(
                 q=int(q),
                 numerators=tuple(tuple(grp) for grp in numerators),
                 error_bound=float(problem.bound(int(q))),
                 repair_penalty=penalty,
-                zero_numerators=zeros,
             )
     raise DiophantineError(
         "no denominator q <= Q certifies; the lemma guarantees existence, "

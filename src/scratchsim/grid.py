@@ -74,10 +74,6 @@ class SpatialGrid:
         return float(np.prod(self.spacing))
 
     @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
-
-    @property
     def lo(self) -> np.ndarray:
         return np.array([b[0] for b in self.bounds])
 

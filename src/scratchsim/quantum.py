@@ -142,6 +142,7 @@ def gaussian_packet(
 
 
 _ALIGN = 64  # bytes; a step's speed depends on where its work arrays start
+_NORM_TOL = 1e-8  # the largest norm drift a propagation may end an interval with
 
 
 def _aligned_empty(shape) -> np.ndarray:
@@ -221,7 +222,6 @@ def propagate(
     psi0: Wavefunction,
     schedule: CheckpointSchedule,
     dt_max: float = 5e-3,
-    norm_tol: float = 1e-8,
     edge_eps: float = 1e-6,
     *,
     _kinetic: dict[float, np.ndarray] | None = None,
@@ -230,8 +230,8 @@ def propagate(
     checkpoint (the first checkpoint is psi0 itself, retimed).
 
     Each interval takes `schedule.steps(dt_max)` equal steps, so snapshots
-    land exactly on checkpoints. Raises unless the norm drift is below
-    norm_tol; warns when edge density exceeds edge_eps.
+    land exactly on checkpoints. Raises unless the norm drift at every
+    checkpoint is below _NORM_TOL; warns when edge density exceeds edge_eps.
 
     The propagation works in two arrays of its own, the wavefunction and the
     kick. `_kinetic` maps each step length to its kinetic factor, as
@@ -263,9 +263,9 @@ def propagate(
         # the last snapshot keeps the work array
         snap = Wavefunction(ComplexField(g, psi if i == last else psi.copy()), float(t2))
         drift = abs(_mass(psi) * g.cell_volume - 1.0)
-        if not drift < norm_tol:  # a nan drift fails too
+        if not drift < _NORM_TOL:  # a nan drift fails too
             raise NumericalStabilityError(
-                f"norm drift {drift:.3e} not below {norm_tol:.1e} at t={t2}"
+                f"norm drift {drift:.3e} not below {_NORM_TOL:.1e} at t={t2}"
             )
         if edge_density(snap.field) > edge_eps:
             warnings.warn(

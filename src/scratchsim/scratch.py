@@ -110,15 +110,16 @@ class TangentialPotential(HermiteSpline):
 
 
 class ScratchedPotential:
-    """Base potential with N scratches and optional tangential potentials.
+    """Base potential with N scratches of one kind, all lines or all splines,
+    and either a tangential potential on every scratch or on none.
 
     `eval` works on flat arrays of the (scratch, point) pairs inside tubes,
-    not on dense scratch x point arrays: the straight scratches are projected
-    onto every point in one pass, the spline scratches onto the points in
-    their boxes grown by the tube radius (`SplineFamily.near`), and a pair
-    outside its tube, whose factor is exactly 1 and whose terms vanish, is
-    dropped. `np.multiply.at` and `np.add.at` apply each point's terms in
-    scratch order, as a sum over every scratch would, so no value changes.
+    not on dense scratch x point arrays: straight scratches are projected
+    onto every point in one pass, spline scratches onto the points in their
+    boxes grown by the tube radius (`SplineFamily.near`), and a pair outside
+    its tube, whose factor is exactly 1 and whose terms vanish, is dropped.
+    `np.multiply.at` and `np.add.at` apply each point's terms in scratch
+    order, as a sum over every scratch would, so no value changes.
     """
 
     def __init__(
@@ -126,8 +127,11 @@ class ScratchedPotential:
         base,
         curves,
         lam: float,
-        tangential: list[TangentialPotential | None] | None = None,
+        tangential: list[TangentialPotential] | None = None,
     ):
+        """`curves` are all `SegmentCurve`s or all `SplineCurve`s, projected
+        together by one `SegmentFamily` or `SplineFamily`; `tangential` is
+        None or one drive per scratch."""
         if lam <= 0:
             raise ScratchError("lambda must be positive")
         self.base = base
@@ -136,44 +140,24 @@ class ScratchedPotential:
         # (relative error below e^-40)
         self.tube_radius = float(np.sqrt(40.0 / self.lam))
         self.profiles = [ScratchProfile(c, self.tube_radius) for c in curves]
+        kinds = {p.curve.kind for p in self.profiles}
+        if len(kinds) > 1:
+            raise ScratchError("scratches must be all lines or all splines")
         if tangential is None:
             tangential = [None] * len(self.profiles)
-        if len(tangential) != len(self.profiles):
-            raise ScratchError("one tangential potential slot per scratch required")
+        elif len(tangential) != len(self.profiles) or any(v is None for v in tangential):
+            raise ScratchError("one tangential potential per scratch required, or none")
         self.tangential = tangential
         self._snap_f = np.array([p.snap_f for p in self.profiles])
-        lines = [l for l, p in enumerate(self.profiles) if p.curve.kind == "line"]
-        splines = [l for l, p in enumerate(self.profiles) if p.curve.kind != "line"]
-        self._segments = None
-        if lines:
-            line_profiles = [self.profiles[l] for l in lines]
-            self._segments = SegmentFamily(
-                [p.curve for p in line_profiles],
-                [-p.extension for p in line_profiles],
-                [1.0 + p.extension for p in line_profiles],
-            )
-            self._lines = np.array(lines)
-            self._line_snap = self._snap_f[self._lines, None]
-            self._line_own = (np.arange(len(lines)), self._lines)
+        ends = ([-p.extension for p in self.profiles], [1.0 + p.extension for p in self.profiles])
+        curves = [p.curve for p in self.profiles]
+        self._segments = self._family = None
+        if kinds == {"line"}:
+            self._segments = SegmentFamily(curves, *ends)
             # a line's -g' = c'.c' - r.c'' is c'.c', as its c'' is 0
             self._line_ngp = np.einsum("ij,ij->i", self._segments.d, self._segments.d)
-        self._family = None
-        if splines:
-            spline_profiles = [self.profiles[l] for l in splines]
-            self._family = SplineFamily(
-                [p.curve for p in spline_profiles],
-                [-p.extension for p in spline_profiles],
-                [1.0 + p.extension for p in spline_profiles],
-                reach=self.tube_radius,
-            )
-            self._splines = np.array(splines)
-            self._spline_snap = self._snap_f[self._splines]
-            self._spline_own = (np.arange(len(splines)), self._splines)
-        self._drives = np.array([l for l, v in enumerate(tangential) if v is not None], dtype=int)
-        # with every scratch driven, every pair is a driven pair
-        self._driven = None
-        if self._drives.size < len(self.profiles):
-            self._driven = np.array([v is not None for v in tangential], dtype=bool)
+        elif kinds:
+            self._family = SplineFamily(curves, *ends, reach=self.tube_radius)
 
     @property
     def num_scratches(self) -> int:
@@ -187,69 +171,58 @@ class ScratchedPotential:
         derivative c'(s), each (P, D), and -g' = c'.c' - r.c'' (P,), all as
         the projection computed them.
 
-        Every line pair is projected, and every spline pair whose point is in
-        the scratch's box; with `own_f` also point l onto scratch l, whose f
-        entry l receives. `s_warm` (N, M), if given, holds a start for each
-        spline pair's Newton iteration (nan for none) and receives the
-        parameters found, nan for the spline pairs not projected.
+        Lines are projected onto every point, splines onto the points in
+        their boxes; with `own_f` also point l onto scratch l, whose f entry
+        l receives. `s_warm` (N, M), if given, holds a start for each spline
+        pair's Newton iteration (nan for none) and receives the parameters
+        found, nan for the spline pairs not projected.
         """
         R2 = self.tube_radius**2
-        parts = []
         if self._segments is not None:
             s, r, f = self._segments.project(points)
-            f[f < self._line_snap] = 0.0
+            f[f < self._snap_f[:, None]] = 0.0
             if own_f is not None:
-                own_f[self._lines] = f[self._line_own]
+                own_f[:] = f.diagonal()
             if s_warm is not None:
-                s_warm[self._lines] = s
-            k, m = (f <= R2).nonzero()
-            part = [self._lines.take(k), m, s[k, m], f[k, m]]
+                s_warm[:] = s
+            l, m = (f <= R2).nonzero()
+            pairs = [l, m, s[l, m], f[l, m]]
             if geometry:
-                part += [r[k, :, m], self._segments.d.take(k, 0), self._line_ngp.take(k)]
-            parts.append(part)
-        if self._family is not None:
-            near = self._family.near(points)
-            if own_f is not None:
-                near[self._spline_own] = True
-            k, m = near.nonzero()
-            l = self._splines.take(k)
-            start = None if s_warm is None else s_warm[l, m]
-            s, f, (_, dc, _), r, ngp = self._family.locate(points, (k, m), start)
-            f[f < self._spline_snap.take(k)] = 0.0
-            if own_f is not None:
-                own_f[self._splines] = f[l == m]
-            if s_warm is not None:
-                s_warm[self._splines] = np.nan
-                s_warm[l, m] = s
-            part = [l, m, s, f, r, dc, ngp] if geometry else [l, m, s, f]
-            inside = f <= R2
-            if np.count_nonzero(inside) < inside.size:
-                i = inside.nonzero()[0]
-                part = [a.take(i, 0) for a in part]
-            parts.append(part)
-        if len(parts) == 1:
-            return parts[0]
-        order = np.concatenate([p[0] * len(points) + p[1] for p in parts]).argsort()
-        return [np.concatenate(a).take(order, 0) for a in zip(*parts)]
+                pairs += [r[l, :, m], self._segments.d.take(l, 0), self._line_ngp.take(l)]
+            return pairs
+        near = self._family.near(points)
+        if own_f is not None:
+            np.fill_diagonal(near, True)
+        l, m = near.nonzero()
+        start = None if s_warm is None else s_warm[l, m]
+        s, f, (_, dc, _), r, ngp = self._family.locate(points, (l, m), start)
+        f[f < self._snap_f.take(l)] = 0.0
+        if own_f is not None:
+            own_f[:] = f[l == m]
+        if s_warm is not None:
+            s_warm[:] = np.nan
+            s_warm[l, m] = s
+        pairs = [l, m, s, f, r, dc, ngp] if geometry else [l, m, s, f]
+        inside = f <= R2
+        if np.count_nonzero(inside) < inside.size:
+            i = inside.nonzero()[0]
+            pairs = [a.take(i, 0) for a in pairs]
+        return pairs
 
     def _drive(self, l, s):
-        """V_l(s) and V_l'(s) of the driven pairs' scratches l, sorted, at
-        their parameters s, each (P,): one jet per driven scratch."""
-        if self._drives.size == 1:
-            return self.tangential[self._drives[0]].jet(s, 1)
-        cuts = l.searchsorted(self._drives).tolist() + [s.size]
-        jets = [
-            self.tangential[k].jet(s[a:b], 1)
-            for k, a, b in zip(self._drives, cuts, cuts[1:])
-            if a < b
-        ]
+        """V_l(s) and V_l'(s) of the pairs' scratches l, sorted, at their
+        parameters s, each (P,): one jet per scratch."""
+        if len(self.tangential) == 1:
+            return self.tangential[0].jet(s, 1)
+        cuts = l.searchsorted(np.arange(len(self.tangential))).tolist() + [s.size]
+        jets = [v.jet(s[a:b], 1) for v, a, b in zip(self.tangential, cuts, cuts[1:]) if a < b]
         return [np.concatenate(part) for part in zip(*jets)]
 
     def _value(self, points: np.ndarray, u: np.ndarray, own_f=None, s_warm=None, geometry=False):
         """The scratched value over the base values u, with what the gradient
         reuses: (value, (pairs, e, one_minus, prod_all, drive)), `pairs` from
-        `_pairs` and, if a pair is driven, drive = (d, m, e, V_l(s), V_l'(s))
-        on the driven pairs, which d indexes among the pairs."""
+        `_pairs` and, if the scratches are driven and a pair is inside a
+        tube, drive = (V_l(s), V_l'(s)) on the pairs."""
         pairs = self._pairs(points, own_f, s_warm, geometry)
         l, m, s, f = pairs[:4]
         e = np.exp(-self.lam * f)
@@ -258,14 +231,9 @@ class ScratchedPotential:
         np.multiply.at(prod_all, m, one_minus)
         value = u * prod_all
         drive = None
-        if self._drives.size:
-            d = slice(None) if self._driven is None else self._driven.take(l).nonzero()[0]
-            sd = s[d]
-            if sd.size:
-                md, ed = m[d], e[d]
-                v, dv = self._drive(l[d], sd)
-                np.add.at(value, md, v * ed)
-                drive = (d, md, ed, v, dv)
+        if self.tangential[0] is not None and s.size:
+            drive = self._drive(l, s)
+            np.add.at(value, m, drive[0] * e)
         return value, (pairs, e, one_minus, prod_all, drive)
 
     def eval(self, points: np.ndarray, *, own_f: np.ndarray | None = None, s_warm=None):
@@ -294,24 +262,23 @@ class ScratchedPotential:
         prod_others = prod_all.take(m)
         np.divide(prod_others, one_minus, out=prod_others, where=one_minus > 1e-300)
         # product rule on every factor 1 - e^{-lam f_l}, with grad f_l = 2 r_l,
-        # then per driven pair + e V' grad(sigma), grad(sigma) = c' / -g', and
-        # - lam V e 2 r: the same additions in the same order as one sum
+        # then, if driven, per pair + e V' grad(sigma), grad(sigma) = c' / -g',
+        # and - lam V e 2 r: the same additions in the same order as one sum
         grad = grad_u * prod_all[:, None]
         coef = (u * self.lam).take(m) * e
         coef *= prod_others
         two_r = r * 2.0
         np.add.at(grad, m, two_r * coef[:, None])
         if drive is not None:
-            d, md, ed, v, dv = drive
-            denom = ngp[d]
-            denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
-            kick = dc[d] / denom[:, None]
+            v, dv = drive
+            denom = np.where(np.abs(ngp) < 1e-12, 1e-12, ngp)
+            kick = dc / denom[:, None]
             kick *= dv[:, None]
-            kick *= ed[:, None]
-            pull = two_r[d] * (-self.lam * v * ed)[:, None]
-            # each driven pair's kick, then its pull
+            kick *= e[:, None]
+            pull = two_r * (-self.lam * v * e)[:, None]
+            # each pair's kick, then its pull
             kicks = np.concatenate((kick, pull), axis=1).reshape(-1, r.shape[1])
-            np.add.at(grad, md.repeat(2), kicks)
+            np.add.at(grad, m.repeat(2), kicks)
         return value, grad
 
     def value(self, points: np.ndarray) -> np.ndarray:

@@ -110,6 +110,22 @@ class TestConstruction:
         with pytest.raises(ScratchError):
             ScratchedPotential(base, [c], lam=100.0, tangential=[None, None])
 
+    def test_one_kind_of_curve(self):
+        base = HarmonicPotential(1.0)
+        line = SegmentCurve([-2.0, -1.0, 0.0], [2.0, -0.5, 1.0])
+        for curves in ([line, spline3d()], [spline3d(), line]):
+            with pytest.raises(ScratchError, match="all lines or all splines"):
+                ScratchedPotential(base, curves, lam=100.0)
+
+    def test_every_scratch_driven_or_none(self):
+        base = HarmonicPotential(1.0)
+        curves = [SegmentCurve([0.0, 0.0], [1.0, 0.0]), SegmentCurve([0.0, 1.0], [1.0, 1.0])]
+        cond = TimingConditions([0.0, 1.0], [0.0, 1.0], [1.0, 1.0])
+        drive = construct_tangential_potential(curves[0], cond, 1.0, num_samples=101)
+        for tangential in ([drive, None], [None, drive], [None, None]):
+            with pytest.raises(ScratchError, match="per scratch"):
+                ScratchedPotential(base, curves, lam=100.0, tangential=tangential)
+
 
 class TestPlainForm:
     def test_on_curve_value_and_gradient_vanish(self):
@@ -347,7 +363,7 @@ class TestAllScratchEval:
             construct_tangential_potential(c, TimingConditions(times, [0.0, 1.0], [0.8, 1.1]), 1.0)
             for c in curves
         ]
-        for tang in ([None, None], tangential):
+        for tang in (None, tangential):
             sp = ScratchedPotential(base, curves, lam=1e3, tangential=tang)
             r = sp.tube_radius
             pts = np.array([[0.1 * r, 0.05 * r], [0.0, 0.3 * r], [-0.2 * r, 0.1 * r]])
@@ -486,19 +502,19 @@ def assert_is_dense(sp, points, s_start=None):
     return want_s
 
 
-def mixed_scratches(rng, lam=30.0):
-    """Driven and undriven splines and lines in D = 3, interleaved."""
+def one_family_scratches(rng, lam=30.0):
+    """Three scratches in D = 3 in each kind of family a potential holds:
+    driven splines, undriven splines, driven lines and undriven lines."""
     splines = driven_splines(3, rng, lam=lam)
     lines = [SegmentCurve(*rng.uniform(-3.0, 3.0, (2, 3))) for _ in range(3)]
     cond = TimingConditions([0.0, 2.0], [0.0, 1.0], [0.4, 0.6])
-    drive = construct_tangential_potential(lines[0], cond, 1.0, num_samples=2001)
-    sp = [p.curve for p in splines.profiles]
-    return ScratchedPotential(
-        splines.base,
-        [lines[0], sp[0], lines[1], sp[1], sp[2], lines[2]],
-        lam=lam,
-        tangential=[drive, splines.tangential[0], None, None, splines.tangential[2], None],
-    )
+    drives = [construct_tangential_potential(c, cond, 1.0, num_samples=2001) for c in lines]
+    return [
+        splines,
+        ScratchedPotential(splines.base, [p.curve for p in splines.profiles], lam=lam),
+        ScratchedPotential(splines.base, lines, lam=lam, tangential=drives),
+        ScratchedPotential(splines.base, lines, lam=lam),
+    ]
 
 
 class TestPairsAreTheDenseEval:
@@ -563,29 +579,29 @@ class TestPairsAreTheDenseEval:
 
     def test_driven_and_undriven_lines_and_splines(self):
         rng = np.random.default_rng(64)
-        sp = mixed_scratches(rng)
-        s = rng.uniform(0.0, 1.0, 200)
-        on_curves = np.concatenate([p.curve(s) for p in sp.profiles])
-        pts = np.concatenate(
-            [on_curves + rng.normal(0.0, 0.2, on_curves.shape), rng.uniform(-4.0, 4.0, (500, 3))]
-        )
-        assert_is_dense(sp, pts)
-        near = np.array([p.curve(np.array([t]))[0] for p, t in zip(sp.profiles, s)])
-        found = assert_is_dense(sp, near + rng.normal(0.0, 0.05, near.shape))
-        assert_is_dense(sp, near, found)
         g = SpatialGrid(((-4.0, 4.0),) * 3, (14, 15, 16))
-        assert np.array_equal(sp.sample(g).ravel(), dense_eval(sp, g.points())[0])
+        for sp in one_family_scratches(rng):
+            s = rng.uniform(0.0, 1.0, 200)
+            on_curves = np.concatenate([p.curve(s) for p in sp.profiles])
+            pts = np.concatenate(
+                [on_curves + rng.normal(0.0, 0.2, on_curves.shape), rng.uniform(-4.0, 4.0, (500, 3))]
+            )
+            assert_is_dense(sp, pts)
+            near = np.array([p.curve(np.array([t]))[0] for p, t in zip(sp.profiles, s)])
+            found = assert_is_dense(sp, near + rng.normal(0.0, 0.05, near.shape))
+            assert_is_dense(sp, near, found)
+            assert np.array_equal(sp.sample(g).ravel(), dense_eval(sp, g.points())[0])
 
     def test_more_points_than_scratches_and_fewer(self):
         rng = np.random.default_rng(65)
-        sp = mixed_scratches(rng, lam=100.0)
-        s = rng.uniform(0.0, 1.0, 3)
-        for pts in (
-            np.concatenate([p.curve(s) for p in sp.profiles]),  # M = 3 N
-            np.stack([p.curve(s[:1])[0] for p in sp.profiles[:4]]),  # M < N
-            sp.profiles[1].curve(s[:1]),  # one point
-        ):
-            assert_is_dense(sp, pts + rng.normal(0.0, 0.1, pts.shape))
+        for sp in one_family_scratches(rng, lam=100.0):
+            s = rng.uniform(0.0, 1.0, 3)
+            for pts in (
+                np.concatenate([p.curve(s) for p in sp.profiles]),  # M = 3 N
+                np.stack([p.curve(s[:1])[0] for p in sp.profiles[:2]]),  # M < N
+                sp.profiles[1].curve(s[:1]),  # one point
+            ):
+                assert_is_dense(sp, pts + rng.normal(0.0, 0.1, pts.shape))
 
 
 class TestPairsRunTheDenseTrajectory:
@@ -696,24 +712,15 @@ class TestSampleBlocks:
         assert np.array_equal(out, sp.eval(g.points())[0].reshape(g.shape))
 
     def test_value_is_the_value_of_eval(self):
-        # lines, a driven line and driven splines, with points in and out of
+        # driven and undriven splines and lines, with points in and out of
         # the tubes: `value` skips the gradient and changes no bit
         rng = np.random.default_rng(27)
-        splines = driven_splines(2, rng, lam=30.0)
-        lines = [SegmentCurve(*rng.uniform(-3.0, 3.0, (2, 3))) for _ in range(3)]
-        cond = TimingConditions([0.0, 2.0], [0.0, 1.0], [0.4, 0.6])
-        drive = construct_tangential_potential(lines[0], cond, 1.0, num_samples=2001)
-        sp = ScratchedPotential(
-            splines.base,
-            [p.curve for p in splines.profiles] + lines,
-            lam=30.0,
-            tangential=splines.tangential + [drive, None, None],
-        )
-        s = rng.uniform(0.0, 1.0, 200)
-        on_curves = np.concatenate([p.curve(s) for p in sp.profiles])
-        pts = np.concatenate([on_curves + rng.normal(0.0, 0.2, on_curves.shape),
-                              rng.uniform(-4.0, 4.0, (500, 3))])
-        assert np.array_equal(sp.value(pts), sp.eval(pts)[0])
+        for sp in one_family_scratches(rng):
+            s = rng.uniform(0.0, 1.0, 200)
+            on_curves = np.concatenate([p.curve(s) for p in sp.profiles])
+            pts = np.concatenate([on_curves + rng.normal(0.0, 0.2, on_curves.shape),
+                                  rng.uniform(-4.0, 4.0, (500, 3))])
+            assert np.array_equal(sp.value(pts), sp.eval(pts)[0])
         no_scratches = ScratchedPotential(sp.base, [], lam=30.0)
         assert np.array_equal(no_scratches.value(pts), sp.base.value(pts))
 
