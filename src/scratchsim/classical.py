@@ -94,7 +94,7 @@ def initialize_on_scratches(
     return ClassicalEnsemble(q, p, mass)
 
 
-def stable_timestep(lam: float, u_max: float, mass: float, safety: float = 20.0) -> float:
+def stable_timestep(lam: float, u_max: float, mass: float, safety: float) -> float:
     """Resolve the transverse tube frequency: dt = 2*pi/(safety * omega).
 
     A first guess only: it ignores the tangential drive, the speed and the

@@ -219,7 +219,7 @@ class ExperimentConfig:
                 raise ValidationError("full mode needs D = 3")
             if self.momentum_partition is None and not self.position_only:
                 raise ValidationError("full mode needs a momentum partition")
-            if np.min(pot.sample(g).values) <= 0.0:
+            if np.min(pot.sample(g)) <= 0.0:
                 raise ValidationError("full mode needs U > 0 everywhere on the grid")
         # G groups of n probabilities are approximated; Q must exceed n^(nG)
         G = 2 * K if self.constrains_momentum else K
@@ -428,15 +428,15 @@ def _integrate_with_retries(
     raise StageError("classical", last, f"attempts (dt, drift): {tried}; {stop}") from last
 
 
-def _probability_tables(snaps, pos_part, mom_part, hbar):
+def _probability_tables(system, snaps, pos_part, mom_part):
     """Per-checkpoint raw P_k (and P-tilde_k) with their norm gaps."""
     pos, mom, gaps = [], [], []
     for snap in snaps:
-        p = quantum.occupation_probabilities(snap, pos_part, "position")
+        p = quantum.occupation_probabilities(system, snap, pos_part, "position")
         gaps.append(abs(float(p.sum()) - 1.0))
         pos.append(p)
         if mom_part is not None:
-            pt = quantum.occupation_probabilities(snap, mom_part, "momentum", hbar)
+            pt = quantum.occupation_probabilities(system, snap, mom_part, "momentum")
             gaps.append(abs(float(pt.sum()) - 1.0))
             mom.append(pt)
     return pos, mom, max(gaps)
@@ -538,7 +538,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
         )
         pos_part, mom_part = config.build_partitions(g)
         probs_pos, probs_mom, norm_gap = _probability_tables(
-            snaps, pos_part, mom_part if constrained else None, config.hbar
+            system, snaps, pos_part, mom_part if constrained else None
         )
 
     with _stage("diophantine"):
@@ -636,7 +636,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
             for r in rows
         ),
         "plan_realized": plan_realized,
-        "no_collisions": min_dist > plan.delta_path / 2 or N == 1,
+        "no_collisions": min_dist > plan.delta_path / 2,
         "insensitivity_decay": all(
             b["l1_potential"] <= 1.05 * a["l1_potential"]
             for a, b in zip(decay, decay[1:])

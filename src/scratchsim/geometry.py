@@ -213,9 +213,6 @@ class HermiteSpline:
     def deriv(self, t):
         return self.jet(t)[1]
 
-    def deriv2(self, t):
-        return self.jet(t)[2]
-
 
 class SegmentFamily:
     """Straight segments stacked for projection in one pass.

@@ -1,9 +1,11 @@
-"""Grids, region partitions, fields, and the Fourier dual.
+"""Grids, region partitions, region integrals and the Fourier dual.
 
 Positions live on a D-dimensional (D in {2, 3}) cell-centered rectangular
 grid; the momentum dual has spacing 2*pi*hbar / (axis length) per axis.
 Region membership over a partition is deterministic: on shared boundaries
-the lowest region label wins.
+the lowest region label wins. Values on a grid are plain numpy arrays
+shaped like the grid; the functions that read them take the grid beside
+them.
 """
 
 from __future__ import annotations
@@ -231,57 +233,29 @@ def momentum_half_spaces(ndim: int, axis: int = 0, split: float = 0.0) -> Region
     return RegionPartition([Box(lo1, hi1), Box(lo2, hi2)])
 
 
-@dataclass
-class ScalarField:
-    grid: SpatialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.grid.shape:
-            raise GridError(
-                f"field shape {self.values.shape} != grid shape {self.grid.shape}"
-            )
-
-
-@dataclass
-class ComplexField:
-    grid: SpatialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != self.grid.shape:
-            raise GridError(
-                f"field shape {self.values.shape} != grid shape {self.grid.shape}"
-            )
-
-
-def integrate_regions(field: ScalarField, partition: RegionPartition) -> np.ndarray:
-    """Midpoint-rule integral over the grid points of each region, labels
-    1..n in order, labelling the grid once. The integrals sum to the
-    whole-grid integral, since the label map partitions the grid points."""
-    labels = partition.label_grid(field.grid)
+def integrate_regions(values: np.ndarray, grid: SpatialGrid, partition: RegionPartition) -> np.ndarray:
+    """Midpoint-rule integral of `values`, shaped like the grid, over the
+    grid points of each region, labels 1..n in order, labelling the grid
+    once. The integrals sum to the whole-grid integral, since the label map
+    partitions the grid points."""
+    labels = partition.label_grid(grid)
     return np.array(
-        [
-            float(np.sum(field.values[labels == k]) * field.grid.cell_volume)
-            for k in range(1, partition.n + 1)
-        ]
+        [float(np.sum(values[labels == k]) * grid.cell_volume) for k in range(1, partition.n + 1)]
     )
 
 
-def fourier_forward(f: ComplexField, hbar: float = 1.0) -> ComplexField:
-    """Continuum-normalized transform to the momentum representation.
+def fourier_forward(values: np.ndarray, grid: SpatialGrid, hbar: float) -> np.ndarray:
+    """Continuum-normalized transform of `values`, shaped like the grid, to
+    the momentum representation.
 
-    Output samples live on grid.momentum_grid(hbar) (monotone, cell-centered).
-    Unitary in the L2 sense: sum |Phi|^2 dp^D == sum |Psi|^2 dq^D exactly.
+    The output samples live on grid.momentum_grid(hbar) (monotone,
+    cell-centered). Unitary in the L2 sense: sum |Phi|^2 dp^D == sum |Psi|^2
+    dq^D exactly.
     """
-    g = f.grid
-    spec = np.fft.fftn(f.values)
-    pref = g.cell_volume / (2.0 * np.pi * hbar) ** (g.ndim / 2.0)
-    phase = _corner_phase(g, hbar)
-    out = np.fft.fftshift(pref * phase * spec)
-    return ComplexField(g.momentum_grid(hbar), out)
+    spec = np.fft.fftn(values)
+    pref = grid.cell_volume / (2.0 * np.pi * hbar) ** (grid.ndim / 2.0)
+    phase = _corner_phase(grid, hbar)
+    return np.fft.fftshift(pref * phase * spec)
 
 
 def _corner_phase(g: SpatialGrid, hbar: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from scratchsim.grid import ScalarField, SpatialGrid, is_number
+from scratchsim.grid import SpatialGrid, is_number
 
 
 class PotentialError(ValueError):
@@ -48,8 +48,9 @@ class AnalyticPotential:
     def value_and_grad(self, points: np.ndarray):
         raise NotImplementedError
 
-    def sample(self, grid: SpatialGrid) -> ScalarField:
-        return ScalarField(grid, self.value(grid.points()).reshape(grid.shape))
+    def sample(self, grid: SpatialGrid) -> np.ndarray:
+        """The values at the grid points, shaped like the grid."""
+        return self.value(grid.points()).reshape(grid.shape)
 
     def max_on(self, grid: SpatialGrid) -> float:
         """The largest value on every fourth grid point, row-major."""

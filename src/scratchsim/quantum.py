@@ -1,5 +1,10 @@
 """Unitary evolution under H = p^2/2m + U and region-occupation statistics.
 
+A wavefunction and a sampled potential are plain numpy arrays shaped like
+the grid. The grid, the mass, hbar and the potential travel together in a
+`QuantumSystem`, and every function that needs the grid or hbar takes them
+from it.
+
 Strang-split spectral stepping (half potential kick, exact kinetic factor,
 half kick): norm-preserving by construction, second order in the step.
 The potential is static, as the paper's Hamiltonian is, so the two half
@@ -37,15 +42,12 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from scratchsim.grid import (
-    ComplexField,
     RegionPartition,
-    ScalarField,
     SpatialGrid,
     fourier_forward,
     integrate_regions,
     is_number,
 )
-from scratchsim.potentials import AnalyticPotential
 
 
 class QuantumError(ValueError):
@@ -107,28 +109,29 @@ def check_lambdas(lambdas) -> np.ndarray:
     return lambdas
 
 
+def _check_shape(what: str, values: np.ndarray, grid: SpatialGrid) -> None:
+    """Refuse values not shaped like the grid, which numpy would otherwise
+    broadcast into a grid-sized array without complaint."""
+    if np.shape(values) != grid.shape:
+        raise QuantumError(f"{what} shape {np.shape(values)} != grid shape {grid.shape}")
+
+
 @dataclass
 class QuantumSystem:
+    """The mass, the grid, the potential sampled on it and hbar."""
+
     mass: float
     grid: SpatialGrid
-    potential: AnalyticPotential | ScalarField
+    potential: np.ndarray
     hbar: float = 1.0
 
-    def potential_values(self) -> np.ndarray:
-        if isinstance(self.potential, ScalarField):
-            return self.potential.values
-        return self.potential.sample(self.grid).values
-
-
-@dataclass
-class Wavefunction:
-    field: ComplexField
-    t: float
+    def __post_init__(self):
+        _check_shape("potential", self.potential, self.grid)
 
 
 def gaussian_packet(
     grid: SpatialGrid, center, sigma: float, momentum=None, hbar: float = 1.0
-) -> Wavefunction:
+) -> np.ndarray:
     """Normalized Gaussian with amplitude width sigma and optional drift."""
     center = np.asarray(center, dtype=float)
     momentum = np.zeros(grid.ndim) if momentum is None else np.asarray(momentum, dtype=float)
@@ -138,7 +141,7 @@ def gaussian_packet(
     psi = np.exp(-r2 / (4.0 * sigma**2) + 1j * (pts @ momentum) / hbar)
     psi = psi.reshape(grid.shape)
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * grid.cell_volume)
-    return Wavefunction(ComplexField(grid, psi), t=0.0)
+    return psi
 
 
 _ALIGN = 64  # bytes; a step's speed depends on where its work arrays start
@@ -185,15 +188,15 @@ def _mass(values: np.ndarray) -> float:
     return float(np.einsum("i,i->", parts, parts))
 
 
-def edge_density(field: ComplexField) -> float:
-    """Probability mass in the outermost cell layer."""
-    v = field.values
+def edge_density(values: np.ndarray, grid: SpatialGrid) -> float:
+    """Probability mass of the wavefunction `values` in the grid's outermost
+    cell layer."""
     total = 0.0
-    for axis in range(v.ndim):
+    for axis in range(values.ndim):
         # the faces normal to this axis, without the cells on earlier faces
         inner = (slice(1, -1),) * axis
-        total += _mass(v[inner + (0,)]) + _mass(v[inner + (-1,)])
-    return total * field.grid.cell_volume
+        total += _mass(values[inner + (0,)]) + _mass(values[inner + (-1,)])
+    return total * grid.cell_volume
 
 
 def _step_lengths(schedule: CheckpointSchedule, dt_max: float) -> list[tuple[float, int]]:
@@ -219,15 +222,15 @@ def _kinetic_factors(
 
 def propagate(
     system: QuantumSystem,
-    psi0: Wavefunction,
+    psi0: np.ndarray,
     schedule: CheckpointSchedule,
     dt_max: float = 5e-3,
     edge_eps: float = 1e-6,
     *,
     _kinetic: dict[float, np.ndarray] | None = None,
-) -> list[Wavefunction]:
-    """Evolve psi0 through every checkpoint time; returns one snapshot per
-    checkpoint (the first checkpoint is psi0 itself, retimed).
+) -> list[np.ndarray]:
+    """Evolve psi0, shaped like the system's grid, through every checkpoint
+    time; returns one snapshot per checkpoint (the first is psi0 itself).
 
     Each interval takes `schedule.steps(dt_max)` equal steps, so snapshots
     land exactly on checkpoints. Raises unless the norm drift at every
@@ -239,13 +242,14 @@ def propagate(
     None the propagation computes its own.
     """
     times = schedule.times
-    g = psi0.field.grid
-    snapshots = [Wavefunction(psi0.field, float(times[0]))]
-    v = system.potential_values()
+    g = system.grid
+    _check_shape("psi0", psi0, g)
+    snapshots = [psi0]
+    v = system.potential
     hbar = system.hbar
     kinetic = _kinetic_factors(system, schedule, dt_max) if _kinetic is None else _kinetic
     psi, kick = _aligned_empty(g.shape), _aligned_empty(g.shape)
-    psi[...] = psi0.field.values
+    psi[...] = psi0
     last = len(times) - 2
     for i, (t2, (dt, nsteps)) in enumerate(zip(times[1:], _step_lengths(schedule, dt_max))):
         kin = kinetic[dt]
@@ -261,13 +265,13 @@ def propagate(
                 psi *= kick
         psi *= _exp_phase(-0.5j * dt, v, hbar, kick)  # the closing half kick
         # the last snapshot keeps the work array
-        snap = Wavefunction(ComplexField(g, psi if i == last else psi.copy()), float(t2))
+        snap = psi if i == last else psi.copy()
         drift = abs(_mass(psi) * g.cell_volume - 1.0)
         if not drift < _NORM_TOL:  # a nan drift fails too
             raise NumericalStabilityError(
                 f"norm drift {drift:.3e} not below {_NORM_TOL:.1e} at t={t2}"
             )
-        if edge_density(snap.field) > edge_eps:
+        if edge_density(snap, g) > edge_eps:
             warnings.warn(
                 f"edge density above {edge_eps:.1e} at t={t2}; motion may not be confined",
                 ConfinementWarning,
@@ -277,20 +281,21 @@ def propagate(
 
 
 def occupation_probabilities(
-    psi: Wavefunction,
+    system: QuantumSystem,
+    psi: np.ndarray,
     partition: RegionPartition,
     space: str = "position",
-    hbar: float = 1.0,
 ) -> np.ndarray:
-    """P_k (position) or P-tilde_k (momentum) for every region label."""
+    """P_k (position) or P-tilde_k (momentum) of psi, a wavefunction on the
+    system's grid, for every region label; the momentum grid is the
+    system's dual at its hbar."""
+    g = system.grid
     if space == "position":
-        rho = ScalarField(psi.field.grid, np.abs(psi.field.values) ** 2)
-    elif space == "momentum":
-        phi = fourier_forward(psi.field, hbar)
-        rho = ScalarField(phi.grid, np.abs(phi.values) ** 2)
-    else:
-        raise QuantumError(f"unknown space {space!r}")
-    return integrate_regions(rho, partition)
+        return integrate_regions(np.abs(psi) ** 2, g, partition)
+    if space == "momentum":
+        phi = fourier_forward(psi, g, system.hbar)
+        return integrate_regions(np.abs(phi) ** 2, g.momentum_grid(system.hbar), partition)
+    raise QuantumError(f"unknown space {space!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +397,9 @@ def _decay_executors(count: int) -> int:
 def scratch_insensitivity(
     system: QuantumSystem,
     scratched,
-    psi0: Wavefunction,
+    psi0: np.ndarray,
     schedule: CheckpointSchedule,
-    reference: Wavefunction,
+    reference: np.ndarray,
     dt_max: float = 5e-3,
     edge_eps: float = 1e-6,
 ) -> list[dict]:
@@ -424,7 +429,7 @@ def scratch_insensitivity(
     """
     g = system.grid
     hbar = system.hbar
-    u_plain = system.potential_values()
+    u_plain = system.potential
     fourier_norm = g.cell_volume / (2.0 * np.pi * hbar) ** g.ndim
     kinetic = _kinetic_factors(system, schedule, dt_max)
     samples, rows, futures = [], [], []
@@ -442,12 +447,12 @@ def scratch_insensitivity(
         if errors:
             return None
         try:
-            lam_system = QuantumSystem(system.mass, g, ScalarField(g, samples[i]), hbar)
+            lam_system = QuantumSystem(system.mass, g, samples[i], hbar)
             d = propagate(
                 lam_system, psi0, schedule, dt_max=dt_max, edge_eps=edge_eps, _kinetic=kinetic
-            )[-1].field.values
+            )[-1]
             # in place: the final wavefunction is this propagation's own
-            d -= reference.field.values
+            d -= reference
             a = np.abs(d)
             a *= a
             return float(np.sqrt(np.sum(a) * g.cell_volume))

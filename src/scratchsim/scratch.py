@@ -81,7 +81,8 @@ class TangentialPotential(HermiteSpline):
     s, continued linearly beyond the first and last sample (a slope
     discontinuity at the curve ends would break energy conservation for
     particles oscillating around a checkpoint there). The samples are kept
-    once, in the spline's table."""
+    once: s is `x`, and v and dv are the table's a0 and a1 rows past the
+    column below the first sample, `coef[3, 1:]` and `coef[2, 1:]`."""
 
     def __init__(self, s_samples: np.ndarray, v_samples: np.ndarray, dv_samples: np.ndarray):
         s = np.asarray(s_samples, dtype=float)
@@ -93,20 +94,6 @@ class TangentialPotential(HermiteSpline):
         ):
             raise ScratchError("need two or more finite values and slopes at strictly increasing s")
         super().__init__(s, v, dv)
-
-    @property
-    def s_samples(self) -> np.ndarray:
-        return self.x
-
-    @property
-    def v_samples(self) -> np.ndarray:
-        """The a0 row past the column below the first sample: each cubic's
-        left value, then the continuation's, the last value."""
-        return self.coef[3, 1:]
-
-    @property
-    def dv_samples(self) -> np.ndarray:
-        return self.coef[2, 1:]
 
 
 class ScratchedPotential:

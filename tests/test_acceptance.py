@@ -120,7 +120,7 @@ def test_criterion_4_quantum_insensitivity():
     """Tube L1 slope -(D-1)/2 and monotone wavefunction convergence."""
     g = SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (256, 256))
     base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
-    system = QuantumSystem(1.0, g, base)
+    system = QuantumSystem(1.0, g, base.sample(g))
     psi0 = gaussian_packet(g, [-1.0, 0.0], 1.2, momentum=[1.0, 0.3])
     schedule = CheckpointSchedule([0.0, 1.0])
     # one straight scratch kept away from the packet's path

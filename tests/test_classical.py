@@ -134,7 +134,7 @@ class TestIntegrate:
 
     def test_stable_timestep_scaling(self):
         assert np.isclose(
-            stable_timestep(400.0, 2.0, 2.0),
+            stable_timestep(400.0, 2.0, 2.0, safety=20.0),
             2.0 * np.pi / (20.0 * np.sqrt(400.0 * 2.0)),
         )
 
@@ -313,7 +313,7 @@ class TestEvaluationCount:
         schedule = CheckpointSchedule(times)
         sp = CountingPotential(ScratchedPotential(base, curves, lam=1e3))
         ens = initialize_on_scratches(curves, 1.0, schedule)
-        dt = stable_timestep(1e3, 1.0, 1.0)
+        dt = stable_timestep(1e3, 1.0, 1.0, safety=20.0)
         res = integrate(ens, sp, schedule, dt_max=dt, curves=curves)
         ref_log, steps = reference_energy_log(ens, sp.inner, times, dt)
         assert steps > 20 and steps % 10 != 0

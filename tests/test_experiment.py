@@ -735,6 +735,8 @@ class TestStrictJson:
         report = run_pipeline(ExperimentConfig.from_dict(d), out_dir=str(tmp_path))
         assert report.num_particles == 1
         assert report.diagnostics["min_pairwise_distance"] == math.inf
+        # no pair, so no collision: the criterion holds with no N = 1 case
+        assert report.criteria["no_collisions"] is True
         on_disk = json.loads((tmp_path / "report.json").read_text(), parse_constant=self.refuse)
         # null: no pair, so no finite distance
         assert on_disk["diagnostics"]["min_pairwise_distance"] is None

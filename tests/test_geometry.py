@@ -160,10 +160,9 @@ class TestSplineJet:
     def test_call_and_derivatives_are_parts_of_jet(self):
         c = random_spline(np.random.default_rng(1), 4)
         s = np.linspace(-0.3, 1.3, 17)
-        pos, d1, d2 = c.jet(s)
+        pos, d1, _ = c.jet(s)
         assert np.array_equal(c(s), pos)
         assert np.array_equal(c.deriv(s), d1)
-        assert np.array_equal(c.deriv2(s), d2)
         assert c(0.5).shape == (3,)
 
     def test_segment_jet(self):

@@ -66,7 +66,7 @@ def drift(*args, **kwargs):
 def test_the_decay_table_leaves_no_thread(fails, monkeypatch):
     g = SpatialGrid(((-8.0, 8.0), (-8.0, 8.0)), (32, 32))
     base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
-    system = quantum.QuantumSystem(1.0, g, base)
+    system = quantum.QuantumSystem(1.0, g, base.sample(g))
     psi0 = quantum.gaussian_packet(g, [-1.0, 0.0], 1.2, momentum=[1.0, 0.0])
     schedule = quantum.CheckpointSchedule([0.0, 0.1])
     reference = quantum.propagate(system, psi0, schedule, dt_max=1e-2)[-1]

@@ -15,9 +15,7 @@ import scratchsim.quantum as quantum
 from scratchsim.geometry import SegmentCurve, SplineCurve
 from scratchsim.grid import (
     Box,
-    ComplexField,
     RegionPartition,
-    ScalarField,
     SpatialGrid,
     half_planes,
     momentum_half_spaces,
@@ -28,7 +26,6 @@ from scratchsim.quantum import (
     NumericalStabilityError,
     QuantumError,
     QuantumSystem,
-    Wavefunction,
     _kinetic_factor,
     _transverse_frames,
     gaussian_packet,
@@ -44,10 +41,9 @@ def grid2d(n=128, half=10.0):
     return SpatialGrid(((-half, half), (-half, half)), (n, n))
 
 
-def density_std(psi: Wavefunction, axis: int = 0) -> float:
+def density_std(psi: np.ndarray, g: SpatialGrid, axis: int = 0) -> float:
     """Standard deviation of the position density along an axis."""
-    g = psi.field.grid
-    rho = np.abs(psi.field.values) ** 2 * g.cell_volume
+    rho = np.abs(psi) ** 2 * g.cell_volume
     q = g.meshgrid()[axis]
     mean = float(np.sum(rho * q))
     return float(np.sqrt(np.sum(rho * (q - mean) ** 2)))
@@ -79,81 +75,96 @@ class TestSchedule:
 class TestPropagation:
     def test_norm_preserved(self):
         g = grid2d()
-        system = QuantumSystem(1.0, g, HarmonicPotential(1.0))
+        system = QuantumSystem(1.0, g, HarmonicPotential(1.0).sample(g))
         psi0 = gaussian_packet(g, [0.5, 0.0], 1.0)
         snaps = propagate(system, psi0, CheckpointSchedule([0.0, 0.5, 1.0]))
         for s in snaps:
-            assert abs(norm_sq(s.field) - 1.0) < 1e-12
+            assert abs(norm_sq(s, g) - 1.0) < 1e-12
 
     def test_nan_norm_is_a_drift(self):
         g = grid2d(32)
-        system = QuantumSystem(1.0, g, HarmonicPotential(1.0))
-        psi0 = Wavefunction(ComplexField(g, np.full(g.shape, np.nan, dtype=complex)), 0.0)
+        system = QuantumSystem(1.0, g, HarmonicPotential(1.0).sample(g))
+        psi0 = np.full(g.shape, np.nan, dtype=complex)
         with pytest.raises(NumericalStabilityError):
             propagate(system, psi0, CheckpointSchedule([0.0, 0.1]))
+
+    def test_refuses_arrays_not_shaped_like_the_grid(self):
+        # numpy would broadcast a (256,) array into the 256^2 kick or
+        # wavefunction without complaint
+        g = grid2d(256)
+        with pytest.raises(QuantumError, match="potential shape"):
+            QuantumSystem(1.0, g, np.zeros(256))
+        system = QuantumSystem(1.0, g, np.zeros(g.shape))
+        with pytest.raises(QuantumError, match="psi0 shape"):
+            propagate(system, np.ones(256, dtype=complex), CheckpointSchedule([0.0, 0.1]))
 
     def test_free_packet_spreading(self):
         # amplitude width sigma: density std grows as
         # sigma(t) = sigma * sqrt(1 + (hbar t / (2 m sigma^2))^2)
         g = grid2d(256, 14.0)
         sigma = 1.0
-        system = QuantumSystem(1.0, g, ZeroPotential(2))
+        system = QuantumSystem(1.0, g, ZeroPotential(2).sample(g))
         psi0 = gaussian_packet(g, [0.0, 0.0], sigma)
         t = 2.0
         snaps = propagate(system, psi0, CheckpointSchedule([0.0, t]), dt_max=1e-2)
         expect = sigma * np.sqrt(1.0 + (t / (2.0 * sigma**2)) ** 2)
-        assert np.isclose(density_std(snaps[0]), sigma, rtol=1e-4)
-        assert np.isclose(density_std(snaps[-1]), expect, rtol=1e-4)
+        assert np.isclose(density_std(snaps[0], g), sigma, rtol=1e-4)
+        assert np.isclose(density_std(snaps[-1], g), expect, rtol=1e-4)
 
     def test_harmonic_ground_state_stationary(self):
         # sigma0 = sqrt(hbar / (2 m omega)) for U = (k/2) r^2
         g = grid2d(128, 8.0)
         k, m = 1.0, 1.0
         sigma0 = np.sqrt(1.0 / (2.0 * m * np.sqrt(k / m)))
-        system = QuantumSystem(m, g, HarmonicPotential(k))
+        system = QuantumSystem(m, g, HarmonicPotential(k).sample(g))
         psi0 = gaussian_packet(g, [0.0, 0.0], sigma0)
         snaps = propagate(system, psi0, CheckpointSchedule([0.0, 1.0]), dt_max=2e-3)
-        rho0 = np.abs(snaps[0].field.values) ** 2
-        rho1 = np.abs(snaps[-1].field.values) ** 2
+        rho0 = np.abs(snaps[0]) ** 2
+        rho1 = np.abs(snaps[-1]) ** 2
         assert np.max(np.abs(rho1 - rho0)) < 1e-6
 
     def test_time_reversal_exact(self):
         g = grid2d(64, 8.0)
-        system = QuantumSystem(1.0, g, GaussianWellPotential(0.5, 2.0, offset=1.0))
+        system = QuantumSystem(1.0, g, GaussianWellPotential(0.5, 2.0, offset=1.0).sample(g))
         psi0 = gaussian_packet(g, [1.0, -0.5], 1.0, momentum=[0.5, 0.2])
         fwd = propagate(system, psi0, CheckpointSchedule([0.0, 1.0]), dt_max=1e-2)[-1]
-        rev0 = Wavefunction(ComplexField(g, np.conj(fwd.field.values)), 0.0)
+        rev0 = np.conj(fwd)
         back = propagate(system, rev0, CheckpointSchedule([0.0, 1.0]), dt_max=1e-2)[-1]
-        diff = np.conj(back.field.values) - psi0.field.values
+        diff = np.conj(back) - psi0
         assert np.sqrt(np.sum(np.abs(diff) ** 2) * g.cell_volume) < 1e-12
 
     def test_second_order_in_dt(self):
         g = grid2d(64, 8.0)
-        system = QuantumSystem(1.0, g, HarmonicPotential(1.0))
+        system = QuantumSystem(1.0, g, HarmonicPotential(1.0).sample(g))
         psi0 = gaussian_packet(g, [1.0, 0.0], 1.0)
         sched = CheckpointSchedule([0.0, 1.0])
-        fine = propagate(system, psi0, sched, dt_max=1e-3 / 4)[-1].field.values
+        fine = propagate(system, psi0, sched, dt_max=1e-3 / 4)[-1]
 
         def err(dt):
-            v = propagate(system, psi0, sched, dt_max=dt)[-1].field.values
+            v = propagate(system, psi0, sched, dt_max=dt)[-1]
             return np.sqrt(np.sum(np.abs(v - fine) ** 2) * g.cell_volume)
 
         e1, e2 = err(2e-2), err(1e-2)
         assert 3.0 < e1 / e2 < 5.0
 
     def test_checkpoints_exact_times(self):
+        # one snapshot per checkpoint; free motion has no splitting error, so
+        # the last lands on t = 1.001 as one interval of 201 steps does, and
+        # a step's worth of time off would be a difference of order 1e-3
         g = grid2d(64, 8.0)
-        system = QuantumSystem(1.0, g, ZeroPotential(2))
-        psi0 = gaussian_packet(g, [0.0, 0.0], 1.0)
+        system = QuantumSystem(1.0, g, ZeroPotential(2).sample(g))
+        psi0 = gaussian_packet(g, [0.0, 0.0], 1.0, momentum=[1.0, 0.0])
         snaps = propagate(system, psi0, CheckpointSchedule([0.0, 0.337, 1.001]))
-        assert [s.t for s in snaps] == [0.0, 0.337, 1.001]
+        assert len(snaps) == 3
+        direct = propagate(system, psi0, CheckpointSchedule([0.0, 1.001]))[-1]
+        assert np.max(np.abs(snaps[-1] - direct)) < 1e-10
 
 
 def reference_propagate(system, psi0, times, dt_max):
     """Strang splitting with both half kicks in every step, by np.fft."""
-    g = psi0.field.grid
-    v = system.potential_values()
-    psi = psi0.field.values.copy()
+    g = system.grid
+    v = system.potential
+    psi = psi0.copy()
     out = [psi.copy()]
     for t1, t2 in zip(times[:-1], times[1:]):
         nsteps = max(1, int(np.ceil((t2 - t1) / dt_max)))
@@ -173,12 +184,12 @@ def three_array_propagate(system, psi0, times, dt_max):
     the full kick, and the kinetic factor, which also held the half kicks at
     each interval's ends. Its snapshots, without the norm and edge checks;
     the two-array propagation must give every bit of them."""
-    g = psi0.field.grid
-    v = system.potential_values()
+    g = system.grid
+    v = system.potential
     hbar = system.hbar
     schedule = CheckpointSchedule(times)
     psi, full_kick, kin = (quantum._aligned_empty(g.shape) for _ in range(3))
-    psi[...] = psi0.field.values
+    psi[...] = psi0
     out = [psi.copy()]
     for span, nsteps in zip(np.diff(schedule.times), schedule.steps(dt_max)):
         dt = span / nsteps
@@ -205,7 +216,8 @@ _KICK_TIMES = [0.0, 0.337, 1.001]
 
 
 def kick_system(grid, depth=0.5):
-    return QuantumSystem(1.0, grid, GaussianWellPotential(depth, 2.0, offset=1.0, ndim=grid.ndim))
+    base = GaussianWellPotential(depth, 2.0, offset=1.0, ndim=grid.ndim)
+    return QuantumSystem(1.0, grid, base.sample(grid))
 
 
 class TestMergedKicks:
@@ -216,15 +228,15 @@ class TestMergedKicks:
         got = propagate(system, psi0, CheckpointSchedule(_KICK_TIMES), dt_max=2e-2)
         ref = reference_propagate(system, psi0, _KICK_TIMES, dt_max=2e-2)
         for snap, want in zip(got, ref):
-            assert np.max(np.abs(snap.field.values - want)) < 1e-12
-        assert np.array_equal(psi0.field.values, got[0].field.values)
+            assert np.max(np.abs(snap - want)) < 1e-12
+        assert np.array_equal(psi0, got[0])
         # and every bit of the three-array propagation: the kick array holds
         # a half kick, the full kick and the closing half kick in turn, in
         # each of two intervals of different steps
         want = three_array_propagate(system, psi0, _KICK_TIMES, dt_max=2e-2)
         assert len(got) == len(want) == 3
         for snap, w in zip(got, want):
-            assert np.array_equal(snap.field.values, w)
+            assert np.array_equal(snap, w)
 
     @pytest.mark.parametrize("grid, center, momentum", _KICK_SETUPS)
     def test_threads_sharing_one_kinetic_factor(self, grid, center, momentum):
@@ -253,7 +265,7 @@ class TestMergedKicks:
         for system, snaps in zip(systems, got):
             want = three_array_propagate(system, psi0, _KICK_TIMES, dt_max=2e-2)
             for snap, w in zip(snaps, want):
-                assert np.array_equal(snap.field.values, w)
+                assert np.array_equal(snap, w)
         for dt, kin in shared.items():
             assert np.array_equal(kin, before[dt])
 
@@ -261,24 +273,29 @@ class TestMergedKicks:
 class TestWorkArrays:
     def test_snapshots_do_not_alias_the_work_array(self):
         g = grid2d(64, 8.0)
-        system = QuantumSystem(1.0, g, GaussianWellPotential(0.5, 2.0, offset=1.0))
+        system = QuantumSystem(1.0, g, GaussianWellPotential(0.5, 2.0, offset=1.0).sample(g))
         psi0 = gaussian_packet(g, [1.0, -0.5], 1.0, momentum=[0.5, 0.2])
-        before = psi0.field.values.copy()
+        before = psi0.copy()
         snaps = propagate(system, psi0, CheckpointSchedule([0.0, 0.1, 0.2, 0.3]), dt_max=1e-2)
-        assert snaps[0].field is psi0.field
-        assert np.array_equal(psi0.field.values, before)
+        assert snaps[0] is psi0
+        assert np.array_equal(psi0, before)
         # the last snapshot is the wavefunction's work array, 64-byte aligned
-        work = snaps[-1].field.values
+        work = snaps[-1]
         assert work.ctypes.data % 64 == 0
-        arrays = [s.field.values for s in snaps]
+        arrays = list(snaps)
         for i, a in enumerate(arrays):
             for b in arrays[i + 1 :]:
                 assert not np.shares_memory(a, b)
 
 
+def free_system(g, hbar=1.0):
+    return QuantumSystem(1.0, g, np.zeros(g.shape), hbar)
+
+
 class TestOccupation:
     def test_labels_grid_once_and_sums_per_label(self, monkeypatch):
         g = grid2d(64, 8.0)
+        system = free_system(g)
         psi = gaussian_packet(g, [1.0, 0.5], 1.0)
         part = RegionPartition(
             [
@@ -287,7 +304,7 @@ class TestOccupation:
                 Box((0.0, 0.0), (8.0, 8.0)),
             ]
         )
-        rho = np.abs(psi.field.values) ** 2
+        rho = np.abs(psi) ** 2
         labels = part.labels_for(g.points()).reshape(g.shape)
         ref = [float(np.sum(rho[labels == k]) * g.cell_volume) for k in (1, 2, 3)]
         calls = []
@@ -295,7 +312,7 @@ class TestOccupation:
         monkeypatch.setattr(
             RegionPartition, "label_grid", lambda self, grid: calls.append(1) or label_grid(self, grid)
         )
-        p = occupation_probabilities(psi, part)
+        p = occupation_probabilities(system, psi, part)
         assert len(calls) == 1
         assert p.tolist() == ref
 
@@ -303,7 +320,7 @@ class TestOccupation:
         g = grid2d(64, 8.0)
         psi = gaussian_packet(g, [1.0, 0.0], 1.0)
         part = half_planes(g, 0, 0.0)
-        p = occupation_probabilities(psi, part)
+        p = occupation_probabilities(free_system(g), psi, part)
         assert np.isclose(p.sum(), 1.0, atol=1e-12)
         assert p[1] > p[0]
 
@@ -312,7 +329,7 @@ class TestOccupation:
         sigma, p0 = 1.0, 2.0
         psi = gaussian_packet(g, [0.0, 0.0], sigma, momentum=[p0, 0.0])
         part = momentum_half_spaces(2, 0, 0.0)
-        p = occupation_probabilities(psi, part, space="momentum")
+        p = occupation_probabilities(free_system(g), psi, part, space="momentum")
         assert np.isclose(p.sum(), 1.0, atol=1e-10)
         assert p[0] < 1e-3 and p[1] > 0.999
         # oracle: the analytic momentum density on the same cells and bins
@@ -328,11 +345,35 @@ class TestOccupation:
         )
         assert np.allclose(p, oracle / oracle.sum(), atol=1e-7)
 
+    @pytest.mark.parametrize("split", [0.0, 0.3])
+    def test_momentum_probabilities_at_the_systems_hbar(self, split):
+        # hbar = 0.5 from the system: region 1's P-tilde is the lowest-label
+        # sum over {p_0 <= split} of a direct discrete Fourier sum, one axis
+        # at a time, on the momenta 2 pi hbar k / L; split 0.0 lies on the
+        # k = 0 column, which belongs to region 1
+        hbar = 0.5
+        g = SpatialGrid(((-8.0, 8.0), (-6.0, 6.0)), (64, 48))
+        psi = gaussian_packet(g, [0.4, -0.3], 0.9, momentum=[0.2, -0.1], hbar=hbar)
+        p = occupation_probabilities(
+            free_system(g, hbar), psi, momentum_half_spaces(2, 0, split), space="momentum"
+        )
+        phi = psi
+        for i, n in enumerate(g.shape):
+            momenta = 2.0 * np.pi * hbar * (np.arange(n) - n // 2) / g.lengths[i]
+            dft = np.exp(-1j * np.outer(momenta, g.axis(i)) / hbar)
+            phi = np.moveaxis(np.tensordot(dft, phi, axes=([1], [i])), 0, i)
+            if i == 0:
+                in_region_1 = momenta <= split
+        marginal = np.sum(np.abs(phi) ** 2, axis=1)
+        want = marginal[in_region_1].sum() / marginal.sum()
+        assert 0.05 < want < 0.95
+        assert abs(p[0] - want) < 1e-10
+
     def test_unknown_space(self):
         g = grid2d(64, 8.0)
         psi = gaussian_packet(g, [0.0, 0.0], 1.0)
         with pytest.raises(QuantumError):
-            occupation_probabilities(psi, half_planes(g), space="energy")
+            occupation_probabilities(free_system(g), psi, half_planes(g), space="energy")
 
 
 class TestInsensitivity:
@@ -359,7 +400,7 @@ class TestInsensitivity:
         lam = 50.0
         sp = ScratchedPotential(base, [c], lam=lam)
         g = SpatialGrid(((-1.5, 1.5), (-1.0, 1.0)), (600, 400))
-        du = np.abs(sp.sample(g) - base.sample(g).values)
+        du = np.abs(sp.sample(g) - base.sample(g))
         brute = float(du.sum() * g.cell_volume)
         inner = SegmentCurve([-1.5, 0.0], [1.5, 0.0])
         assert np.isclose(tube_l1_difference(base, inner, lam), brute, rtol=1e-2)
@@ -367,7 +408,7 @@ class TestInsensitivity:
     def test_decay_table_and_monotonicity(self):
         g = grid2d(128, 8.0)
         base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
-        system = QuantumSystem(1.0, g, base)
+        system = QuantumSystem(1.0, g, base.sample(g))
         psi0 = gaussian_packet(g, [-1.0, 0.0], 1.2, momentum=[1.0, 0.0])
         c = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
         schedule = CheckpointSchedule([0.0, 0.5])
@@ -384,7 +425,7 @@ class TestInsensitivity:
         # and propagated once, as it is given
         g = grid2d(64, 8.0)
         base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
-        system = QuantumSystem(1.0, g, base)
+        system = QuantumSystem(1.0, g, base.sample(g))
         psi0 = gaussian_packet(g, [-1.0, 0.0], 1.2, momentum=[1.0, 0.0])
         curve = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
         scratched = [ScratchedPotential(base, [curve], lam) for lam in (1e2, 1e3)]
@@ -393,7 +434,7 @@ class TestInsensitivity:
         propagated, sampled = [], []
 
         def recording_propagate(lam_system, *args, **kwargs):
-            propagated.append(lam_system.potential.values)
+            propagated.append(lam_system.potential)
             return propagate(lam_system, *args, **kwargs)
 
         def recording_sample(sp, grid):
@@ -409,16 +450,16 @@ class TestInsensitivity:
         assert len(propagated) == 2
         for sp in scratched:
             assert sum(np.array_equal(values, sample(sp, g)) for values in propagated) == 1
-        lam_system = QuantumSystem(1.0, g, ScalarField(g, sample(scratched[0], g)))
+        lam_system = QuantumSystem(1.0, g, sample(scratched[0], g))
         fin = propagate(lam_system, psi0, schedule, dt_max=1e-2)[-1]
-        l2 = np.sqrt(np.sum(np.abs(fin.field.values - reference.field.values) ** 2) * g.cell_volume)
+        l2 = np.sqrt(np.sum(np.abs(fin - reference) ** 2) * g.cell_volume)
         assert rows[0]["l2_wavefunction"] == l2
 
 
 def decay_setup(lambdas=(1e2, 1e3, 1e4)):
     g = grid2d(64, 8.0)
     base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
-    system = QuantumSystem(1.0, g, base)
+    system = QuantumSystem(1.0, g, base.sample(g))
     psi0 = gaussian_packet(g, [-1.0, 0.0], 1.2, momentum=[1.0, 0.0])
     curve = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
     scratched = [ScratchedPotential(base, [curve], lam) for lam in lambdas]
@@ -430,14 +471,14 @@ def decay_setup(lambdas=(1e2, 1e3, 1e4)):
 def reference_decay_rows(system, scratched, psi0, schedule, reference, dt_max):
     """The decay table with one propagation after another on this thread."""
     g = system.grid
-    u_plain = system.potential_values()
+    u_plain = system.potential
     fourier_norm = g.cell_volume / (2.0 * np.pi * system.hbar) ** g.ndim
     rows = []
     for sp in scratched:
         u_lam = sp.sample(g)
-        lam_system = QuantumSystem(system.mass, g, ScalarField(g, u_lam), system.hbar)
+        lam_system = QuantumSystem(system.mass, g, u_lam, system.hbar)
         fin = propagate(lam_system, psi0, schedule, dt_max=dt_max)[-1]
-        diff = fin.field.values - reference.field.values
+        diff = fin - reference
         rows.append(
             {
                 "lambda": sp.lam,
@@ -543,7 +584,7 @@ class TestDecayExecutors:
         samples = [sp.sample(system.grid) for sp in scratched]
 
         def fail_in_helpers(lam_system, *args, **kwargs):
-            i = next(i for i, u in enumerate(samples) if np.array_equal(lam_system.potential.values, u))
+            i = next(i for i, u in enumerate(samples) if np.array_equal(lam_system.potential, u))
             if i > 0:
                 raise NumericalStabilityError(f"drift at lambda {i}")
             return propagate(lam_system, *args, **kwargs)
@@ -565,11 +606,11 @@ class TestDecayExecutors:
         threads = threading.enumerate()
         g = grid2d(8, 8.0)
         base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
-        system = QuantumSystem(1.0, g, base)
+        system = QuantumSystem(1.0, g, base.sample(g))
         curve = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
         lams = [float(k) for k in range(1, 51)]
         scratched = [ScratchedPotential(base, [curve], lam) for lam in lams]
-        zero = Wavefunction(ComplexField(g, np.zeros(g.shape)), 0.0)
+        zero = np.zeros(g.shape, dtype=complex)
         schedule = CheckpointSchedule([0.0, 0.1])
         volume = g.cell_volume * np.prod(g.shape)
         # the lambda whose sample fails, and the first whose propagation fails
@@ -583,14 +624,14 @@ class TestDecayExecutors:
             return np.full(grid.shape, sp.lam)
 
         def constant_propagate(lam_system, psi0, schedule, **kwargs):
-            lam = float(lam_system.potential.values.flat[0])
+            lam = float(lam_system.potential.flat[0])
             # a lambda is propagated only once it is sampled
             started.append((lam, lam in sampled))
             if lam >= fails["propagate"]:
                 # so that several are in flight, and higher lambdas fail first
                 time.sleep(1e-3 / lam)
                 raise NumericalStabilityError(f"drift at {lam:g}")
-            return [Wavefunction(ComplexField(g, np.full(g.shape, lam + 0j)), schedule.t_final)]
+            return [np.full(g.shape, lam + 0j)]
 
         monkeypatch.setattr(ScratchedPotential, "sample", constant_sample)
         monkeypatch.setattr(quantum, "propagate", constant_propagate)
@@ -650,11 +691,11 @@ class TestDecayExecutors:
         threads = threading.enumerate()
         g = grid2d(8, 8.0)
         base = GaussianWellPotential(0.4, 3.0, offset=0.6, ndim=2)
-        system = QuantumSystem(1.0, g, base)
+        system = QuantumSystem(1.0, g, base.sample(g))
         curve = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
         lams = [float(k) for k in range(1, 51)]
         scratched = [ScratchedPotential(base, [curve], lam) for lam in lams]
-        zero = Wavefunction(ComplexField(g, np.zeros(g.shape)), 0.0)
+        zero = np.zeros(g.shape, dtype=complex)
         lock = threading.Lock()
         running, most, helpers = [0], [0], []
 
@@ -666,8 +707,7 @@ class TestDecayExecutors:
             time.sleep(1e-3)  # so that propagations overlap
             with lock:
                 running[0] -= 1
-            values = np.full(g.shape, lam_system.potential.values.flat[0] + 0j)
-            return [Wavefunction(ComplexField(g, values), schedule.t_final)]
+            return [np.full(g.shape, lam_system.potential.flat[0] + 0j)]
 
         monkeypatch.setattr(ScratchedPotential, "sample", lambda sp, grid: np.full(grid.shape, sp.lam))
         monkeypatch.setattr(quantum, "propagate", constant_propagate)

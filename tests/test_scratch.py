@@ -784,16 +784,17 @@ class TestTangentialPotential:
             s = np.sort(rng.uniform(0.0, 1.0, n))
             s[0], s[-1] = first, last
             v = TangentialPotential(s, rng.normal(size=n), rng.normal(size=n))
-            pp = CubicHermiteSpline(s, v.v_samples, v.dv_samples)
+            _, vs, dvs = drive_samples(v)
+            pp = CubicHermiteSpline(s, vs, dvs)
             dpp = pp.derivative()
             x = np.concatenate(
                 [rng.uniform(-0.5, 1.5, 100_000), s, np.nextafter(s, -1.0), np.nextafter(s, 2.0)]
             )
             # linear beyond the first and last sample, along their values and slopes
             below, above = x < s[0], x > s[-1]
-            want = np.where(below, v.v_samples[0] + (x - s[0]) * v.dv_samples[0], pp(x))
-            want = np.where(above, v.v_samples[-1] + (x - s[-1]) * v.dv_samples[-1], want)
-            dwant = np.where(below, v.dv_samples[0], np.where(above, v.dv_samples[-1], dpp(x)))
+            want = np.where(below, vs[0] + (x - s[0]) * dvs[0], pp(x))
+            want = np.where(above, vs[-1] + (x - s[-1]) * dvs[-1], want)
+            dwant = np.where(below, dvs[0], np.where(above, dvs[-1], dpp(x)))
             got, dgot, _ = v.jet(x)
             assert np.array_equal(got, want) and np.array_equal(v(x), want)
             assert np.array_equal(dgot, dwant) and np.array_equal(v.deriv(x), dgot)
@@ -810,7 +811,7 @@ class TestTangentialPotential:
             construct_tangential_potential(c, cond, 1.0, num_samples=20001),
             TangentialPotential(s, rng.normal(size=50), rng.normal(size=50)),
         ):
-            s = v.s_samples
+            s = v.x
             x = np.concatenate(
                 [
                     rng.uniform(-0.5, 0.0, 300),
@@ -838,7 +839,7 @@ class TestTangentialPotential:
     def test_constructed_coefficients_are_scipys(self):
         cond = TimingConditions([0.0, 1.5, 4.0], [0.0, 0.45, 1.0], [0.3, 0.35, 0.3])
         v = construct_tangential_potential(spline3d(), cond, mass=1.0)
-        assert v.s_samples.size == 60001
+        assert v.x.size == 60001
         assert_coefficients_are_scipys(v)
 
     def test_rejects_samples_scipy_rejects(self):
@@ -875,7 +876,7 @@ class TestTangentialPotential:
         cond = TimingConditions([0.0, 1.5, 4.0], [0.0, 0.45, 1.0], [0.3, 0.35, 0.3])
         curve = spline3d()
         v = construct_tangential_potential(curve, cond, mass=1.0)
-        assert v.s_samples[-1] > 1.0
+        assert v.x[-1] > 1.0
         _, (dq,), (d2q,) = curve.jet(np.array([1.0]))
         sddot = CubicHermiteSpline(cond.times, cond.params, cond.speeds).derivative(2)(4.0)
         want = -((dq @ d2q) * 0.3**2 + (dq @ dq) * sddot)
@@ -889,7 +890,7 @@ class TestDriveConstruction:
         curve = spline3d() if kind == "spline" else SegmentCurve([0.0, 0.0, 0.0], [1.5, -0.5, 1.0])
         cond = TimingConditions([0.0, 1.5, 4.0], [0.0, 0.45, 1.0], [0.3, 0.35, 0.3])
         v = construct_tangential_potential(curve, cond, mass=1.3, num_samples=n)
-        for got, want in zip((v.s_samples, v.v_samples, v.dv_samples), one_pass_drive(curve, cond, 1.3, n)):
+        for got, want in zip(drive_samples(v), one_pass_drive(curve, cond, 1.3, n)):
             assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_peak_memory_is_at_most_twice_what_is_kept(self):
@@ -902,7 +903,7 @@ class TestDriveConstruction:
             now, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert v.s_samples.size == 60001
+        assert v.x.size == 60001
         assert peak - before <= 2 * (now - before)
 
 
@@ -914,7 +915,7 @@ def one_pass_drive(curve, cond, mass, n):
     s, sdot, _ = timing.jet(t)
     s, idx = np.unique(s, return_index=True)
     sdot = sdot[idx]
-    sddot = timing.deriv2(t[idx])
+    sddot = timing.jet(t[idx])[2]
     _, dq, d2q = curve.jet(np.minimum(s, 1.0))
     w = np.einsum("ij,ij->i", dq, dq)
     e0 = 0.5 * mass * w[0] * sdot[0] ** 2
@@ -924,10 +925,17 @@ def one_pass_drive(curve, cond, mass, n):
     return s, v, dv
 
 
+def drive_samples(v):
+    """A drive's samples s, V(s) and V'(s), as its spline table keeps them:
+    the breakpoints, and the a0 and a1 rows past the column below the first
+    sample."""
+    return v.x, v.coef[3, 1:], v.coef[2, 1:]
+
+
 def assert_coefficients_are_scipys(v):
     """The cubic's coefficients and its derivative's, per piece, as scipy's
     `CubicHermiteSpline` through the samples and slopes gives them."""
-    pp = CubicHermiteSpline(v.s_samples, v.v_samples, v.dv_samples)
+    pp = CubicHermiteSpline(*drive_samples(v))
     assert np.array_equal(v.coef[:4, 1:-1], pp.c)
     assert np.array_equal(v.coef[[4, 5, 2], 1:-1], pp.derivative().c)
 
@@ -959,7 +967,7 @@ class TestTiming:
         value, deriv, deriv2 = timing.jet(t)
         assert np.array_equal(value, pp(t)) and np.array_equal(timing(t), value)
         assert np.array_equal(deriv, pp.derivative()(t)) and np.array_equal(timing.deriv(t), deriv)
-        assert np.array_equal(deriv2, pp.derivative(2)(t)) and np.array_equal(timing.deriv2(t), deriv2)
+        assert np.array_equal(deriv2, pp.derivative(2)(t))
 
     def test_validation(self):
         with pytest.raises(ScratchError):
