@@ -428,20 +428,6 @@ def _integrate_with_retries(
     raise StageError("classical", last, f"attempts (dt, drift): {tried}; {stop}") from last
 
 
-def _probability_tables(system, snaps, pos_part, mom_part):
-    """Per-checkpoint raw P_k (and P-tilde_k) with their norm gaps."""
-    pos, mom, gaps = [], [], []
-    for snap in snaps:
-        p = quantum.occupation_probabilities(system, snap, pos_part, "position")
-        gaps.append(abs(float(p.sum()) - 1.0))
-        pos.append(p)
-        if mom_part is not None:
-            pt = quantum.occupation_probabilities(system, snap, mom_part, "momentum")
-            gaps.append(abs(float(pt.sum()) - 1.0))
-            mom.append(pt)
-    return pos, mom, max(gaps)
-
-
 def _checkpoint_rows(times, probs_pos, probs_mom, occ, bound):
     rows = []
     for j, t in enumerate(times):
@@ -533,12 +519,19 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
             g, pk["center"], pk["sigma"], pk.get("momentum"), config.hbar
         )
         schedule = quantum.CheckpointSchedule(config.schedule)
-        snaps = quantum.propagate(
-            system, psi0, schedule, dt_max=config.dt_quantum, edge_eps=config.edge_eps
-        )
         pos_part, mom_part = config.build_partitions(g)
-        probs_pos, probs_mom, norm_gap = _probability_tables(
-            system, snaps, pos_part, mom_part if constrained else None
+        probs_pos, probs_mom = [], []
+
+        def tables(psi):
+            # each checkpoint's raw P_k (and P-tilde_k), as the state passes
+            probs_pos.append(quantum.occupation_probabilities(system, psi, pos_part, "position"))
+            if constrained:
+                probs_mom.append(
+                    quantum.occupation_probabilities(system, psi, mom_part, "momentum")
+                )
+
+        reference = quantum.propagate(
+            system, psi0, schedule, config.dt_quantum, config.edge_eps, at_checkpoint=tables
         )
 
     with _stage("diophantine"):
@@ -598,7 +591,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
 
     with _stage("decay"):
         decay = quantum.scratch_insensitivity(
-            system, potentials, psi0, schedule, snaps[-1], config.dt_quantum, config.edge_eps
+            system, potentials, psi0, schedule, reference, config.dt_quantum, config.edge_eps
         )
 
     rows = _checkpoint_rows(schedule.times, renorm[:K], renorm[K:], occ, bound)
@@ -607,7 +600,7 @@ def run_pipeline(config: ExperimentConfig, out_dir: str | None = None) -> Discri
     deviations = [row["max_curve_deviation"] for row in per_lambda]
     floor = deviation_floor(potentials[-1])
     diagnostics = {
-        "norm_gap": norm_gap,
+        "norm_gap": max(abs(float(p.sum()) - 1.0) for p in probs_pos + probs_mom),
         "repair_penalty": approx.repair_penalty,
         "lemma_max_error": cert.max_error,
         "lemma_error_bound": cert.error_bound,

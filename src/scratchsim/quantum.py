@@ -10,19 +10,20 @@ half kick): norm-preserving by construction, second order in the step.
 The potential is static, as the paper's Hamiltonian is, so the two half
 kicks that meet between steps are merged into one full kick: a checkpoint
 interval of n steps applies one half kick, n kinetic factors with n - 1
-full kicks between them, and a closing half kick, and every snapshot lands
-on the Strang-split state. The wavefunction is transformed in place, by
-numpy's FFT with `out=`, so that a step allocates no array.
+full kicks between them, and a closing half kick, and the state at every
+checkpoint is the Strang-split state. The wavefunction is transformed in
+place, by numpy's FFT with `out=`, so that a step allocates no array.
 
 A propagation works in two complex arrays of its own, each 64-byte aligned:
 the wavefunction and the kick, which holds the half kick at each interval's
-ends and the full kick in between. The kinetic factor depends on the grid,
-the mass, hbar and the step alone, not on the potential: it is computed
-once per step length, read-only, and the decay table computes it once for
-all its propagations to share. Each array is built in place by the same
-operations, in the same order, as the expression it stands for, so the
-values are those of that expression bit for bit. The norm and the
-edge-layer mass are summed without a full-size temporary.
+ends and the full kick in between. It keeps no checkpoint state: a consumer
+sees each one as a read-only view, and the last is returned. The kinetic
+factor depends on the grid, the mass, hbar and the step alone, not on the
+potential: it is computed once per step length, read-only, and the decay
+table computes it once for all its propagations to share. Each array is
+built in place by the same operations, in the same order, as the expression
+it stands for, so the values are those of that expression bit for bit. The
+norm and the edge-layer mass are summed without a full-size temporary.
 
 The decay table (`scratch_insensitivity`) propagates once per scratch
 strength λ. All its propagations run at once, up to two per CPU, on a
@@ -35,6 +36,7 @@ from __future__ import annotations
 import functools
 import os
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -227,31 +229,37 @@ def propagate(
     dt_max: float = 5e-3,
     edge_eps: float = 1e-6,
     *,
+    at_checkpoint: Callable[[np.ndarray], object] | None = None,
     _kinetic: dict[float, np.ndarray] | None = None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Evolve psi0, shaped like the system's grid, through every checkpoint
-    time; returns one snapshot per checkpoint (the first is psi0 itself).
+    time; returns the final wavefunction, in an array of its own.
 
-    Each interval takes `schedule.steps(dt_max)` equal steps, so snapshots
-    land exactly on checkpoints. Raises unless the norm drift at every
+    Each interval takes `schedule.steps(dt_max)` equal steps, so the state
+    lands exactly on each checkpoint. Raises unless the norm drift at every
     checkpoint is below _NORM_TOL; warns when edge density exceeds edge_eps.
 
-    The propagation works in two arrays of its own, the wavefunction and the
-    kick. `_kinetic` maps each step length to its kinetic factor, as
-    `_kinetic_factors` gives it, for propagations that share them; when it is
-    None the propagation computes its own.
+    `at_checkpoint(psi)`, when given, is called at each checkpoint in time
+    order: first with psi0's values, then after each interval's norm and
+    edge checks. `psi` is a read-only view of the live wavefunction, which
+    the propagation goes on to change: a consumer copies what it keeps.
+
+    `_kinetic` maps each step length to its kinetic factor, as
+    `_kinetic_factors` gives it, for propagations that share them; when it
+    is None the propagation computes its own.
     """
-    times = schedule.times
     g = system.grid
     _check_shape("psi0", psi0, g)
-    snapshots = [psi0]
     v = system.potential
     hbar = system.hbar
     kinetic = _kinetic_factors(system, schedule, dt_max) if _kinetic is None else _kinetic
     psi, kick = _aligned_empty(g.shape), _aligned_empty(g.shape)
     psi[...] = psi0
-    last = len(times) - 2
-    for i, (t2, (dt, nsteps)) in enumerate(zip(times[1:], _step_lengths(schedule, dt_max))):
+    view = psi.view()
+    view.flags.writeable = False
+    if at_checkpoint is not None:
+        at_checkpoint(view)
+    for t2, (dt, nsteps) in zip(schedule.times[1:], _step_lengths(schedule, dt_max)):
         kin = kinetic[dt]
         psi *= _exp_phase(-0.5j * dt, v, hbar, kick)  # the opening half kick
         _exp_phase(-1j * dt, v, hbar, kick)  # the full kick
@@ -264,20 +272,19 @@ def propagate(
             if step < nsteps - 1:
                 psi *= kick
         psi *= _exp_phase(-0.5j * dt, v, hbar, kick)  # the closing half kick
-        # the last snapshot keeps the work array
-        snap = psi if i == last else psi.copy()
         drift = abs(_mass(psi) * g.cell_volume - 1.0)
         if not drift < _NORM_TOL:  # a nan drift fails too
             raise NumericalStabilityError(
                 f"norm drift {drift:.3e} not below {_NORM_TOL:.1e} at t={t2}"
             )
-        if edge_density(snap, g) > edge_eps:
+        if edge_density(psi, g) > edge_eps:
             warnings.warn(
                 f"edge density above {edge_eps:.1e} at t={t2}; motion may not be confined",
                 ConfinementWarning,
             )
-        snapshots.append(snap)
-    return snapshots
+        if at_checkpoint is not None:
+            at_checkpoint(view)
+    return psi
 
 
 def occupation_probabilities(
@@ -353,14 +360,13 @@ class TubeSamples:
         self.frames = _transverse_frames(dc)
 
 
-def tube_l1_difference(base, curve, lam: float) -> float:
-    """L1 norm of U * exp(-lam * dist^2) over one scratch tube.
+def tube_l1_difference(base, tube: TubeSamples, lam: float) -> float:
+    """L1 norm of U * exp(-lam * dist^2) over one scratch tube, given as its
+    curve's `TubeSamples`, which a decay table takes once per curve for all
+    its lambdas.
 
     Gauss-Hermite in the scaled transverse coordinates (exact in the thin-tube
-    limit), trapezoid along the curve: scales as lam^-((D-1)/2). `curve` may
-    also be the curve's `TubeSamples`, which a decay table takes once per
-    curve for all its lambdas."""
-    tube = curve if isinstance(curve, TubeSamples) else TubeSamples(curve)
+    limit), trapezoid along the curve: scales as lam^-((D-1)/2)."""
     s, pts, speed, frames = tube.s, tube.points, tube.speed, tube.frames
     num_s, D = pts.shape
     num_h = _HERMITE_NODES
@@ -411,19 +417,19 @@ def scratch_insensitivity(
     sup over Fourier modes of the transform of the sampled difference, and
     the final-time L2 distance of the wavefunctions propagated in the
     scratched versus the plain potential. `reference` is that plain-potential
-    final wavefunction, psi0 propagated through the schedule with the same
-    dt_max.
+    final wavefunction, the array `propagate` returns for psi0 through the
+    schedule with the same dt_max.
 
     Every propagation shares the kinetic factors, computed once here and
     read-only, and works in two arrays of its own; its L2 column is computed
-    in place in its final array. The calling thread samples the potentials
-    in order and submits each λ's propagation the moment its sample exists,
-    to a thread pool of `_decay_executors(#λ) - 1` helpers: with the caller,
-    one executor per λ, up to two per CPU; on one CPU, no helper. The
-    propagations are independent and numpy's FFT releases the GIL, so they
-    run at once, the operating system sharing the cores among them, while
-    the caller computes the L1 and Fourier columns. Then the caller
-    propagates, in λ order, each λ that no helper has started. No
+    in place in the array it returns. The calling thread samples the
+    potentials in order and submits each λ's propagation the moment its
+    sample exists, to a thread pool of `_decay_executors(#λ) - 1` helpers:
+    with the caller, one executor per λ, up to two per CPU; on one CPU, no
+    helper. The propagations are independent and numpy's FFT releases the
+    GIL, so they run at once, the operating system sharing the cores among
+    them, while the caller computes the L1 and Fourier columns. Then the
+    caller propagates, in λ order, each λ that no helper has started. No
     propagation starts once one has failed; the helpers are joined before
     this returns or raises, and the lowest failing λ's error is raised.
     """
@@ -450,7 +456,7 @@ def scratch_insensitivity(
             lam_system = QuantumSystem(system.mass, g, samples[i], hbar)
             d = propagate(
                 lam_system, psi0, schedule, dt_max=dt_max, edge_eps=edge_eps, _kinetic=kinetic
-            )[-1]
+            )
             # in place: the final wavefunction is this propagation's own
             d -= reference
             a = np.abs(d)

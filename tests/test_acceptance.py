@@ -127,7 +127,7 @@ def test_criterion_4_quantum_insensitivity():
     curve = SegmentCurve([-4.0, -3.0], [4.0, -3.0])
     lambdas = [1.0e2, 1.0e3, 1.0e4]
     scratched = [ScratchedPotential(base, [curve], lam=lam) for lam in lambdas]
-    reference = propagate(system, psi0, schedule, dt_max=5e-3)[-1]
+    reference = propagate(system, psi0, schedule, dt_max=5e-3)
     rows = scratch_insensitivity(system, scratched, psi0, schedule, reference, dt_max=5e-3)
     l1 = np.array([r["l1_potential"] for r in rows])
     l2 = np.array([r["l2_wavefunction"] for r in rows])

@@ -11,6 +11,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from test_quantum import three_array_propagate
+
 import scratchsim.experiment as experiment
 from scratchsim import classical, cli, diophantine, geometry
 from scratchsim.experiment import (
@@ -29,8 +31,13 @@ from scratchsim.experiment import (
     write_occupancy_csv,
 )
 from scratchsim.grid import GridError, SpatialGrid
-from scratchsim.potentials import AnalyticPotential, PotentialError
-from scratchsim.quantum import CheckpointSchedule
+from scratchsim.potentials import AnalyticPotential, PotentialError, potential_from_spec
+from scratchsim.quantum import (
+    CheckpointSchedule,
+    QuantumSystem,
+    gaussian_packet,
+    occupation_probabilities,
+)
 
 
 def grid2d():
@@ -587,6 +594,41 @@ class TestTheorem2Pipeline:
         assert diag["lambda_run"] == 100.0
         assert diag["energy_drift"] == diag["per_lambda"][-1]["energy_drift"]
         assert report.passed
+
+    @pytest.mark.parametrize("position_only", [True, False])
+    def test_tables_at_three_checkpoints(self, position_only, monkeypatch):
+        # the quantum stage's tables, taken as the plain run passes each
+        # checkpoint, are the occupation probabilities of the three-array
+        # propagation's states, bit for bit, interior checkpoint included
+        d = small_theorem2_config()
+        # with momenta, Q must exceed 2^(2 * 2 * 3) = 4096
+        d.update(schedule=[0.0, 0.5, 1.0], position_only=position_only, budget=5000)
+        config = ExperimentConfig.from_dict(d)
+        recorded = []
+
+        class Stop(Exception):
+            pass
+
+        def record(probabilities, budget):
+            recorded.extend(probabilities)
+            raise Stop
+
+        monkeypatch.setattr(experiment.diophantine, "problem_from_probabilities", record)
+        with pytest.raises(Stop):
+            run_pipeline(config)
+        g = config.build_grid()
+        base = potential_from_spec(config.potential, g.ndim)
+        system = QuantumSystem(config.mass, g, base.sample(g), config.hbar)
+        pk = config.packet
+        psi0 = gaussian_packet(g, pk["center"], pk["sigma"], pk.get("momentum"), config.hbar)
+        states = three_array_propagate(system, psi0, config.schedule, config.dt_quantum)
+        pos_part, mom_part = config.build_partitions(g)
+        want = [occupation_probabilities(system, psi, pos_part, "position") for psi in states]
+        if not position_only:
+            want += [occupation_probabilities(system, psi, mom_part, "momentum") for psi in states]
+        assert len(states) == 3 and len(recorded) == len(want)
+        for got, w in zip(recorded, want):
+            assert np.array_equal(got, w)
 
 
 def drift_law_integrate(monkeypatch, drift_of, calls, real=False):

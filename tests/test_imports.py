@@ -69,7 +69,7 @@ def test_the_decay_table_leaves_no_thread(fails, monkeypatch):
     system = quantum.QuantumSystem(1.0, g, base.sample(g))
     psi0 = quantum.gaussian_packet(g, [-1.0, 0.0], 1.2, momentum=[1.0, 0.0])
     schedule = quantum.CheckpointSchedule([0.0, 0.1])
-    reference = quantum.propagate(system, psi0, schedule, dt_max=1e-2)[-1]
+    reference = quantum.propagate(system, psi0, schedule, dt_max=1e-2)
     curve = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
     scratched = [ScratchedPotential(base, [curve], lam) for lam in (1e2, 1e3, 1e4)]
     monkeypatch.setattr(quantum, "_decay_executors", lambda count: 2)

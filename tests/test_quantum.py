@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from scratchsim.quantum import (
     NumericalStabilityError,
     QuantumError,
     QuantumSystem,
+    TubeSamples,
     _kinetic_factor,
     _transverse_frames,
     gaussian_packet,
@@ -77,16 +79,23 @@ class TestPropagation:
         g = grid2d()
         system = QuantumSystem(1.0, g, HarmonicPotential(1.0).sample(g))
         psi0 = gaussian_packet(g, [0.5, 0.0], 1.0)
-        snaps = propagate(system, psi0, CheckpointSchedule([0.0, 0.5, 1.0]))
-        for s in snaps:
-            assert abs(norm_sq(s, g) - 1.0) < 1e-12
+        norms = []
+        schedule = CheckpointSchedule([0.0, 0.5, 1.0])
+        propagate(system, psi0, schedule, at_checkpoint=lambda psi: norms.append(norm_sq(psi, g)))
+        assert len(norms) == 3
+        for n in norms:
+            assert abs(n - 1.0) < 1e-12
 
     def test_nan_norm_is_a_drift(self):
         g = grid2d(32)
         system = QuantumSystem(1.0, g, HarmonicPotential(1.0).sample(g))
         psi0 = np.full(g.shape, np.nan, dtype=complex)
+        calls = []
+        schedule = CheckpointSchedule([0.0, 0.1])
         with pytest.raises(NumericalStabilityError):
-            propagate(system, psi0, CheckpointSchedule([0.0, 0.1]))
+            propagate(system, psi0, schedule, at_checkpoint=lambda psi: calls.append(1))
+        # psi0's call only: a state that fails its norm check is not shown
+        assert len(calls) == 1
 
     def test_refuses_arrays_not_shaped_like_the_grid(self):
         # numpy would broadcast a (256,) array into the 256^2 kick or
@@ -106,10 +115,10 @@ class TestPropagation:
         system = QuantumSystem(1.0, g, ZeroPotential(2).sample(g))
         psi0 = gaussian_packet(g, [0.0, 0.0], sigma)
         t = 2.0
-        snaps = propagate(system, psi0, CheckpointSchedule([0.0, t]), dt_max=1e-2)
+        final = propagate(system, psi0, CheckpointSchedule([0.0, t]), dt_max=1e-2)
         expect = sigma * np.sqrt(1.0 + (t / (2.0 * sigma**2)) ** 2)
-        assert np.isclose(density_std(snaps[0], g), sigma, rtol=1e-4)
-        assert np.isclose(density_std(snaps[-1], g), expect, rtol=1e-4)
+        assert np.isclose(density_std(psi0, g), sigma, rtol=1e-4)
+        assert np.isclose(density_std(final, g), expect, rtol=1e-4)
 
     def test_harmonic_ground_state_stationary(self):
         # sigma0 = sqrt(hbar / (2 m omega)) for U = (k/2) r^2
@@ -118,18 +127,18 @@ class TestPropagation:
         sigma0 = np.sqrt(1.0 / (2.0 * m * np.sqrt(k / m)))
         system = QuantumSystem(m, g, HarmonicPotential(k).sample(g))
         psi0 = gaussian_packet(g, [0.0, 0.0], sigma0)
-        snaps = propagate(system, psi0, CheckpointSchedule([0.0, 1.0]), dt_max=2e-3)
-        rho0 = np.abs(snaps[0]) ** 2
-        rho1 = np.abs(snaps[-1]) ** 2
+        final = propagate(system, psi0, CheckpointSchedule([0.0, 1.0]), dt_max=2e-3)
+        rho0 = np.abs(psi0) ** 2
+        rho1 = np.abs(final) ** 2
         assert np.max(np.abs(rho1 - rho0)) < 1e-6
 
     def test_time_reversal_exact(self):
         g = grid2d(64, 8.0)
         system = QuantumSystem(1.0, g, GaussianWellPotential(0.5, 2.0, offset=1.0).sample(g))
         psi0 = gaussian_packet(g, [1.0, -0.5], 1.0, momentum=[0.5, 0.2])
-        fwd = propagate(system, psi0, CheckpointSchedule([0.0, 1.0]), dt_max=1e-2)[-1]
+        fwd = propagate(system, psi0, CheckpointSchedule([0.0, 1.0]), dt_max=1e-2)
         rev0 = np.conj(fwd)
-        back = propagate(system, rev0, CheckpointSchedule([0.0, 1.0]), dt_max=1e-2)[-1]
+        back = propagate(system, rev0, CheckpointSchedule([0.0, 1.0]), dt_max=1e-2)
         diff = np.conj(back) - psi0
         assert np.sqrt(np.sum(np.abs(diff) ** 2) * g.cell_volume) < 1e-12
 
@@ -138,26 +147,29 @@ class TestPropagation:
         system = QuantumSystem(1.0, g, HarmonicPotential(1.0).sample(g))
         psi0 = gaussian_packet(g, [1.0, 0.0], 1.0)
         sched = CheckpointSchedule([0.0, 1.0])
-        fine = propagate(system, psi0, sched, dt_max=1e-3 / 4)[-1]
+        fine = propagate(system, psi0, sched, dt_max=1e-3 / 4)
 
         def err(dt):
-            v = propagate(system, psi0, sched, dt_max=dt)[-1]
+            v = propagate(system, psi0, sched, dt_max=dt)
             return np.sqrt(np.sum(np.abs(v - fine) ** 2) * g.cell_volume)
 
         e1, e2 = err(2e-2), err(1e-2)
         assert 3.0 < e1 / e2 < 5.0
 
     def test_checkpoints_exact_times(self):
-        # one snapshot per checkpoint; free motion has no splitting error, so
-        # the last lands on t = 1.001 as one interval of 201 steps does, and
-        # a step's worth of time off would be a difference of order 1e-3
+        # one consumer call per checkpoint; free motion has no splitting
+        # error, so the end lands on t = 1.001 as one interval of 201 steps
+        # does, and a step's worth of time off would be a difference of
+        # order 1e-3
         g = grid2d(64, 8.0)
         system = QuantumSystem(1.0, g, ZeroPotential(2).sample(g))
         psi0 = gaussian_packet(g, [0.0, 0.0], 1.0, momentum=[1.0, 0.0])
-        snaps = propagate(system, psi0, CheckpointSchedule([0.0, 0.337, 1.001]))
-        assert len(snaps) == 3
-        direct = propagate(system, psi0, CheckpointSchedule([0.0, 1.001]))[-1]
-        assert np.max(np.abs(snaps[-1] - direct)) < 1e-10
+        calls = []
+        schedule = CheckpointSchedule([0.0, 0.337, 1.001])
+        final = propagate(system, psi0, schedule, at_checkpoint=lambda psi: calls.append(1))
+        assert len(calls) == 3
+        direct = propagate(system, psi0, CheckpointSchedule([0.0, 1.001]))
+        assert np.max(np.abs(final - direct)) < 1e-10
 
 
 def reference_propagate(system, psi0, times, dt_max):
@@ -223,20 +235,43 @@ def kick_system(grid, depth=0.5):
 class TestMergedKicks:
     @pytest.mark.parametrize("grid, center, momentum", _KICK_SETUPS)
     def test_matches_two_half_kicks_per_step(self, grid, center, momentum):
+        # the checkpoint consumer is called once per checkpoint, psi0's values
+        # first and each later state after its interval's edge check
+        # (edge_eps = 0 warns at every interval), with a view that refuses
+        # writes; psi0 is left as it was
         system = kick_system(grid)
         psi0 = gaussian_packet(grid, center, 1.0, momentum=momentum)
-        got = propagate(system, psi0, CheckpointSchedule(_KICK_TIMES), dt_max=2e-2)
+        before = psi0.copy()
+        got, warned = [], []
+
+        def consume(psi):
+            with pytest.raises(ValueError):
+                psi[...] = 0.0
+            with pytest.raises(ValueError):
+                psi *= 2.0
+            warned.append(len(caught))
+            got.append(psi.copy())
+
+        schedule = CheckpointSchedule(_KICK_TIMES)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            final = propagate(
+                system, psi0, schedule, dt_max=2e-2, edge_eps=0.0, at_checkpoint=consume
+            )
         ref = reference_propagate(system, psi0, _KICK_TIMES, dt_max=2e-2)
+        assert len(got) == len(ref) == 3
+        assert warned == [0, 1, 2]
         for snap, want in zip(got, ref):
             assert np.max(np.abs(snap - want)) < 1e-12
-        assert np.array_equal(psi0, got[0])
+        assert np.array_equal(got[0], psi0)
+        assert np.array_equal(psi0, before)
         # and every bit of the three-array propagation: the kick array holds
         # a half kick, the full kick and the closing half kick in turn, in
         # each of two intervals of different steps
         want = three_array_propagate(system, psi0, _KICK_TIMES, dt_max=2e-2)
-        assert len(got) == len(want) == 3
         for snap, w in zip(got, want):
             assert np.array_equal(snap, w)
+        assert np.array_equal(final, want[-1])
 
     @pytest.mark.parametrize("grid, center, momentum", _KICK_SETUPS)
     def test_threads_sharing_one_kinetic_factor(self, grid, center, momentum):
@@ -250,11 +285,14 @@ class TestMergedKicks:
         assert not any(kin.flags.writeable for kin in shared.values())
         before = {dt: kin.copy() for dt, kin in shared.items()}
         together = threading.Barrier(2, timeout=10.0)
-        got = [None, None]
+        got, seen = [None, None], [[], []]
 
         def run(i):
             together.wait()
-            got[i] = propagate(systems[i], psi0, schedule, dt_max=2e-2, _kinetic=shared)
+            got[i] = propagate(
+                systems[i], psi0, schedule, dt_max=2e-2,
+                at_checkpoint=lambda psi: seen[i].append(psi.copy()), _kinetic=shared,
+            )
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
         for t in threads:
@@ -262,30 +300,46 @@ class TestMergedKicks:
         for t in threads:
             t.join(timeout=60.0)
             assert not t.is_alive()
-        for system, snaps in zip(systems, got):
+        for system, final, snaps in zip(systems, got, seen):
             want = three_array_propagate(system, psi0, _KICK_TIMES, dt_max=2e-2)
+            assert len(snaps) == len(want)
             for snap, w in zip(snaps, want):
                 assert np.array_equal(snap, w)
+            assert np.array_equal(final, want[-1])
         for dt, kin in shared.items():
             assert np.array_equal(kin, before[dt])
 
 
 class TestWorkArrays:
-    def test_snapshots_do_not_alias_the_work_array(self):
+    def test_returns_its_aligned_work_array(self):
         g = grid2d(64, 8.0)
         system = QuantumSystem(1.0, g, GaussianWellPotential(0.5, 2.0, offset=1.0).sample(g))
         psi0 = gaussian_packet(g, [1.0, -0.5], 1.0, momentum=[0.5, 0.2])
         before = psi0.copy()
-        snaps = propagate(system, psi0, CheckpointSchedule([0.0, 0.1, 0.2, 0.3]), dt_max=1e-2)
-        assert snaps[0] is psi0
+        final = propagate(system, psi0, CheckpointSchedule([0.0, 0.1, 0.2, 0.3]), dt_max=1e-2)
         assert np.array_equal(psi0, before)
-        # the last snapshot is the wavefunction's work array, 64-byte aligned
-        work = snaps[-1]
-        assert work.ctypes.data % 64 == 0
-        arrays = list(snaps)
-        for i, a in enumerate(arrays):
-            for b in arrays[i + 1 :]:
-                assert not np.shares_memory(a, b)
+        # the wavefunction's work array, 64-byte aligned
+        assert final.ctypes.data % 64 == 0
+        assert not np.shares_memory(final, psi0)
+
+    def test_holds_one_grid_array_once_it_returns(self):
+        # five checkpoints on 256^2 with one step length: while it runs, a
+        # propagation holds its two arrays and the kinetic factor, and once it
+        # returns, the returned array alone, not a copy per interior checkpoint
+        g = grid2d(256, 10.0)
+        system = QuantumSystem(1.0, g, GaussianWellPotential(0.5, 2.0, offset=1.0).sample(g))
+        psi0 = gaussian_packet(g, [1.0, -0.5], 1.0, momentum=[0.5, 0.2])
+        schedule = CheckpointSchedule([0.0, 0.25, 0.5, 0.75, 1.0])
+        assert len(quantum._kinetic_factors(system, schedule, 0.125)) == 1
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            final = propagate(system, psi0, schedule, dt_max=0.125)
+            held, peak = (m - start for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert final.nbytes <= held < 2 * final.nbytes
+        assert peak < 4 * final.nbytes
 
 
 def free_system(g, hbar=1.0):
@@ -380,14 +434,14 @@ class TestInsensitivity:
     def test_tube_l1_scaling_2d(self):
         base = GaussianWellPotential(0.5, 2.0, offset=1.0, ndim=2)
         c = SegmentCurve([-2.0, 0.3], [2.0, -0.4])
-        l1 = [tube_l1_difference(base, c, lam) for lam in (1e2, 1e3, 1e4)]
+        l1 = [tube_l1_difference(base, TubeSamples(c), lam) for lam in (1e2, 1e3, 1e4)]
         slopes = np.diff(np.log(l1)) / np.diff(np.log([1e2, 1e3, 1e4]))
         assert np.allclose(slopes, -0.5, atol=0.02)
 
     def test_tube_l1_scaling_3d(self):
         base = GaussianWellPotential(0.5, 2.0, offset=1.0, ndim=3)
         c = SegmentCurve([-2.0, 0.3, 0.0], [2.0, -0.4, 0.5])
-        l1 = [tube_l1_difference(base, c, lam) for lam in (1e2, 1e3, 1e4)]
+        l1 = [tube_l1_difference(base, TubeSamples(c), lam) for lam in (1e2, 1e3, 1e4)]
         slopes = np.diff(np.log(l1)) / np.diff(np.log([1e2, 1e3, 1e4]))
         assert np.allclose(slopes, -1.0, atol=0.02)
 
@@ -403,7 +457,7 @@ class TestInsensitivity:
         du = np.abs(sp.sample(g) - base.sample(g))
         brute = float(du.sum() * g.cell_volume)
         inner = SegmentCurve([-1.5, 0.0], [1.5, 0.0])
-        assert np.isclose(tube_l1_difference(base, inner, lam), brute, rtol=1e-2)
+        assert np.isclose(tube_l1_difference(base, TubeSamples(inner), lam), brute, rtol=1e-2)
 
     def test_decay_table_and_monotonicity(self):
         g = grid2d(128, 8.0)
@@ -412,7 +466,7 @@ class TestInsensitivity:
         psi0 = gaussian_packet(g, [-1.0, 0.0], 1.2, momentum=[1.0, 0.0])
         c = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
         schedule = CheckpointSchedule([0.0, 0.5])
-        reference = propagate(system, psi0, schedule)[-1]
+        reference = propagate(system, psi0, schedule)
         scratched = [ScratchedPotential(base, [c], lam) for lam in (1e2, 1e3)]
         rows = scratch_insensitivity(system, scratched, psi0, schedule, reference)
         assert [row["lambda"] for row in rows] == [1e2, 1e3]
@@ -430,7 +484,7 @@ class TestInsensitivity:
         curve = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
         scratched = [ScratchedPotential(base, [curve], lam) for lam in (1e2, 1e3)]
         schedule = CheckpointSchedule([0.0, 0.3])
-        reference = propagate(system, psi0, schedule, dt_max=1e-2)[-1]
+        reference = propagate(system, psi0, schedule, dt_max=1e-2)
         propagated, sampled = [], []
 
         def recording_propagate(lam_system, *args, **kwargs):
@@ -451,7 +505,7 @@ class TestInsensitivity:
         for sp in scratched:
             assert sum(np.array_equal(values, sample(sp, g)) for values in propagated) == 1
         lam_system = QuantumSystem(1.0, g, sample(scratched[0], g))
-        fin = propagate(lam_system, psi0, schedule, dt_max=1e-2)[-1]
+        fin = propagate(lam_system, psi0, schedule, dt_max=1e-2)
         l2 = np.sqrt(np.sum(np.abs(fin - reference) ** 2) * g.cell_volume)
         assert rows[0]["l2_wavefunction"] == l2
 
@@ -464,7 +518,7 @@ def decay_setup(lambdas=(1e2, 1e3, 1e4)):
     curve = SegmentCurve([-4.0, -2.0], [4.0, -2.0])
     scratched = [ScratchedPotential(base, [curve], lam) for lam in lambdas]
     schedule = CheckpointSchedule([0.0, 0.3])
-    reference = propagate(system, psi0, schedule, dt_max=1e-2)[-1]
+    reference = propagate(system, psi0, schedule, dt_max=1e-2)
     return system, scratched, psi0, schedule, reference
 
 
@@ -477,13 +531,14 @@ def reference_decay_rows(system, scratched, psi0, schedule, reference, dt_max):
     for sp in scratched:
         u_lam = sp.sample(g)
         lam_system = QuantumSystem(system.mass, g, u_lam, system.hbar)
-        fin = propagate(lam_system, psi0, schedule, dt_max=dt_max)[-1]
+        fin = propagate(lam_system, psi0, schedule, dt_max=dt_max)
         diff = fin - reference
         rows.append(
             {
                 "lambda": sp.lam,
                 "l1_potential": sum(
-                    tube_l1_difference(sp.base, p.curve, sp.lam) for p in sp.profiles
+                    tube_l1_difference(sp.base, TubeSamples(p.curve), sp.lam)
+                    for p in sp.profiles
                 ),
                 "linf_fourier": float(
                     np.max(np.abs(np.fft.fftn(u_lam - u_plain))) * fourier_norm
@@ -631,7 +686,7 @@ class TestDecayExecutors:
                 # so that several are in flight, and higher lambdas fail first
                 time.sleep(1e-3 / lam)
                 raise NumericalStabilityError(f"drift at {lam:g}")
-            return [np.full(g.shape, lam + 0j)]
+            return np.full(g.shape, lam + 0j)
 
         monkeypatch.setattr(ScratchedPotential, "sample", constant_sample)
         monkeypatch.setattr(quantum, "propagate", constant_propagate)
@@ -707,7 +762,7 @@ class TestDecayExecutors:
             time.sleep(1e-3)  # so that propagations overlap
             with lock:
                 running[0] -= 1
-            return [np.full(g.shape, lam_system.potential.flat[0] + 0j)]
+            return np.full(g.shape, lam_system.potential.flat[0] + 0j)
 
         monkeypatch.setattr(ScratchedPotential, "sample", lambda sp, grid: np.full(grid.shape, sp.lam))
         monkeypatch.setattr(quantum, "propagate", constant_propagate)
@@ -786,7 +841,7 @@ class TestVectorizedTube:
         monkeypatch.setattr(quantum, "_TUBE_SAMPLES", 101)
         base = GaussianWellPotential(0.5, 2.0, offset=1.0, ndim=curve.ndim)
         for lam in (1e2, 1e4):
-            got = tube_l1_difference(base, curve, lam)
+            got = tube_l1_difference(base, TubeSamples(curve), lam)
             want = reference_tube_l1(base, curve, lam, num_s=101)
             assert abs(got - want) <= 1e-13 * abs(want)
 
